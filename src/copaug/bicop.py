@@ -22,14 +22,13 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri, gammaln, stdtr, stdtrit
-from scipy.stats import kendalltau as _scipy_kendalltau
 
 from . import rng
 
@@ -65,6 +64,9 @@ ROTATABLE = frozenset({Family.CLAYTON, Family.GUMBEL, Family.JOE})
 DEFAULT_CATALOGUE = frozenset(
     {Family.GAUSSIAN, Family.STUDENT_T, Family.CLAYTON, Family.GUMBEL, Family.FRANK, Family.JOE}
 )
+
+#: Rotation of the argument-swapped copula (see swap_arguments).
+_SWAPPED_ROTATION = {0: 0, 90: 270, 180: 180, 270: 90}
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,7 @@ def _check_unit(*args) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Unrotated building blocks.  h1(u, v) = P(U <= u | V = v), h2 = reverse.
+# Unrotated building blocks.  h1(u, v) = P(U <= u | V = v).
 # ---------------------------------------------------------------------------
 
 def _frank_denom(t: float, u, v):
@@ -223,11 +225,6 @@ def _h1_base(family: Family, u, v, theta: float, nu: float | None):
     raise ValueError(f"unknown family {family}")
 
 
-def _h2_base(family: Family, u, v, theta: float, nu: float | None):
-    # Every catalogue family is exchangeable, so h2 is h1 with swapped args.
-    return _h1_base(family, v, u, theta, nu)
-
-
 def _bisect_conditioned(func, w, n_iter: int = 64) -> np.ndarray:
     """Solve func(t) = w for t in (0,1), func monotone increasing in t."""
     w = np.asarray(w, dtype=float)
@@ -272,11 +269,6 @@ def _h1_inv_base(family: Family, w, v, theta: float, nu: float | None):
     return _bisect_conditioned(lambda t_: _h1_base(family, t_, v, theta, nu), w)
 
 
-def _h2_inv_base(family: Family, w, u, theta: float, nu: float | None):
-    """Solve h2(u, v) = w for v (exchangeable families: reuse h1_inv)."""
-    return _h1_inv_base(family, w, u, theta, nu)
-
-
 # ---------------------------------------------------------------------------
 # Rotation dispatch.
 # ---------------------------------------------------------------------------
@@ -303,86 +295,126 @@ def pair_loglik(c: PairCopula, u, v) -> float:
     return float(np.sum(_log_pdf(c, _clip(u), _clip(v))))
 
 
+def _direction_one(c: PairCopula, direction: int, base, x, z):
+    """base (_h1_base or _h1_inv_base) of c along `direction`, rotation applied.
+
+    Every catalogue family is exchangeable, so direction 2 of c is direction
+    1 of the copula of the swapped pair (V, U): c with rotations 90 and 270
+    exchanged.  Rotations 90 and 180 reflect the conditioned argument x and
+    the result; 180 and 270 reflect the conditioning argument z.
+    """
+    if direction not in (1, 2):
+        raise ValueError("direction must be 1 or 2")
+    rot = c.rotation if direction == 1 else _SWAPPED_ROTATION[c.rotation]
+    flip_x, flip_z = rot in (90, 180), rot in (180, 270)
+    out = base(c.family, 1.0 - x if flip_x else x, 1.0 - z if flip_z else z, c.theta, c.nu)
+    return _clip(1.0 - out if flip_x else out)
+
+
 def h_func(c: PairCopula, u, v, direction: int = 1) -> np.ndarray:
     """Conditional CDF h; see module docstring for the direction convention."""
     _check_unit(u, v)
     u, v = _clip(u), _clip(v)
-    f, t, nu, rot = c.family, c.theta, c.nu, c.rotation
-    if direction == 1:
-        if rot == 0:
-            out = _h1_base(f, u, v, t, nu)
-        elif rot == 90:
-            out = 1.0 - _h2_base(f, v, 1.0 - u, t, nu)
-        elif rot == 180:
-            out = 1.0 - _h1_base(f, 1.0 - u, 1.0 - v, t, nu)
-        else:
-            out = _h2_base(f, 1.0 - v, u, t, nu)
-    elif direction == 2:
-        if rot == 0:
-            out = _h2_base(f, u, v, t, nu)
-        elif rot == 90:
-            out = _h1_base(f, v, 1.0 - u, t, nu)
-        elif rot == 180:
-            out = 1.0 - _h2_base(f, 1.0 - u, 1.0 - v, t, nu)
-        else:
-            out = 1.0 - _h1_base(f, 1.0 - v, u, t, nu)
-    else:
-        raise ValueError("direction must be 1 or 2")
-    return _clip(out)
+    if direction == 2:
+        u, v = v, u
+    return _direction_one(c, direction, _h1_base, u, v)
 
 
 def h_inv(c: PairCopula, w, z, direction: int = 1) -> np.ndarray:
     """Invert the conditioned argument of h given conditioning value z."""
     _check_unit(w, z)
-    w, z = _clip(w), _clip(z)
-    f, t, nu, rot = c.family, c.theta, c.nu, c.rotation
-    if direction == 1:
-        if rot == 0:
-            out = _h1_inv_base(f, w, z, t, nu)
-        elif rot == 90:
-            out = 1.0 - _h2_inv_base(f, 1.0 - w, z, t, nu)
-        elif rot == 180:
-            out = 1.0 - _h1_inv_base(f, 1.0 - w, 1.0 - z, t, nu)
-        else:
-            out = _h2_inv_base(f, w, 1.0 - z, t, nu)
-    elif direction == 2:
-        if rot == 0:
-            out = _h2_inv_base(f, w, z, t, nu)
-        elif rot == 90:
-            out = _h1_inv_base(f, w, 1.0 - z, t, nu)
-        elif rot == 180:
-            out = 1.0 - _h2_inv_base(f, 1.0 - w, 1.0 - z, t, nu)
-        else:
-            out = 1.0 - _h1_inv_base(f, 1.0 - w, z, t, nu)
-    else:
-        raise ValueError("direction must be 1 or 2")
-    return _clip(out)
+    return _direction_one(c, direction, _h1_inv_base, _clip(w), _clip(z))
+
+
+def swap_arguments(c: PairCopula) -> PairCopula:
+    """The copula of (V, U) when c is the copula of (U, V)."""
+    return replace(c, rotation=_SWAPPED_ROTATION[c.rotation])
 
 
 # ---------------------------------------------------------------------------
 # Kendall tau and parameter conversions.
 # ---------------------------------------------------------------------------
 
+def _tied_pairs(run_starts) -> int:
+    """Pairs within runs of equal values; run_starts marks each run's start."""
+    runs = np.diff(np.flatnonzero(run_starts), append=run_starts.size)
+    return int((runs * (runs - 1)).sum()) // 2
+
+
+def _run_starts(x) -> np.ndarray:
+    return np.concatenate(([True], x[1:] != x[:-1]))
+
+
+def _inversions(r) -> int:
+    """Pairs i < j with r[i] > r[j], for a permutation r of range(len(r)).
+
+    Positions are cut into blocks and values into buckets of b each.  An
+    inverted pair lies in one value bucket, or else in one position block,
+    or else in two blocks and two buckets; the first two cases are counted
+    pair by pair, the third from a block-by-bucket histogram.
+    """
+    n = r.size
+    b = max(8, round(1.6 * n ** (1 / 3)))  # balances n*b comparisons against the (n/b)^2 histogram
+    m = -(-n // b)
+    r = np.concatenate((r, np.arange(n, m * b)))  # padding: the largest values, last
+    block = np.arange(m * b) // b
+    bucket = r // b
+    grid = np.bincount(block * m + bucket, minlength=m * m).reshape(m, m)
+    above = b - grid.cumsum(axis=1)       # [p, q]: entries of block p in buckets above q
+    above = above.cumsum(axis=0) - above  # the same over the blocks before p
+    upper = np.triu(np.ones((b, b), dtype=bool), 1)
+    rows, row_buckets = r.reshape(m, b), bucket.reshape(m, b)
+    in_block = ((rows[:, :, None] > rows[:, None, :])
+                & (row_buckets[:, :, None] != row_buckets[:, None, :]) & upper)
+    pos = np.empty_like(r)
+    pos[r] = np.arange(m * b)
+    pos = pos.reshape(m, b)  # row q: positions of bucket q's values, by value
+    in_bucket = (pos[:, :, None] > pos[:, None, :]) & upper
+    pairwise = np.count_nonzero(in_block) + np.count_nonzero(in_bucket)
+    return int(above[block, bucket].sum()) + int(pairwise)
+
+
 def kendall_tau(u, v) -> float:
-    """Tie-adjusted Kendall tau-b (O(n log n) merge counting)."""
+    """Tie-adjusted Kendall tau-b: argsorts and an O(n^(4/3)) inversion count.
+
+    Sorting by u, ties by v, leaves the discordant pairs as the inversions of
+    v's ranks; the tie counts and the tau-b formula are those of
+    scipy.stats.kendalltau, so the two agree to the last bit.
+    """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape or u.ndim != 1:
         raise ValueError("kendall_tau expects two equal-length vectors")
-    if u.shape[0] < 2:
+    n = u.shape[0]
+    if n < 2:
         raise ValueError("kendall_tau needs at least 2 observations")
-    # Perfectly monotone tie-free data has tau exactly +-1; the sqrt-based
-    # tau-b evaluation loses an ulp there.
-    order = np.lexsort((v, u))
-    us, vs = u[order], v[order]
-    if np.all(np.diff(us) > 0):
-        dv = np.diff(vs)
-        if np.all(dv > 0):
-            return 1.0
-        if np.all(dv < 0):
-            return -1.0
-    tau = _scipy_kendalltau(u, v).statistic
-    return float(tau) if np.isfinite(tau) else 0.0
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise ValueError("kendall_tau needs finite observations")
+    by_v = np.argsort(v)
+    v_starts = _run_starts(v[by_v])
+    v_rank = np.empty(n, dtype=np.intp)
+    v_rank[by_v] = np.cumsum(v_starts) - 1
+    order = np.argsort(u)
+    u_starts = _run_starts(u[order])
+    if not u_starts.all():
+        order = np.lexsort((v_rank, u))  # u's ties in v order: no inversions among them
+    u_ties, v_ties = _tied_pairs(u_starts), _tied_pairs(v_starts)
+    r = v_rank[order]
+    joint_ties = _tied_pairs(u_starts | _run_starts(r))
+    total = n * (n - 1) // 2
+    if u_ties == total or v_ties == total:
+        return 0.0  # a constant vector
+    if v_ties:
+        # Ranks of v that break v's ties by position: tied pairs are not inversions.
+        r[np.argsort(r, kind="stable")] = np.arange(n)
+    discordant = _inversions(r)
+    if u_ties == v_ties == 0 and discordant in (0, total):
+        # Perfectly monotone tie-free data has tau exactly +-1; the sqrt-based
+        # formula below loses an ulp there.
+        return 1.0 if discordant == 0 else -1.0
+    concordant_minus_discordant = total - u_ties - v_ties + joint_ties - 2 * discordant
+    tau = concordant_minus_discordant / math.sqrt(total - u_ties) / math.sqrt(total - v_ties)
+    return min(1.0, max(-1.0, tau))
 
 
 def tau_independence_threshold(n: int) -> float:
@@ -567,12 +599,13 @@ def aic(c: PairCopula) -> float:
     return 2.0 * c.n_params - 2.0 * c.loglik
 
 
-def fit_pair(u, v, catalogue=DEFAULT_CATALOGUE) -> PairCopula:
+def fit_pair(u, v, catalogue=DEFAULT_CATALOGUE, *, tau: float | None = None) -> PairCopula:
     """Fit the AIC-best pair copula from the catalogue to pseudo-observations.
 
     An independence test on the empirical tau short-circuits to the
     independence copula; otherwise each family is fitted at the rotation(s)
-    admissible for the sign of tau and the lowest-AIC candidate wins.
+    admissible for the sign of tau and the lowest-AIC candidate wins.  A
+    caller that already holds kendall_tau(u, v) passes it as `tau`.
     """
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
@@ -584,7 +617,7 @@ def fit_pair(u, v, catalogue=DEFAULT_CATALOGUE) -> PairCopula:
     _check_unit(u, v)
     if np.ptp(u) == 0.0 or np.ptp(v) == 0.0:
         raise ValueError("degenerate (constant) pseudo-observation column")
-    tau_hat = kendall_tau(u, v)
+    tau_hat = kendall_tau(u, v) if tau is None else tau
     if abs(tau_hat) < tau_independence_threshold(n):
         return INDEPENDENCE
     candidates = []

@@ -1,12 +1,13 @@
 """Multivariate dependence models on pseudo-observations.
 
 Two model kinds share one surface: the full Gaussian copula (correlation
-matrix of normal scores, Cholesky sampling) and the regular vine built by
-the sequential greedy algorithm: per tree level, a maximum spanning tree
-on |Kendall tau| weights restricted by the proximity condition, each edge
-fitted by AIC family selection, conditional pseudo-data pushed through
-the fitted h-functions to the next level.  Simulation inverts the
-Rosenblatt transform through chained h-inverses.
+matrix of normal scores, Cholesky sampling) and the truncated regular vine
+of the sequential greedy algorithm: per tree up to the truncation level, a
+maximum spanning tree on |Kendall tau| weights restricted by the proximity
+condition, each edge fitted by AIC family selection, conditional
+pseudo-data pushed through the fitted h-functions to the next tree.  The
+vine is an R-vine matrix; simulation inverts the Rosenblatt transform
+along its columns.
 
 The synthesize entry point ties marginals and copula together: fit both
 on a flattened training set, simulate, map columns back through the
@@ -15,9 +16,10 @@ marginal quantiles and rebuild profiles.
 
 from __future__ import annotations
 
+import itertools
 import json
-import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -33,11 +35,12 @@ from .bicop import (
     h_func,
     h_inv,
     kendall_tau,
+    swap_arguments,
 )
-from .dataset import LevelGrid, Profile, ProfileSet, flatten
+from .dataset import LevelGrid, Profile, ProfileSet, SchemaError, flatten
 from .marginals import EmpiricalMarginal, fit_empirical, pseudo_observations, quantile
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 # Full vines are allowed but quadratic; above this width default to truncating.
 TRUNCATION_FREE_LIMIT = 60
@@ -58,19 +61,12 @@ class GaussianCopulaModel:
 
 @dataclass(frozen=True)
 class VineEdge:
-    """One pair copula of the vine: conditioned pair given a conditioning set.
-
-    cond is ordered: the copula's first argument is F(cond[0] | given).
-    """
+    """One pair copula of the vine; its first argument is F(cond[0] | given)."""
 
     cond: tuple
     given: frozenset
     copula: PairCopula
     tau_hat: float
-
-    @property
-    def constraint(self) -> frozenset:
-        return frozenset(self.cond) | self.given
 
 
 @dataclass(frozen=True)
@@ -81,40 +77,66 @@ class VineStructure:
     trees: tuple  # tree t (1-based) at index t-1: tuple of (cond, given)
     truncation: int
 
-    def __post_init__(self):
-        if len(self.trees) != self.d - 1:
-            raise ValueError(f"expected {self.d - 1} trees, got {len(self.trees)}")
-        for t, tree in enumerate(self.trees, start=1):
-            if len(tree) != self.d - t:
-                raise ValueError(f"tree {t} must have {self.d - t} edges, got {len(tree)}")
-            for cond, given in tree:
-                if len(given) != t - 1:
-                    raise ValueError(f"tree {t} edge {cond}: conditioning size {len(given)} != {t - 1}")
-
 
 @dataclass(frozen=True)
 class VineModel:
-    """Fitted regular vine: structure plus one PairCopula per edge."""
+    """Fitted regular vine, truncated: an R-vine matrix plus pair copulas.
 
-    d: int
-    trees: tuple  # tuple per tree of VineEdge
-    truncation: int
+    `matrix` is the d x d R-vine structure matrix in the standard layout
+    (Joe 2014, ch. 6; vinecopulib) over variables 0..d-1.  Column j's own
+    variable sits on the antidiagonal, matrix[d-1-j][j]; for t < d-1-j,
+    matrix[t][j] is its partner in tree t+1, given matrix[0..t-1][j].
+    Cells below the antidiagonal hold -1.
+
+    copulas[t][j] = (copula, tau_hat) is that edge's fitted copula, whose
+    first argument is column j's own variable, and its empirical Kendall
+    tau, for the trees t+1 <= truncation.  Every deeper edge is the
+    independence copula: a truncated vine's density depends on trees
+    1..truncation only (Brechmann, Czado & Aas 2012).
+    """
+
+    matrix: tuple   # d rows of d ints
+    copulas: tuple  # one row per fitted tree; row t holds d-1-t (PairCopula, tau_hat)
+
+    def __post_init__(self):
+        M, d, k = self.matrix, len(self.matrix), len(self.copulas)
+        if d < 2 or {len(row) for row in M} != {d} or not all(type(x) is int for row in M for x in row):
+            raise ValueError(f"vine.matrix: expected a square integer matrix of size >= 2, got {d} rows")
+        own = [M[d - 1 - j][j] for j in range(d)]
+        if sorted(own) != list(range(d)):
+            raise ValueError(f"vine.matrix: the antidiagonal must hold each of 0..{d - 1} once")
+        for j in range(d):
+            if (sorted(M[t][j] for t in range(d - 1 - j)) != sorted(own[j + 1:])
+                    or any(M[t][j] != -1 for t in range(d - j, d))):
+                raise ValueError(f"vine.matrix: column {j} must hold the variables of the columns "
+                                 "right of it above the antidiagonal and -1 below it")
+        _edge_sources(M, d - 1)  # the proximity condition
+        if not 1 <= k <= d - 1 or [len(row) for row in self.copulas] != list(range(d - 1, d - 1 - k, -1)):
+            raise ValueError(f"vine.copulas: expected up to {d - 1} trees of {d - 1}, {d - 2}, ... edges")
 
     @property
-    def structure(self) -> VineStructure:
-        return VineStructure(
-            self.d,
-            tuple(tuple((e.cond, e.given) for e in tree) for tree in self.trees),
-            self.truncation,
-        )
+    def d(self) -> int:
+        return len(self.matrix)
 
     @property
-    def n_params(self) -> int:
-        return sum(e.copula.n_params for tree in self.trees for e in tree)
+    def truncation(self) -> int:
+        return len(self.copulas)
 
-    @property
-    def loglik(self) -> float:
-        return sum(e.copula.loglik for tree in self.trees for e in tree)
+    @cached_property
+    def trees(self) -> tuple:
+        """Tree t+1 at index t: VineEdges by conditioned pair, each pair ascending."""
+        M, d = self.matrix, self.d
+        trees = []
+        for t in range(d - 1):
+            edges = []
+            for j in range(d - 1 - t):
+                a, b = M[d - 1 - j][j], M[t][j]
+                cop, tau = self.copulas[t][j] if t < self.truncation else (INDEPENDENCE, 0.0)
+                if a > b:
+                    a, b, cop = b, a, swap_arguments(cop)
+                edges.append(VineEdge((a, b), frozenset(M[s][j] for s in range(t)), cop, tau))
+            trees.append(tuple(sorted(edges, key=lambda e: e.cond)))
+        return tuple(trees)
 
 
 @dataclass(frozen=True)
@@ -210,14 +232,15 @@ def simulate_gaussian(m: GaussianCopulaModel, n: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _Node:
-    """Working node during fitting: a fitted edge plus conditional data."""
+    """Working node during fitting: one edge of the tree being built."""
 
-    __slots__ = ("pieces", "constraint", "hdata")
+    __slots__ = ("pieces", "cond", "constraint", "copula", "tau")
 
-    def __init__(self, pieces, constraint, hdata):
+    def __init__(self, pieces, cond, constraint):
         self.pieces = pieces          # ids of the two lower-level nodes joined
+        self.cond = cond              # conditioned pair (a, b); a comes from pieces[0]
         self.constraint = constraint  # all variables this node involves
-        self.hdata = hdata            # var -> F(var | constraint - {var})
+        self.copula, self.tau = INDEPENDENCE, 0.0
 
 
 def _kruskal_max(n_nodes: int, edges: list) -> list:
@@ -239,6 +262,15 @@ def _kruskal_max(n_nodes: int, edges: list) -> list:
     return chosen
 
 
+def _proximity_pairs(nodes: list) -> list:
+    """Node pairs (x, y), x < y, that share a node of the previous tree."""
+    sharing = {}
+    for x, node in enumerate(nodes):
+        for piece in node.pieces:
+            sharing.setdefault(piece, []).append(x)
+    return [pair for xs in sharing.values() for pair in itertools.combinations(xs, 2)]
+
+
 def resolve_truncation(truncation: int | None, d: int) -> int:
     if truncation is not None:
         if truncation < 1:
@@ -248,177 +280,145 @@ def resolve_truncation(truncation: int | None, d: int) -> int:
 
 
 def fit_vine(u, spec: CopulaSpec = CopulaSpec(kind="vine")) -> VineModel:
-    """Fit a regular vine level by level.
+    """Fit a truncated regular vine level by level.
 
     Tree 1 is the maximum spanning tree of |tau| over all variable pairs;
-    deeper trees connect previous-level edges that share a node, weighted
-    by |tau| of the conditional pseudo-data.  Edges at levels beyond the
-    truncation level keep the structure but get the independence copula.
-    Ties in the spanning trees break toward the lowest conditioned index
-    pair, so selection is deterministic.
+    deeper trees up to the truncation level connect previous-level edges
+    that share a node, weighted by |tau| of the conditional pseudo-data.
+    Ties break toward the lowest conditioned index pair.  Trees past the
+    truncation level do not change the density, so they only complete the
+    structure: a spanning tree of the proximity graph picked by node index,
+    with independence copulas.
     """
     u = _check_umatrix(u)
     n, d = u.shape
     if d < 2:
         raise ValueError("vine fitting needs at least 2 features")
     trunc = resolve_truncation(spec.truncation, d)
-    catalogue = spec.catalogue
-
-    def fit_edge(level, a, b, za, zb):
-        if level > trunc:
-            return INDEPENDENCE
-        try:
-            return fit_pair(za, zb, catalogue)
-        except ValueError as exc:
-            raise ValueError(f"tree {level} edge ({a},{b}): {exc}") from None
-
-    # Tree 1: nodes are the variables themselves.
-    candidates = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            tau = kendall_tau(u[:, i], u[:, j])
-            candidates.append((abs(tau), (i, j), i, j, (i, j, tau)))
-    chosen = sorted(_kruskal_max(d, candidates), key=lambda e: (e[0], e[1]))
-
-    nodes, tree_edges = [], []
-    for i, j, tau in chosen:
-        cop = fit_edge(1, i, j, u[:, i], u[:, j])
-        hdata = {
-            i: h_func(cop, u[:, i], u[:, j], direction=1),
-            j: h_func(cop, u[:, i], u[:, j], direction=2),
-        }
-        nodes.append(_Node((("v", i), ("v", j)), frozenset((i, j)), hdata))
-        tree_edges.append(VineEdge((i, j), frozenset(), cop, tau))
-    trees = [tuple(tree_edges)]
-
-    # Trees 2..d-1: nodes are the previous tree's edges.
-    for level in range(2, d):
+    nodes = [_Node((), (i,), frozenset((i,))) for i in range(d)]
+    hdata = [{i: u[:, i]} for i in range(d)]  # per node: var -> F(var | constraint - {var})
+    levels = []
+    for level in range(1, d):
+        fitted = level <= trunc
+        pairs = itertools.combinations(range(d), 2) if level == 1 else _proximity_pairs(nodes)
         candidates = []
-        for x in range(len(nodes)):
-            for y in range(x + 1, len(nodes)):
-                e, f = nodes[x], nodes[y]
-                if not set(e.pieces) & set(f.pieces):
-                    continue  # proximity condition
-                (a,) = e.constraint - f.constraint
-                (b,) = f.constraint - e.constraint
-                tau = kendall_tau(e.hdata[a], f.hdata[b])
-                tb = (min(a, b), max(a, b))
-                candidates.append((abs(tau), tb, x, y, (x, y, a, b, tau)))
-        chosen = _kruskal_max(len(nodes), candidates)
-        chosen.sort(key=lambda e: (min(e[2], e[3]), max(e[2], e[3])))
-        new_nodes, tree_edges = [], []
-        for idx, (x, y, a, b, tau) in enumerate(chosen):
+        for x, y in pairs:
             e, f = nodes[x], nodes[y]
-            given = e.constraint & f.constraint
-            za, zb = e.hdata[a], f.hdata[b]
-            cop = fit_edge(level, a, b, za, zb)
-            hdata = {
-                a: h_func(cop, za, zb, direction=1),
-                b: h_func(cop, za, zb, direction=2),
-            }
-            new_nodes.append(_Node((("e", level - 1, x), ("e", level - 1, y)),
-                                   e.constraint | f.constraint, hdata))
-            tree_edges.append(VineEdge((a, b), given, cop, tau))
-        if len(tree_edges) != d - level:
-            raise ValueError(f"tree {level}: proximity graph yielded {len(tree_edges)} edges")
-        nodes = new_nodes
-        trees.append(tuple(tree_edges))
+            (a,) = e.constraint - f.constraint
+            (b,) = f.constraint - e.constraint
+            tau = kendall_tau(hdata[x][a], hdata[y][b]) if fitted else 0.0
+            tiebreak = (min(a, b), max(a, b), x, y) if fitted else (x, y)
+            candidates.append((abs(tau), tiebreak, x, y, (x, y, a, b, tau)))
+        chosen = _kruskal_max(len(nodes), candidates)
+        chosen.sort(key=lambda c: (min(c[2], c[3]), max(c[2], c[3])))
+        new_nodes, new_hdata = [], []
+        for x, y, a, b, tau in chosen:
+            node = _Node((x, y), (a, b), nodes[x].constraint | nodes[y].constraint)
+            if fitted:
+                za, zb = hdata[x][a], hdata[y][b]
+                try:
+                    node.copula = fit_pair(za, zb, spec.catalogue, tau=tau)
+                except ValueError as exc:
+                    raise ValueError(f"tree {level} edge ({a},{b}): {exc}") from None
+                node.tau = tau
+                if level < trunc:
+                    new_hdata.append({a: h_func(node.copula, za, zb, direction=1),
+                                      b: h_func(node.copula, za, zb, direction=2)})
+            new_nodes.append(node)
+        levels.append(new_nodes)
+        nodes, hdata = new_nodes, new_hdata
+    return _encode(levels, trunc)
 
-    return VineModel(d, tuple(trees), trunc)
+
+def _encode(levels: list, trunc: int) -> VineModel:
+    """The R-vine matrix of a fitted tree sequence (Dissmann et al. 2013).
+
+    Column j takes a conditioned variable x of the one edge left in tree
+    d-1-j; down the trees, the partners of x in the chain of edges holding
+    x as a conditioned variable fill the column.  Removing that chain
+    leaves a regular vine on the other variables.
+    """
+    d = len(levels) + 1
+    M = [[-1] * d for _ in range(d)]
+    copulas = [[None] * (d - 1 - t) for t in range(trunc)]
+    used = [set() for _ in levels]
+    for j in range(d - 1):
+        top = d - 2 - j
+        (idx,) = set(range(len(levels[top]))) - used[top]
+        x = max(levels[top][idx].cond)
+        for t in range(top, -1, -1):
+            node = levels[t][idx]
+            used[t].add(idx)
+            first = x == node.cond[0]
+            M[t][j] = node.cond[1] if first else node.cond[0]
+            if t < trunc:
+                copulas[t][j] = (node.copula if first else swap_arguments(node.copula), node.tau)
+            idx = node.pieces[0 if first else 1]
+        M[d - 1 - j][j] = x
+    M[0][d - 1] = M[0][d - 2]
+    return VineModel(tuple(map(tuple, M)), tuple(map(tuple, copulas)))
 
 
 def select_structure(u, truncation: int | None = None) -> VineStructure:
-    """Structure selection only (edges still fitted internally to produce
-    the conditional pseudo-data the deeper trees are built on)."""
-    return fit_vine(u, CopulaSpec(kind="vine", truncation=truncation)).structure
+    """Structure selection only (edges up to the truncation level are still
+    fitted for the conditional pseudo-data the deeper trees are built on)."""
+    vine = fit_vine(u, CopulaSpec(kind="vine", truncation=truncation))
+    trees = tuple(tuple((e.cond, e.given) for e in tree) for tree in vine.trees)
+    return VineStructure(vine.d, trees, vine.truncation)
 
 
-# ---------------------------------------------------------------------------
-# Vine simulation (inverse Rosenblatt through h-inverses).
-# ---------------------------------------------------------------------------
+def _edge_sources(M, k: int) -> list:
+    """Where the edge of tree t+1 in column j, t < k, finds F(M[t][j] | M[0..t-1][j]).
 
-def _constraint_lookup(m: VineModel) -> list:
-    return [{e.constraint: k for k, e in enumerate(tree)} for tree in m.trees]
-
-
-def _elimination_chains(m: VineModel, lookup: list) -> list:
-    """Variables in elimination order with their per-tree edge chains.
-
-    The eliminated variable of the current top edge is a conditioned
-    variable of exactly one edge per lower tree, with nested constraint
-    sets; removing the chain leaves a valid vine on the remaining
-    variables.
+    sources[t][j] = (c, own): column c's own variable given M[0..t-1][c] if
+    own, else the partner of column c's tree-t edge given the rest of that
+    edge.  No such c breaks the proximity condition: ValueError.
     """
-    remaining = [set(range(len(tree))) for tree in m.trees]
-    chains = []
-    for level in range(m.d - 1, 0, -1):
-        tree_i = level - 1
-        if len(remaining[tree_i]) != 1:
-            raise AssertionError("invalid vine: ambiguous top edge during elimination")
-        top_idx = next(iter(remaining[tree_i]))
-        top = m.trees[tree_i][top_idx]
-        var = max(top.cond)
-        chain = [(tree_i, top_idx)]
-        cur = top
-        for t in range(tree_i - 1, -1, -1):
-            a, b = cur.cond
-            other = b if var == a else a
-            child_idx = lookup[t][cur.constraint - {other}]
-            cur = m.trees[t][child_idx]
-            if var not in cur.cond:
-                raise AssertionError("invalid vine: broken conditioned chain")
-            chain.append((t, child_idx))
-        chain.reverse()
-        chains.append((var, chain))
-        for t_i, e_i in chain:
-            remaining[t_i].discard(e_i)
-    return chains
-
-
-def _value_for(m: VineModel, lookup, u_samples, constraint, var, memo) -> np.ndarray:
-    """F(var | constraint - {var}) at the current samples, memoized."""
-    if len(constraint) == 1:
-        return u_samples[var]
-    tree_i = len(constraint) - 2
-    edge_i = lookup[tree_i][constraint]
-    key = (tree_i, edge_i, var)
-    if key in memo:
-        return memo[key]
-    e = m.trees[tree_i][edge_i]
-    a, b = e.cond
-    za = _value_for(m, lookup, u_samples, e.constraint - {b}, a, memo)
-    zb = _value_for(m, lookup, u_samples, e.constraint - {a}, b, memo)
-    val = h_func(e.copula, za, zb, direction=1 if var == a else 2)
-    memo[key] = val
-    return val
+    d = len(M)
+    sources = []
+    for t in range(k):
+        edge_at = {frozenset(M[s][c] for s in range(t)) | {M[d - 1 - c][c]}: c for c in range(d - t)}
+        row = []
+        for j in range(d - 1 - t):
+            c = edge_at.get(frozenset(M[s][j] for s in range(t + 1)))
+            if c is None or M[t][j] not in (M[d - 1 - c][c], M[t - 1][c]):
+                raise ValueError(f"vine.matrix: column {j}, tree {t + 1} breaks the proximity condition")
+            row.append((c, M[t][j] == M[d - 1 - c][c]))
+        sources.append(row)
+    return sources
 
 
 def simulate_vine(m: VineModel, n: int, seed: int) -> np.ndarray:
-    """Simulate n rows from the vine; deterministic given the seed."""
-    d = m.d
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * d + 100))
+    """Simulate n rows from the vine; deterministic given the seed.
+
+    The inverse Rosenblatt transform on the R-vine matrix (Dissmann et al.
+    2013), columns right to left, each through trees truncation..1: O(n d k)
+    work, and no h-function call for an independence copula.  Variable v
+    inverts column v of the uniform stream.
+    """
+    M, d, k = m.matrix, m.d, m.truncation
     W = rng.uniforms(seed, (n, d))
-    lookup = _constraint_lookup(m)
-    chains = _elimination_chains(m, lookup)
-    first_var = (set(range(d)) - {var for var, _ in chains}).pop()
-    u_samples = {first_var: W[:, 0]}
-    memo = {}
-    for k, (var, chain) in enumerate(reversed(chains), start=2):
-        w = W[:, k - 1]
-        for tree_i, edge_i in reversed(chain):
-            e = m.trees[tree_i][edge_i]
-            a, b = e.cond
-            try:
-                if var == a:
-                    z = _value_for(m, lookup, u_samples, e.constraint - {a}, b, memo)
-                    w = h_inv(e.copula, w, z, direction=1)
-                else:
-                    z = _value_for(m, lookup, u_samples, e.constraint - {b}, a, memo)
-                    w = h_inv(e.copula, w, z, direction=2)
-            except ValueError as exc:
-                raise ValueError(f"tree {tree_i + 1} edge {e.cond}|{sorted(e.given)}: {exc}") from None
-        u_samples[var] = w
-    return np.column_stack([u_samples[i] for i in range(d)])
+    sources = _edge_sources(M, k)
+    needed = {(c, t) for t, row in enumerate(sources) for c, own in row if not own}
+    own = [None] * d  # own[j][t] = F(column j's variable | M[0..t-1][j])
+    partner = {}      # (j, t) -> F(M[t-1][j] | column j's variable, M[0..t-2][j])
+    out = np.empty((n, d))
+    for j in range(d - 1, -1, -1):
+        depth = min(k, d - 1 - j)
+        values = [None] * depth + [W[:, M[d - 1 - j][j]]]
+        for t in range(depth - 1, -1, -1):
+            c, is_own = sources[t][j]
+            z = own[c][t] if is_own else partner[c, t]
+            cop = m.copulas[t][j][0]
+            if cop.family is Family.INDEPENDENCE:
+                values[t], partner[j, t + 1] = values[t + 1], z
+                continue
+            values[t] = h_inv(cop, values[t + 1], z, direction=1)
+            if (j, t + 1) in needed:
+                partner[j, t + 1] = h_func(cop, values[t], z, direction=2)
+        own[j] = values
+        out[:, M[d - 1 - j][j]] = values[0]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -515,48 +515,45 @@ def model_to_dict(model: SynthModel) -> dict:
     elif model.kind == "gaussian":
         doc["correlation"] = model.gaussian.R.ravel().tolist()  # row-major
     else:
-        doc["vine"] = {
-            "truncation": model.vine.truncation,
-            "trees": [
-                [
-                    {
-                        "cond": list(e.cond),
-                        "given": sorted(e.given),
-                        "tau_hat": e.tau_hat,
-                        **_copula_to_dict(e.copula),
-                    }
-                    for e in tree
-                ]
-                for tree in model.vine.trees
-            ],
-        }
+        doc["vine"] = {"matrix": [list(row) for row in model.vine.matrix],
+                       "copulas": [[{"tau_hat": tau, **_copula_to_dict(c)} for c, tau in row]
+                                   for row in model.vine.copulas]}
     return doc
 
 
 def model_from_dict(doc: dict) -> SynthModel:
+    """Decode a model artifact; a malformed one raises SchemaError naming the field."""
     if "version" not in doc:
-        raise ValueError("model artifact is missing the version field")
+        raise SchemaError("model artifact is missing the version field")
     if doc["version"] != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {doc['version']}")
+        raise SchemaError(f"unsupported model format version {doc['version']!r}: "
+                          f"this build reads version {MODEL_FORMAT_VERSION}; refit the model")
     columns = tuple(doc["columns"])
     margs = tuple(EmpiricalMarginal(np.asarray(v, dtype=float)) for v in doc["marginals"])
-    active = tuple(doc["active"])
+    active = doc["active"]
+    if not (isinstance(active, list) and len(set(active)) == len(active)
+            and all(type(a) is int and 0 <= a < len(columns) for a in active)):
+        raise SchemaError(f"active: expected distinct column indices in 0..{len(columns) - 1}")
+    active = tuple(active)
     if len(active) < 2:
         return SynthModel(doc["kind"], columns, margs, active)
     da = len(active)
     if doc["kind"] == "gaussian":
-        R = np.asarray(doc["correlation"], dtype=float).reshape(da, da)
+        R = np.asarray(doc["correlation"], dtype=float)
+        if R.size != da * da:
+            raise SchemaError(f"correlation: {R.size} entries do not fit {da} active columns")
+        R = R.reshape(da, da)
         return SynthModel("gaussian", columns, margs, active,
                           gaussian=GaussianCopulaModel(R, np.linalg.cholesky(R)))
-    trees = tuple(
-        tuple(
-            VineEdge(tuple(e["cond"]), frozenset(e["given"]), _copula_from_dict(e), e["tau_hat"])
-            for e in tree
-        )
-        for tree in doc["vine"]["trees"]
-    )
-    return SynthModel("vine", columns, margs, active,
-                      vine=VineModel(da, trees, doc["vine"]["truncation"]))
+    matrix, rows = doc["vine"]["matrix"], doc["vine"]["copulas"]
+    if len(matrix) != da:
+        raise SchemaError(f"vine.matrix: expected {da} rows for {da} active columns, got {len(matrix)}")
+    try:
+        vine = VineModel(tuple(map(tuple, matrix)),
+                         tuple(tuple((_copula_from_dict(e), e["tau_hat"]) for e in row) for row in rows))
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
+    return SynthModel("vine", columns, margs, active, vine=vine)
 
 
 def save_model(path, model: SynthModel) -> None:

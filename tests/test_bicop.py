@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from scipy.special import ndtri
+from scipy.stats import kendalltau as scipy_kendalltau
 from scipy.stats import multivariate_normal
 
+from copaug import rng
 from copaug.bicop import (
     DEFAULT_CATALOGUE,
     INDEPENDENCE,
@@ -15,9 +17,11 @@ from copaug.bicop import (
     pair_pdf,
     param_to_tau,
     sample_pair,
+    swap_arguments,
     tau_independence_threshold,
     tau_to_param,
 )
+from copaug.bicop import _clip, _h1_base, _h1_inv_base
 
 # One parameter set per family, used by the shared property tests.
 CASES = [
@@ -177,6 +181,70 @@ class TestHFunctions:
             assert abs(fd - float(h_func(c, u, v, 1))) < 1e-5
 
 
+def old_h_func(c, u, v, direction):
+    """h_func as dispatched before direction 2 was folded onto direction 1."""
+    h2 = lambda f, a, b, t, nu: _h1_base(f, b, a, t, nu)
+    u, v = _clip(u), _clip(v)
+    f, t, nu, rot = c.family, c.theta, c.nu, c.rotation
+    table = {
+        (1, 0): lambda: _h1_base(f, u, v, t, nu),
+        (1, 90): lambda: 1.0 - h2(f, v, 1.0 - u, t, nu),
+        (1, 180): lambda: 1.0 - _h1_base(f, 1.0 - u, 1.0 - v, t, nu),
+        (1, 270): lambda: h2(f, 1.0 - v, u, t, nu),
+        (2, 0): lambda: h2(f, u, v, t, nu),
+        (2, 90): lambda: _h1_base(f, v, 1.0 - u, t, nu),
+        (2, 180): lambda: 1.0 - h2(f, 1.0 - u, 1.0 - v, t, nu),
+        (2, 270): lambda: 1.0 - _h1_base(f, 1.0 - v, u, t, nu),
+    }
+    return _clip(table[direction, rot]())
+
+
+def old_h_inv(c, w, z, direction):
+    """h_inv as dispatched before direction 2 was folded onto direction 1."""
+    w, z = _clip(w), _clip(z)
+    f, t, nu, rot = c.family, c.theta, c.nu, c.rotation
+    inv = lambda a, b: _h1_inv_base(f, a, b, t, nu)
+    table = {
+        (1, 0): lambda: inv(w, z),
+        (1, 90): lambda: 1.0 - inv(1.0 - w, z),
+        (1, 180): lambda: 1.0 - inv(1.0 - w, 1.0 - z),
+        (1, 270): lambda: inv(w, 1.0 - z),
+        (2, 0): lambda: inv(w, z),
+        (2, 90): lambda: inv(w, 1.0 - z),
+        (2, 180): lambda: 1.0 - inv(1.0 - w, 1.0 - z),
+        (2, 270): lambda: 1.0 - inv(1.0 - w, z),
+    }
+    return _clip(table[direction, rot]())
+
+
+ALL_ROTATIONS = [
+    PairCopula(f, rot, theta, nu)
+    for f, theta, nu in [
+        (Family.GAUSSIAN, -0.6, None), (Family.STUDENT_T, 0.5, 4.0), (Family.CLAYTON, 2.0, None),
+        (Family.GUMBEL, 1.7, None), (Family.FRANK, -4.0, None), (Family.JOE, 2.2, None),
+        (Family.INDEPENDENCE, 0.0, None),
+    ]
+    for rot in ((0, 90, 180, 270) if f in (Family.CLAYTON, Family.GUMBEL, Family.JOE) else (0,))
+]
+
+
+@pytest.mark.parametrize("c", ALL_ROTATIONS, ids=case_id)
+@pytest.mark.parametrize("direction", [1, 2])
+def test_direction_fold_is_bit_identical(c, direction):
+    draws = rng.uniforms(17, (400, 2))
+    a, b = draws[:, 0], draws[:, 1]
+    np.testing.assert_array_equal(h_func(c, a, b, direction), old_h_func(c, a, b, direction))
+    np.testing.assert_array_equal(h_inv(c, a, b, direction), old_h_inv(c, a, b, direction))
+
+
+@pytest.mark.parametrize("c", ALL_ROTATIONS, ids=case_id)
+def test_swap_arguments_is_the_reversed_pair(c):
+    draws = rng.uniforms(5, (200, 2))
+    a, b = draws[:, 0], draws[:, 1]
+    np.testing.assert_array_equal(h_func(swap_arguments(c), b, a, 1), h_func(c, a, b, 2))
+    np.testing.assert_array_equal(h_inv(swap_arguments(c), a, b, 1), h_inv(c, a, b, 2))
+
+
 class TestKendallTau:
     def test_perfect_concordance(self):
         u = np.arange(10.0)
@@ -192,6 +260,21 @@ class TestKendallTau:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             kendall_tau(np.arange(3.0), np.arange(4.0))
+
+    @pytest.mark.parametrize("n", [2, 7, 33, 250, 1000])
+    def test_matches_scipy_tau_b(self, n):
+        draws = rng.uniforms(n, (n, 2))
+        tie_free = (draws[:, 0], draws[:, 0] + 0.5 * draws[:, 1])
+        tied = (np.floor(5 * draws[:, 0]), np.floor(4 * (draws[:, 0] + draws[:, 1])))
+        for u, v in (tie_free, tied, (tied[0], tie_free[1])):
+            assert abs(kendall_tau(u, v) - scipy_kendalltau(u, v).statistic) <= 1e-12
+
+    def test_constant_vector_is_zero(self):
+        assert kendall_tau(np.ones(5), np.arange(5.0)) == 0.0
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            kendall_tau(np.array([0.1, np.nan, 0.3]), np.array([0.2, 0.5, 0.9]))
 
 
 class TestTauConversions:

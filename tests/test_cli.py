@@ -124,6 +124,18 @@ class TestSampleRadiateTrainEval:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:invalid:")
 
+    def test_old_model_format_schema_error(self, tiny_config, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        main(["fit", "--config", str(tiny_config), "--kind", "gaussian", "--out", str(model)])
+        doc = json.loads(model.read_text())
+        doc["version"] = 1
+        model.write_text(json.dumps(doc))
+        code = main(["sample", "--config", str(tiny_config), "--model", str(model),
+                     "--count", "5", "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:schema:") and "version 1" in err
+
 
 class TestPipeline:
     def test_row_completeness_and_labels(self, tmp_path):

@@ -1,10 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
 from scipy.stats import ks_2samp
 
-from copaug import rng
-from copaug.bicop import Family, PairCopula, h_inv, kendall_tau
+from copaug import bicop, multicop, rng
+from copaug.bicop import Family, PairCopula, h_func, h_inv, kendall_tau
+from copaug.dataset import SchemaError
 from copaug.dataset import LevelGrid, Profile, ProfileSet, flatten, generate_surrogate
 from copaug.multicop import (
     CopulaSpec,
@@ -210,6 +213,119 @@ class TestVineSimulation:
                 assert abs(kendall_tau(sim[:, i], sim[:, j]) - target) < 0.06
 
 
+# Trees 1-3 of fit_vine(ar1_umatrix(0.7, 10, 120, 2), truncation=3) as fitted
+# before the fitter stopped at the truncation level: (tree, conditioned pair,
+# conditioning set, family, rotation, theta, nu, tau_hat), each pair
+# ascending with its rotation oriented to match.
+REFERENCE_TREES = [
+    (1, (0, 1), (), 'gaussian', 0, 0.7203133956175678, None, 0.48571428571428565),
+    (1, (1, 2), (), 'gaussian', 0, 0.6963758049591758, None, 0.43613445378151255),
+    (1, (2, 3), (), 'gaussian', 0, 0.6396172077022716, None, 0.37731092436974784),
+    (1, (3, 4), (), 'gaussian', 0, 0.6717029506288196, None, 0.42521008403361343),
+    (1, (4, 5), (), 'gaussian', 0, 0.7018911293329804, None, 0.49271708683473386),
+    (1, (5, 6), (), 'gaussian', 0, 0.7024448193877908, None, 0.4983193277310924),
+    (1, (6, 7), (), 'gaussian', 0, 0.6820602249361084, None, 0.48375350140056017),
+    (1, (7, 8), (), 'gaussian', 0, 0.7132291761182654, None, 0.5014005602240895),
+    (1, (8, 9), (), 'gaussian', 0, 0.7122166908562062, None, 0.5428571428571428),
+    (2, (0, 2), (1,), 'independence', 0, 0.0, None, -0.029131652661064426),
+    (2, (1, 3), (2,), 'independence', 0, 0.0, None, -0.031372549019607836),
+    (2, (2, 4), (3,), 'independence', 0, 0.0, None, 0.009523809523809523),
+    (2, (3, 5), (4,), 'independence', 0, 0.0, None, 0.0014005602240896356),
+    (2, (4, 6), (5,), 'independence', 0, 0.0, None, -0.08907563025210083),
+    (2, (5, 7), (6,), 'independence', 0, 0.0, None, -0.02156862745098039),
+    (2, (6, 8), (7,), 'independence', 0, 0.0, None, 0.10196078431372549),
+    (2, (7, 9), (8,), 'gumbel', 90, 1.181154972207484, None, -0.157703081232493),
+    (3, (0, 3), (1, 2), 'independence', 0, 0.0, None, -0.004201680672268907),
+    (3, (1, 4), (2, 3), 'independence', 0, 0.0, None, 0.0050420168067226885),
+    (3, (2, 5), (3, 4), 'independence', 0, 0.0, None, 0.08543417366946778),
+    (3, (3, 6), (4, 5), 'independence', 0, 0.0, None, 0.08319327731092437),
+    (3, (4, 7), (5, 6), 'independence', 0, 0.0, None, 0.07899159663865545),
+    (3, (5, 8), (6, 7), 'clayton', 270, 0.2677078379616228, None, -0.1257703081232493),
+    (3, (6, 9), (7, 8), 'independence', 0, 0.0, None, 0.0515406162464986),
+]
+
+
+def ar1_umatrix(phi, d, n, seed):
+    return gaussian_umatrix(phi ** np.abs(np.subtract.outer(range(d), range(d))), n, seed)
+
+
+class TestTruncatedVine:
+    def test_fitted_trees_match_reference(self):
+        vm = fit_vine(ar1_umatrix(0.7, 10, 120, 2), CopulaSpec(kind="vine", truncation=3))
+        got = [(t, e) for t, tree in enumerate(vm.trees[:3], start=1) for e in tree]
+        assert len(got) == len(REFERENCE_TREES)
+        for (t, e), (rt, cond, given, family, rotation, theta, nu, tau) in zip(got, REFERENCE_TREES):
+            assert (t, e.cond, tuple(sorted(e.given))) == (rt, cond, given)
+            assert (e.copula.family.value, e.copula.rotation, e.copula.nu) == (family, rotation, nu)
+            assert abs(e.copula.theta - theta) <= 1e-12
+            assert abs(e.tau_hat - tau) <= 1e-12
+
+    def test_completion_is_proximity_valid_independence(self):
+        vm = fit_vine(ar1_umatrix(0.6, 8, 300, 4), CopulaSpec(kind="vine", truncation=2))
+        assert [len(tree) for tree in vm.trees] == list(range(7, 0, -1))
+        for t, tree in enumerate(vm.trees[2:], start=3):
+            below = {frozenset(e.cond) | e.given for e in vm.trees[t - 2]}
+            for e in tree:
+                assert len(e.given) == t - 1
+                a, b = e.cond
+                whole = frozenset(e.cond) | e.given
+                assert whole - {a} in below and whole - {b} in below
+                assert e.copula == bicop.INDEPENDENCE and e.tau_hat == 0.0
+
+    def test_sampler_matches_hand_derived_dvine(self):
+        # The D-vine 0-1-2-3 in matrix form; each copula's first argument is
+        # its column's own variable (the antidiagonal).  Rotated families
+        # make an argument or direction mix-up visible.
+        c01, c12, c23 = (PairCopula(Family.CLAYTON, 90, 1.5), PairCopula(Family.GUMBEL, 270, 1.6),
+                         PairCopula(Family.JOE, 0, 1.8))
+        c02_1, c13_2 = PairCopula(Family.FRANK, 0, -3.0), PairCopula(Family.CLAYTON, 270, 1.2)
+        c03_12 = PairCopula(Family.GUMBEL, 90, 1.3)
+        matrix = ((1, 2, 3, 3), (2, 3, 2, -1), (3, 1, -1, -1), (0, -1, -1, -1))
+        copulas = (((c01, 0.0), (c12, 0.0), (c23, 0.0)), ((c02_1, 0.0), (c13_2, 0.0)), ((c03_12, 0.0),))
+        sim = simulate_vine(multicop.VineModel(matrix, copulas), 300, 12)
+        # Sequential inversion (Aas et al. 2009), variable v driven by column v.
+        W = rng.uniforms(12, (300, 4))
+        u3 = W[:, 3]
+        u2 = h_inv(c23, W[:, 2], u3)
+        f3_2 = h_func(c23, u2, u3, direction=2)
+        f1_2 = h_inv(c13_2, W[:, 1], f3_2)
+        u1 = h_inv(c12, f1_2, u2)
+        f3_12 = h_func(c13_2, f1_2, f3_2, direction=2)
+        f2_1 = h_func(c12, u1, u2, direction=2)
+        u0 = h_inv(c01, h_inv(c02_1, h_inv(c03_12, W[:, 0], f3_12), f2_1), u1)
+        np.testing.assert_array_equal(sim, np.column_stack([u0, u1, u2, u3]))
+
+    def test_work_stops_at_the_truncation_level(self, monkeypatch):
+        d, k = 12, 2
+        u = ar1_umatrix(0.7, 9, 400, 8)
+        u = np.column_stack([u, rng.uniforms(9, (400, 3))])  # three independent features
+        calls = {"tau": 0, "h_inv": []}
+        real_tau, real_h_inv = bicop.kendall_tau, multicop.h_inv
+
+        def counting_tau(a, b):
+            calls["tau"] += 1
+            return real_tau(a, b)
+
+        def counting_h_inv(c, w, z, direction=1):
+            calls["h_inv"].append(c.family)
+            return real_h_inv(c, w, z, direction)
+
+        monkeypatch.setattr(multicop, "kendall_tau", counting_tau)
+        monkeypatch.setattr(bicop, "kendall_tau", counting_tau)  # fit_pair's own tau
+        monkeypatch.setattr(multicop, "h_inv", counting_h_inv)
+        vm = fit_vine(u, CopulaSpec(kind="vine", truncation=k))
+        # Tree 1 scores every variable pair; tree 2 every pair of tree-1 edges
+        # sharing a variable; no tree past k, and no second tau per fitted edge.
+        degree = np.bincount([v for e in vm.trees[0] for v in e.cond], minlength=d)
+        assert calls["tau"] == d * (d - 1) // 2 + int((degree * (degree - 1) // 2).sum())
+        fitted = [e.copula.family for tree in vm.trees[:k] for e in tree]
+        assert Family.INDEPENDENCE in fitted
+        simulate_vine(vm, 50, 3)
+        assert len(calls["h_inv"]) <= d * k
+        assert Family.INDEPENDENCE not in calls["h_inv"]
+        assert len(calls["h_inv"]) == sum(f is not Family.INDEPENDENCE for f in fitted)
+
+
 class TestSynthesize:
     def test_factor_and_validity(self):
         train = generate_surrogate(50, LevelGrid(6), 123)
@@ -285,3 +401,43 @@ class TestModelArtifact:
         save_model(p1, model)
         save_model(p2, model)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @staticmethod
+    def saved(tmp_path, kind="vine"):
+        train = generate_surrogate(80, LevelGrid(5), 31)
+        path = tmp_path / "model.json"
+        save_model(path, fit_synth_model(train, CopulaSpec(kind=kind, truncation=2)))
+        return path, json.loads(path.read_text())
+
+    def test_version_1_rejected(self, tmp_path):
+        path, doc = self.saved(tmp_path)
+        doc["version"] = 1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="version 1"):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "vine"])
+    def test_out_of_range_active_rejected(self, tmp_path, kind):
+        path, doc = self.saved(tmp_path, kind)
+        doc["active"][-1] = len(doc["columns"]) + 3
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="^active:"):
+            load_model(path)
+
+    def test_corrupted_matrix_entry_rejected(self, tmp_path):
+        path, doc = self.saved(tmp_path)
+        doc["vine"]["matrix"][1][0] = doc["vine"]["matrix"][0][0]  # a variable twice in column 0
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="^vine.matrix:"):
+            load_model(path)
+
+    def test_broken_proximity_rejected(self):
+        # Tree 1 is {0,1}, {1,3}, {2,3}; column 0 then asks for 0 and 2 given 1
+        # in tree 2, which needs a tree-1 edge {1, 2}.  With 3 in its place
+        # the matrix is valid.
+        tree1 = (((bicop.INDEPENDENCE, 0.0),) * 3,)
+        valid = ((1, 3, 3, 3), (3, 2, 2, -1), (2, 1, -1, -1), (0, -1, -1, -1))
+        assert multicop.VineModel(valid, tree1).trees[1][0].cond == (0, 3)
+        broken = ((1, 3, 3, 3), (2, 2, 2, -1), (3, 1, -1, -1), (0, -1, -1, -1))
+        with pytest.raises(ValueError, match="proximity"):
+            multicop.VineModel(broken, tree1)
