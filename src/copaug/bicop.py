@@ -120,8 +120,8 @@ def _clip(x) -> np.ndarray:
 def _check_unit(*args) -> None:
     for x in args:
         x = np.asarray(x, dtype=float)
-        if np.any(x <= 0.0) or np.any(x >= 1.0):
-            raise ValueError("copula arguments must lie strictly inside (0, 1)")
+        if not np.all((x > 0.0) & (x < 1.0)):
+            raise ValueError("copula arguments must be finite and strictly inside (0, 1)")
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,23 @@ z-score input normalization, mini-batch Adam, early stopping on the
 validation loss with best-weights restoration.  Everything is seeded and
 deterministic: weight init and batch shuffling draw from the package's
 Philox streams.
+
+During training all weights and biases live in one flat float64 vector,
+layer by layer (W0, b0, W1, b1, ...), and the per-layer arrays are
+reshaped views of it; the gradient vector has the same layout, so one
+Adam step updates every parameter.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng
-from .dataset import DataMatrix, ProfileSet, flatten
+from .dataset import DataMatrix, ProfileSet, SchemaError, flatten
 
 MLP_FORMAT_VERSION = 1
 
@@ -113,20 +119,43 @@ def init_mlp(layout: MLPLayout, seed: int) -> MLPModel:
 
 
 def elu(z: np.ndarray) -> np.ndarray:
-    return np.where(z >= 0.0, z, np.expm1(np.minimum(z, 0.0)))
+    """max(expm1(min(z, 0)), z): exact ELU, since expm1(z) > z for z < 0.
+
+    This argument order keeps -0.0 as -0.0.
+    """
+    return np.maximum(np.expm1(np.minimum(z, 0.0)), z)
+
+
+def _param_views(layout: MLPLayout, flat: np.ndarray):
+    """Per-layer weight and bias views of a flat vector laid out W0, b0, W1, b1, ..."""
+    weights, biases = [], []
+    widths = layout.widths
+    pos = 0
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        end = pos + fan_in * fan_out
+        weights.append(flat[pos:end].reshape(fan_in, fan_out))
+        biases.append(flat[end:end + fan_out])
+        pos = end + fan_out
+    return weights, biases
 
 
 def _forward_cached(m: MLPModel, x_norm: np.ndarray):
-    """Forward pass keeping pre-activations for backprop."""
-    pre, act = [], [x_norm]
+    """Forward pass keeping min(z, 0) of each hidden layer for backprop."""
+    neg, act = [], [x_norm]
     a = x_norm
     last = len(m.weights) - 1
     for k, (w, b) in enumerate(zip(m.weights, m.biases)):
-        z = a @ w + b
-        pre.append(z)
-        a = z if k == last else elu(z)
+        z = a @ w
+        z += b
+        if k == last:
+            a = z
+        else:
+            zneg = np.minimum(z, 0.0)
+            a = np.expm1(zneg)
+            np.maximum(a, z, out=a)  # elu(z)
+            neg.append(zneg)
         act.append(a)
-    return pre, act
+    return neg, act
 
 
 def forward(m: MLPModel, x) -> np.ndarray:
@@ -152,27 +181,33 @@ def huber_loss(pred, target, delta: float = 1.0) -> float:
     return float(per.mean())
 
 
-def loss_and_grads(m: MLPModel, x: np.ndarray, y: np.ndarray, delta: float):
-    """Huber loss and its analytic gradients w.r.t. every weight and bias."""
+def loss_and_grads(m: MLPModel, x: np.ndarray, y: np.ndarray, delta: float, out=None):
+    """Huber loss and its analytic gradients w.r.t. every weight and bias.
+
+    The gradients are written into `out`, a flat vector in the training
+    parameter layout (allocated when None), and returned as per-layer
+    views of it: (loss, grads_w, grads_b).
+    """
     x_norm = m.normalizer.apply(x)
-    pre, act = _forward_cached(m, x_norm)
-    r = act[-1] - y
+    neg, act = _forward_cached(m, x_norm)
+    r = act[-1]
+    r -= y
     count = r.size
     ar = np.abs(r)
     loss = float(np.where(ar <= delta, 0.5 * r * r, delta * (ar - 0.5 * delta)).mean())
     # dLoss/dpred: r inside the quadratic zone, delta*sign(r) outside.
-    grad_out = np.clip(r, -delta, delta) / count
-    grads_w = [None] * len(m.weights)
-    grads_b = [None] * len(m.biases)
-    last = len(m.weights) - 1
-    delta_k = grad_out
-    for k in range(last, -1, -1):
-        grads_w[k] = act[k].T @ delta_k
-        grads_b[k] = delta_k.sum(axis=0)
+    delta_k = np.clip(r, -delta, delta, out=r)
+    delta_k /= count
+    if out is None:
+        out = np.empty(sum(p.size for p in m.weights + m.biases))
+    grads_w, grads_b = _param_views(m.layout, out)
+    for k in range(len(m.weights) - 1, -1, -1):
+        np.matmul(act[k].T, delta_k, out=grads_w[k])
+        np.sum(delta_k, axis=0, out=grads_b[k])
         if k > 0:
             upstream = delta_k @ m.weights[k].T
-            z = pre[k - 1]
-            delta_k = upstream * np.where(z >= 0.0, 1.0, np.exp(z))
+            upstream *= np.exp(neg[k - 1], out=neg[k - 1])  # ELU'(z) = exp(min(z, 0))
+            delta_k = upstream
     return loss, grads_w, grads_b
 
 
@@ -182,19 +217,29 @@ class AdamState:
     def __init__(self, params):
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
         self.t = 0
 
     def step(self, params, grads, cfg: TrainConfig):
+        """p -= lr * (m / corr1) / (sqrt(v / corr2) + eps), in scratch buffers."""
         self.t += 1
         b1, b2 = cfg.beta1, cfg.beta2
         corr1 = 1.0 - b1 ** self.t
         corr2 = 1.0 - b2 ** self.t
-        for p, g, mm, vv in zip(params, grads, self.m, self.v):
+        for p, g, mm, vv, (num, den) in zip(params, grads, self.m, self.v, self._scratch):
             mm *= b1
-            mm += (1.0 - b1) * g
+            mm += np.multiply(g, 1.0 - b1, out=num)
             vv *= b2
-            vv += (1.0 - b2) * g * g
-            p -= cfg.learning_rate * (mm / corr1) / (np.sqrt(vv / corr2) + cfg.adam_eps)
+            np.multiply(g, 1.0 - b2, out=num)
+            num *= g
+            vv += num
+            np.divide(vv, corr2, out=den)
+            np.sqrt(den, out=den)
+            den += cfg.adam_eps
+            np.divide(mm, corr1, out=num)
+            num *= cfg.learning_rate
+            num /= den
+            p -= num
 
 
 def train(m: MLPModel, train_x, train_y, val_x, val_y, cfg: TrainConfig = TrainConfig()) -> MLPModel:
@@ -216,43 +261,45 @@ def train(m: MLPModel, train_x, train_y, val_x, val_y, cfg: TrainConfig = TrainC
     model = m.copy()
     model.normalizer = Normalizer.from_data(tx)
     txn = model.normalizer.apply(tx)
+    flat = np.concatenate([p.ravel() for layer in zip(m.weights, m.biases) for p in layer],
+                          dtype=np.float64)
+    model.weights, model.biases = _param_views(model.layout, flat)
     # Forward/backward below work on pre-normalized arrays via a pass-through.
     runner = MLPModel(model.layout, model.weights, model.biases,
                       Normalizer.identity(model.layout.n_inputs))
     vxn = model.normalizer.apply(vx)
 
     gen = rng.stream(cfg.seed)
-    adam_w = AdamState(model.weights)
-    adam_b = AdamState(model.biases)
+    adam = AdamState([flat])
+    grad = np.empty_like(flat)
     n = tx.shape[0]
     best_val = np.inf
-    best_weights = None
+    best_flat = None
     streak = 0
     for epoch in range(cfg.epochs):
         order = rng.permutation(n, gen)
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            loss, gw, gb = loss_and_grads(runner, txn[idx], ty[idx], cfg.huber_delta)
-            if not np.isfinite(loss):
+            loss, _, _ = loss_and_grads(runner, txn[idx], ty[idx], cfg.huber_delta, out=grad)
+            if not math.isfinite(loss):
                 raise ValueError(f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}")
-            adam_w.step(model.weights, gw, cfg)
-            adam_b.step(model.biases, gb, cfg)
+            adam.step([flat], [grad], cfg)
             epoch_loss += loss * idx.shape[0]
         val_loss = huber_loss(forward(runner, vxn), vy, cfg.huber_delta)
         model.history["train"].append(epoch_loss / n)
         model.history["val"].append(val_loss)
         if val_loss < best_val:
             best_val = val_loss
-            best_weights = ([w.copy() for w in model.weights], [b.copy() for b in model.biases])
+            best_flat = flat.copy()
             model.best_epoch = epoch
             streak = 0
         else:
             streak += 1
             if streak >= cfg.patience:
                 break
-    if best_weights is not None:
-        model.weights, model.biases = best_weights
+    if best_flat is not None:
+        model.weights, model.biases = _param_views(model.layout, best_flat)
     return model
 
 
@@ -286,16 +333,50 @@ def save_mlp(path, m: MLPModel) -> None:
         fh.write("\n")
 
 
+def _finite_array(value, name: str, shape: tuple) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{name}: expected a numeric array of shape {shape}") from None
+    if arr.shape != shape:
+        raise SchemaError(f"{name}: expected shape {shape}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(f"{name}: values must be finite")
+    return arr
+
+
 def load_mlp(path) -> MLPModel:
+    """Read a model artifact; a malformed one raises SchemaError naming the field."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if "version" not in doc:
-        raise ValueError("model artifact is missing the version field")
+    if not isinstance(doc, dict) or "version" not in doc:
+        raise SchemaError("model artifact is missing the version field")
     if doc["version"] != MLP_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {doc['version']}")
-    layout = MLPLayout(doc["layout"]["n_inputs"], tuple(doc["layout"]["hidden"]),
-                       doc["layout"]["n_outputs"])
-    norm = Normalizer(np.asarray(doc["normalizer"]["mean"]), np.asarray(doc["normalizer"]["std"]))
-    weights = [np.asarray(w, dtype=float) for w in doc["weights"]]
-    biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
-    return MLPModel(layout, weights, biases, norm, doc["history"], doc["best_epoch"])
+        raise SchemaError(f"unsupported model format version {doc['version']!r}")
+    for key in ("layout", "normalizer", "weights", "biases", "history", "best_epoch"):
+        if key not in doc:
+            raise SchemaError(f"model artifact is missing the {key} field")
+    try:
+        lay = doc["layout"]
+        layout = MLPLayout(lay["n_inputs"], tuple(lay["hidden"]), lay["n_outputs"])
+    except (KeyError, TypeError, ValueError):
+        raise SchemaError("layout: expected n_inputs, hidden and n_outputs as positive "
+                          "integers") from None
+    widths = layout.widths
+    n_layers = len(widths) - 1
+    for key in ("weights", "biases"):
+        if not isinstance(doc[key], list) or len(doc[key]) != n_layers:
+            raise SchemaError(f"{key}: expected a list of {n_layers} layers")
+    weights = [_finite_array(w, f"weights[{k}]", (widths[k], widths[k + 1]))
+               for k, w in enumerate(doc["weights"])]
+    biases = [_finite_array(b, f"biases[{k}]", (widths[k + 1],))
+              for k, b in enumerate(doc["biases"])]
+    norm = doc["normalizer"]
+    if not isinstance(norm, dict) or not {"mean", "std"} <= norm.keys():
+        raise SchemaError("normalizer: expected mean and std")
+    mean = _finite_array(norm["mean"], "normalizer.mean", (layout.n_inputs,))
+    std = _finite_array(norm["std"], "normalizer.std", (layout.n_inputs,))
+    if not np.all(std > 0.0):
+        raise SchemaError("normalizer.std: values must be positive")
+    return MLPModel(layout, weights, biases, Normalizer(mean, std), doc["history"],
+                    doc["best_epoch"])

@@ -9,6 +9,7 @@ case's random streams.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -276,7 +277,8 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
     # Augmented cases.  A failing case is logged and skipped; the rest run.
     for kind in cfg.kinds:
         try:
-            synth_model = fit_synth_model(train_rad, cfg.copula_spec(kind))
+            spec = cfg.copula_spec(kind)
+            synth_model = fit_synth_model(train_rad, spec)
         except ValueError as exc:
             for factor in cfg.factors:
                 result.failures.append((f"{kind}-{factor}x", str(exc)))
@@ -285,7 +287,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
         for factor in cfg.factors:
             case = f"{kind}-{factor}x"
             try:
-                _run_case(cfg, case, factor, synth_model, cache_dir, out_dir, consts,
+                _run_case(cfg, spec, case, factor, synth_model, cache_dir, out_dir, consts,
                           x_tr, y_tr, x_val, y_val, test_rad, y_test, result)
             except ValueError as exc:
                 result.failures.append((case, str(exc)))
@@ -296,15 +298,33 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
     return result
 
 
-def _run_case(cfg, case, factor, synth_model, cache_dir, out_dir, consts,
+def _synthesis_key(gen_seed: int, n_rows: int, spec: CopulaSpec, x_tr: np.ndarray,
+                   consts: RadiationConstants) -> str:
+    """Short sha256 of everything a cached synthetic set is derived from."""
+    inputs = {
+        "seed": gen_seed,
+        "rows": n_rows,
+        "copula": {"kind": spec.kind, "catalogue": sorted(f.value for f in spec.catalogue),
+                   "truncation": spec.truncation},
+        "split_shape": list(x_tr.shape),
+        "radiation": dataclasses.asdict(consts),
+    }
+    digest = hashlib.sha256(json.dumps(inputs, sort_keys=True).encode("utf-8"))
+    digest.update(np.ascontiguousarray(x_tr, dtype=float).tobytes())
+    return digest.hexdigest()[:12]
+
+
+def _run_case(cfg, spec, case, factor, synth_model, cache_dir, out_dir, consts,
               x_tr, y_tr, x_val, y_val, test_rad, y_test, result) -> None:
     for gen in range(cfg.generation_repeats):
-        cache_file = cache_dir / f"{case}-gen{gen}.csv"
+        gen_seed = rng.derive_seed(cfg.master_seed, case, f"gen{gen}")
+        n_rows = factor * len(x_tr)
+        key = _synthesis_key(gen_seed, n_rows, spec, x_tr, consts)
+        cache_file = cache_dir / f"{case}-gen{gen}-{key}.csv"
         if cache_file.exists():
             synth_rad = load_profiles(cache_file, cfg.grid)
         else:
-            gen_seed = rng.derive_seed(cfg.master_seed, case, f"gen{gen}")
-            synth, _ = sample_synth_model(synth_model, factor * len(x_tr), gen_seed)
+            synth, _ = sample_synth_model(synth_model, n_rows, gen_seed)
             synth_rad = radiate_set(synth, consts)
             save_profiles(cache_file, synth_rad)
         result.files.append(str(cache_file))

@@ -187,8 +187,8 @@ def _check_umatrix(u) -> np.ndarray:
     u = np.asarray(getattr(u, "values", u), dtype=float)
     if u.ndim != 2:
         raise ValueError("pseudo-observation matrix must be 2-dimensional")
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
-        raise ValueError("pseudo-observations must lie strictly inside (0, 1)")
+    if not np.all((u > 0.0) & (u < 1.0)):
+        raise ValueError("pseudo-observations must be finite and strictly inside (0, 1)")
     return u
 
 

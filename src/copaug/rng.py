@@ -37,14 +37,20 @@ def normals(seed_or_gen, shape) -> np.ndarray:
 
 
 def permutation(n: int, seed_or_gen) -> np.ndarray:
-    """Fisher-Yates shuffle of range(n) driven by uniform draws."""
+    """Fisher-Yates shuffle of range(n) driven by uniform draws.
+
+    Step i = n-1, ..., 1 swaps position i with floor(u * (i + 1)), u the
+    (n-1-i)-th uniform.  The swap targets are computed in one vector
+    operation; the swaps run on a Python list, which is faster than
+    indexing numpy scalars.
+    """
     gen = seed_or_gen if isinstance(seed_or_gen, np.random.Generator) else stream(seed_or_gen)
-    idx = np.arange(n)
     u = gen.random(max(n - 1, 0))
-    for i in range(n - 1, 0, -1):
-        j = int(u[n - 1 - i] * (i + 1))
+    targets = (u * np.arange(n, 1, -1)).astype(np.int64).tolist()
+    idx = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), targets):
         idx[i], idx[j] = idx[j], idx[i]
-    return idx
+    return np.array(idx, dtype=np.int_)
 
 
 def derive_seed(master_seed: int, *labels: object) -> int:

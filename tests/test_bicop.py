@@ -103,6 +103,11 @@ class TestDensity:
         with pytest.raises(ValueError):
             pair_pdf(INDEPENDENCE, 0.5, 1.0)
 
+    def test_nan_rejected(self):
+        for u, v in ((np.nan, 0.5), (0.5, np.array([0.2, np.nan]))):
+            with pytest.raises(ValueError, match="finite and strictly inside"):
+                pair_pdf(CASES[0], u, v)
+
     @pytest.mark.parametrize("c", INTEGRATION_CASES, ids=case_id)
     def test_integrates_to_one(self, c):
         n = 200

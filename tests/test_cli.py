@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from copaug.cli import main
 from copaug.dataset import LevelGrid, load_profiles
+from copaug.emulator import MLPLayout, init_mlp, save_mlp
 from copaug.experiment import make_config, run_pipeline
 from copaug.multicop import load_model
 
@@ -137,6 +139,19 @@ class TestSampleRadiateTrainEval:
         assert err.startswith("error:schema:") and "version 1" in err
 
 
+    def test_malformed_mlp_schema_error(self, tiny_config, tmp_path, capsys):
+        mlp = tmp_path / "mlp.json"
+        save_mlp(mlp, init_mlp(MLPLayout(18, (8,), 7), 1))
+        doc = json.loads(mlp.read_text())
+        doc["weights"][0] = [[0.0] * 8] * 17
+        mlp.write_text(json.dumps(doc))
+        code = main(["eval", "--config", str(tiny_config), "--model", str(mlp),
+                     "--test", str(tmp_path / "test.csv"), "--out", str(tmp_path / "m.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error:schema: weights[0]: expected shape (18, 8), got (17, 8)")
+
+
 class TestPipeline:
     def test_row_completeness_and_labels(self, tmp_path):
         cfg = make_config(TINY)
@@ -191,6 +206,23 @@ class TestPipeline:
         a = run_pipeline(cfg, tmp_path / "same")
         b = run_pipeline(cfg, tmp_path / "same")  # second run loads the cache
         assert a.rows == b.rows
+
+    def test_cache_keyed_by_synthesis_inputs(self, tmp_path):
+        # A run into a directory another master seed left behind must
+        # synthesize its own profiles, not load the other run's cache.
+        reseeded = dict(TINY, master_seed=12)
+        run_pipeline(make_config(TINY), tmp_path / "shared")
+        stale = run_pipeline(make_config(reseeded), tmp_path / "shared")
+        fresh = run_pipeline(make_config(reseeded), tmp_path / "fresh")
+        assert stale.rows == fresh.rows
+
+        def cache(result, root):
+            return {Path(f).name: Path(f).read_bytes() for f in result.files
+                    if Path(f).parent == root / "cache"}
+
+        stale_cache, fresh_cache = cache(stale, tmp_path / "shared"), cache(fresh, tmp_path / "fresh")
+        assert len(fresh_cache) == 2 and stale_cache == fresh_cache
+        assert len(list((tmp_path / "shared" / "cache").iterdir())) == 4
 
     def test_master_seed_changes_every_run(self, tmp_path):
         a = run_pipeline(make_config(TINY), tmp_path / "a")

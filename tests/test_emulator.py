@@ -1,7 +1,11 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from copaug.dataset import LevelGrid, generate_surrogate
+from copaug import emulator, rng
+from copaug.dataset import LevelGrid, SchemaError, generate_surrogate
 from copaug.emulator import (
     AdamState,
     MLPLayout,
@@ -103,6 +107,19 @@ class TestGradients:
                     worst = max(worst, abs(fd - grads[k].ravel()[idx]) / denom)
         assert worst < 1e-4
 
+    def test_gradients_fill_flat_vector_in_layer_order(self):
+        gen = np.random.default_rng(4)
+        m = init_mlp(MLPLayout(5, (4, 3), 2), seed=8)
+        x, y = gen.normal(size=(7, 5)), gen.normal(size=(7, 2))
+        loss, gw, gb = loss_and_grads(m, x, y, 1.0)
+        out = np.full(5 * 4 + 4 + 4 * 3 + 3 + 3 * 2 + 2, np.nan)
+        loss2, gw2, gb2 = loss_and_grads(m, x, y, 1.0, out=out)
+        assert loss2 == loss
+        expected = np.concatenate([g.ravel() for pair in zip(gw, gb) for g in pair])
+        assert out.tobytes() == expected.tobytes()
+        assert all(np.shares_memory(g, out) for g in gw2 + gb2)
+        assert [g.shape for g in gw2] == [(5, 4), (4, 3), (3, 2)]
+
     def test_adam_zero_gradient_is_noop(self):
         m = init_mlp(MLPLayout(3, (4,), 2), 1)
         before = [w.copy() for w in m.weights]
@@ -146,6 +163,79 @@ class TestTraining:
         b = train(init_mlp(MLPLayout(3, (6,), 2), 2), x, y, x, y, cfg)
         assert a.history == b.history
         assert all(np.array_equal(w1, w2) for w1, w2 in zip(a.weights, b.weights))
+
+    # Weights (sha256 of each layer's W then b bytes) and histories of the
+    # layer-by-layer implementation, before parameters moved into one flat
+    # vector; training must reproduce them bit for bit.
+    HISTORY_A = {
+        "train": [
+            0.47636456431797997, 0.47313742309174267, 0.4701534857329769,
+            0.4680295399491609, 0.4652172295916851, 0.46381284703785836,
+            0.4611957880203134, 0.45889978450036545, 0.4570556015652522,
+            0.4543743626334712, 0.45284896326212176, 0.45086358768125984,
+            0.4490043924694401, 0.44738730125681836, 0.4455483290762517,
+            0.44435503843562996, 0.4422879991027153, 0.4414061453793688,
+            0.4395818366365989, 0.43866378514834065,
+        ],
+        "val": [
+            0.47384412337573545, 0.471240941013023, 0.4690030637054904,
+            0.4665247970933227, 0.4642079023279568, 0.46174836059013696,
+            0.45948309968594747, 0.4573340751757039, 0.45519600525068254,
+            0.4533358304851441, 0.4514003051664478, 0.4495968542350497,
+            0.4478448679163709, 0.4461120771236532, 0.4445476233945944,
+            0.4429382623355103, 0.4415757873534492, 0.44009783119341356,
+            0.4388346701003876, 0.43749645396100717,
+        ],
+    }
+
+    @staticmethod
+    def _weights_sha256(m):
+        h = hashlib.sha256()
+        for w, b in zip(m.weights, m.biases):
+            h.update(np.ascontiguousarray(w).tobytes())
+            h.update(np.ascontiguousarray(b).tobytes())
+        return h.hexdigest()
+
+    def test_matches_recorded_training_one_hidden_layer(self):
+        gen = np.random.default_rng(6)
+        x = gen.normal(size=(30, 3))
+        y = gen.normal(size=(30, 2))
+        cfg = TrainConfig(epochs=20, patience=20, batch_size=8, seed=11)
+        m = train(init_mlp(MLPLayout(3, (6,), 2), 2), x, y, x, y, cfg)
+        assert m.history == self.HISTORY_A
+        assert m.best_epoch == 19
+        assert self._weights_sha256(m) == "1a9854ec431eed77da36a660b3d05e16cf11821f26f5d5354e62feaaa4877497"
+
+    def test_matches_recorded_training_early_stop(self):
+        gen = np.random.default_rng(21)
+        x, y = gen.normal(size=(45, 5)), gen.normal(size=(45, 3))
+        vx, vy = gen.normal(size=(12, 5)), gen.normal(size=(12, 3))
+        cfg = TrainConfig(epochs=30, patience=5, batch_size=16, seed=4, learning_rate=3e-3)
+        m = train(init_mlp(MLPLayout(5, (7, 6), 3), 9), x, y, vx, vy, cfg)
+        assert (m.best_epoch, len(m.history["val"])) == (14, 20)
+        history = hashlib.sha256(json.dumps(m.history).encode()).hexdigest()
+        assert history == "3a198b6c526f26c937b789a0b8b1f1262e6534bb45acfbc59ee01a633866b5bb"
+        assert self._weights_sha256(m) == "2b3db6e3d057fc0e398600e490086234e40a16a2ab4a1be2d9738a94a7ca5ea4"
+
+    def test_call_counts_per_batch_and_epoch(self, monkeypatch):
+        calls = {"loss_and_grads": 0, "step": 0, "permutation": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(emulator, "loss_and_grads", counted("loss_and_grads", emulator.loss_and_grads))
+        monkeypatch.setattr(emulator.AdamState, "step", counted("step", emulator.AdamState.step))
+        monkeypatch.setattr(rng, "permutation", counted("permutation", rng.permutation))
+        gen = np.random.default_rng(3)
+        x, y = gen.normal(size=(30, 3)), gen.normal(size=(30, 2))
+        cfg = TrainConfig(epochs=7, patience=7, batch_size=8, seed=2)
+        m = train(init_mlp(MLPLayout(3, (6, 5), 2), 1), x, y, x, y, cfg)
+        epochs = len(m.history["train"])
+        assert epochs == 7
+        assert calls == {"loss_and_grads": 4 * epochs, "step": 4 * epochs, "permutation": epochs}
 
     def test_input_model_not_mutated(self):
         gen = np.random.default_rng(8)
@@ -201,4 +291,36 @@ class TestMlpArtifact:
         path = tmp_path / "bad.json"
         path.write_text('{"layout": {}}')
         with pytest.raises(ValueError, match="version"):
+            load_mlp(path)
+
+    @staticmethod
+    def _saved_doc(tmp_path):
+        path = tmp_path / "mlp.json"
+        save_mlp(path, init_mlp(MLPLayout(4, (3,), 2), 5))
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("edit, field", [
+        pytest.param(lambda d: d.pop("weights"), "weights", id="no-weights"),
+        pytest.param(lambda d: d.pop("normalizer"), "normalizer", id="no-normalizer"),
+        pytest.param(lambda d: d["layout"].pop("hidden"), "layout", id="no-hidden"),
+        pytest.param(lambda d: d["weights"].pop(), "weights", id="layer-count"),
+        pytest.param(lambda d: d["weights"].__setitem__(0, [[0.0] * 4] * 3),
+                     r"weights\[0\]: expected shape \(4, 3\), got \(3, 4\)", id="weight-shape"),
+        pytest.param(lambda d: d["weights"][1].pop(), r"weights\[1\]", id="weight-rows"),
+        pytest.param(lambda d: d["biases"][0].append(0.0), r"biases\[0\]", id="bias-length"),
+        pytest.param(lambda d: d["normalizer"]["mean"].pop(), "normalizer.mean", id="mean-length"),
+        pytest.param(lambda d: d["normalizer"]["std"].append(1.0), "normalizer.std", id="std-length"),
+        pytest.param(lambda d: d["normalizer"]["std"].__setitem__(0, 0.0), "normalizer.std",
+                     id="std-zero"),
+        pytest.param(lambda d: d["weights"][0][2].__setitem__(1, float("nan")),
+                     r"weights\[0\]: values must be finite", id="weight-nan"),
+        pytest.param(lambda d: d["biases"][1].__setitem__(0, float("inf")),
+                     r"biases\[1\]: values must be finite", id="bias-inf"),
+        pytest.param(lambda d: d.__setitem__("version", 2), "version 2", id="version"),
+    ])
+    def test_malformed_artifact_names_field(self, tmp_path, edit, field):
+        path, doc = self._saved_doc(tmp_path)
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=field):
             load_mlp(path)

@@ -61,6 +61,12 @@ class TestGaussianCopula:
         with pytest.raises(ValueError, match="constant"):
             fit_gaussian(u)
 
+    def test_nan_rejected(self):
+        u = rng.uniforms(2, (50, 3))
+        u[7, 1] = np.nan
+        with pytest.raises(ValueError, match="finite and strictly inside"):
+            fit_gaussian(u)
+
     def test_cholesky_reconstruction(self):
         u = gaussian_umatrix(0.6 ** np.abs(np.subtract.outer(range(5), range(5))), 500, 7)
         m = fit_gaussian(u)
@@ -161,6 +167,12 @@ class TestVineFit:
         for tree in vm.trees:
             for e in tree:
                 assert e.copula.family in (Family.GAUSSIAN, Family.INDEPENDENCE)
+
+    def test_nan_rejected(self):
+        u = known_three_dim_vine(200, 11)
+        u[3, 2] = np.nan
+        with pytest.raises(ValueError, match="finite and strictly inside"):
+            fit_vine(u, CopulaSpec(kind="vine"))
 
     def test_truncation_gives_independence_beyond(self):
         u = gaussian_umatrix(0.7 ** np.abs(np.subtract.outer(range(5), range(5))), 1000, 17)
