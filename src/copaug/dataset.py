@@ -3,14 +3,16 @@
 A profile is a vertical column of dry-bulb temperature T [K], pressure p
 [Pa] and cloud layer optical depth tau_c [-] on a fixed grid of full
 levels, index 1 at the top of the atmosphere and index n_full at the
-surface.  Collections of profiles convert to and from flat sample-by-
-feature matrices for the statistical models, and a surrogate generator
-provides desk-scale stand-in data with realistic cross-level dependence.
+surface.  A ProfileSet stores many profiles as one (n_profiles, n_full)
+array per quantity; it converts to and from flat sample-by-feature
+matrices for the statistical models, and a surrogate generator provides
+desk-scale stand-in data with realistic cross-level dependence.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,20 +61,30 @@ class LevelGrid:
         return self.n_full + 1
 
     def input_labels(self) -> list[str]:
-        n = self.n_full
-        return (
-            [f"T_{i}" for i in range(1, n + 1)]
-            + [f"p_{i}" for i in range(1, n + 1)]
-            + [f"tauc_{i}" for i in range(1, n + 1)]
-        )
+        return [f"{q}_{i}" for q in ("T", "p", "tauc") for i in range(1, self.n_full + 1)]
 
     def output_labels(self) -> list[str]:
         return [f"L_{i}" for i in range(self.n_half)]
 
 
+def _first_invalid_row(T, p, tau_c):
+    """(row, reason) for the first row of the (n, n_full) arrays that breaks
+    a profile invariant, with the first check it fails; None if none does."""
+    finite = np.isfinite(T) & np.isfinite(p) & np.isfinite(tau_c)
+    checks = (
+        (~np.all(finite, axis=1), "profile contains non-finite values"),
+        (np.any(T <= 0, axis=1), "temperature must be positive everywhere"),
+        (np.any(np.diff(p, axis=1) <= 0, axis=1), "pressure must increase strictly toward the surface"),
+        (np.any(tau_c < 0, axis=1), "cloud optical depth must be nonnegative"),
+    )
+    bad = np.stack([mask for mask, _ in checks])
+    rows = np.flatnonzero(np.any(bad, axis=0))
+    return (int(rows[0]), checks[np.argmax(bad[:, rows[0]])][1]) if rows.size else None
+
+
 @dataclass(frozen=True)
 class Profile:
-    """One atmospheric column on a LevelGrid.
+    """One atmospheric column on a LevelGrid; a row view of a ProfileSet.
 
     T and p run from the top of the atmosphere (index 0) down to the
     surface; p must increase strictly toward the surface.
@@ -83,65 +95,61 @@ class Profile:
     tau_c: np.ndarray
 
     def __post_init__(self):
-        T = np.asarray(self.T, dtype=float)
-        p = np.asarray(self.p, dtype=float)
-        tau_c = np.asarray(self.tau_c, dtype=float)
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "tau_c", tau_c)
-        n = T.shape[0]
-        if p.shape[0] != n or tau_c.shape[0] != n:
+        for name in ("T", "p", "tau_c"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.T.ndim != 1 or self.p.shape != self.T.shape or self.tau_c.shape != self.T.shape:
             raise ValueError("T, p and tau_c must have equal length")
-        if not np.all(np.isfinite(T)) or not np.all(np.isfinite(p)) or not np.all(np.isfinite(tau_c)):
-            raise ValueError("profile contains non-finite values")
-        if np.any(T <= 0):
-            raise ValueError("temperature must be positive everywhere")
-        if np.any(np.diff(p) <= 0):
-            raise ValueError("pressure must increase strictly toward the surface")
-        if np.any(tau_c < 0):
-            raise ValueError("cloud optical depth must be nonnegative")
-
-    @property
-    def n_full(self) -> int:
-        return self.T.shape[0]
+        bad = _first_invalid_row(self.T[None], self.p[None], self.tau_c[None])
+        if bad is not None:
+            raise ValueError(bad[1])
 
 
 @dataclass(frozen=True)
 class ProfileSet:
-    """Ordered collection of profiles sharing one grid, with optional fluxes.
+    """Ordered profiles sharing one grid, stored as columns.
 
-    fluxes, when present, is an (n_profiles, n_half) array of downwelling
-    longwave flux per half level.
+    T, p and tau_c are C-contiguous (n_profiles, n_full) arrays, row k
+    being profile k.  fluxes, when present, is an (n_profiles, n_half)
+    array of downwelling longwave flux per half level.
     """
 
     grid: LevelGrid
-    profiles: tuple
+    T: np.ndarray
+    p: np.ndarray
+    tau_c: np.ndarray
     fluxes: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "profiles", tuple(self.profiles))
-        for k, prof in enumerate(self.profiles):
-            if prof.n_full != self.grid.n_full:
-                raise ValueError(f"profile {k} has {prof.n_full} levels, grid expects {self.grid.n_full}")
+        for name in ("T", "p", "tau_c"):
+            object.__setattr__(self, name, np.ascontiguousarray(getattr(self, name), dtype=float))
+        shapes = (self.T.shape, self.p.shape, self.tau_c.shape)
+        if len(shapes[0]) != 2 or any(shape != (shapes[0][0], self.grid.n_full) for shape in shapes):
+            raise ValueError(f"T, p and tau_c must have shape (n, {self.grid.n_full}), got "
+                             + ", ".join(map(str, shapes)))
+        bad = _first_invalid_row(self.T, self.p, self.tau_c)
+        if bad is not None:
+            raise ValueError(f"row {bad[0]}: {bad[1]}")
         if self.fluxes is not None:
-            fluxes = np.asarray(self.fluxes, dtype=float)
-            object.__setattr__(self, "fluxes", fluxes)
-            if fluxes.shape != (len(self.profiles), self.grid.n_half):
-                raise ValueError(
-                    f"fluxes must have shape {(len(self.profiles), self.grid.n_half)}, got {fluxes.shape}"
-                )
+            object.__setattr__(self, "fluxes", np.asarray(self.fluxes, dtype=float))
+            if self.fluxes.shape != (len(self), self.grid.n_half):
+                raise ValueError(f"fluxes must have shape {(len(self), self.grid.n_half)}, "
+                                 f"got {self.fluxes.shape}")
 
     def __len__(self) -> int:
-        return len(self.profiles)
+        return self.T.shape[0]
+
+    @property
+    def profiles(self) -> tuple:
+        """One Profile row view per row."""
+        return tuple(map(Profile, self.T, self.p, self.tau_c))
 
     def subset(self, indices) -> "ProfileSet":
         indices = np.asarray(indices, dtype=int)
-        profs = tuple(self.profiles[i] for i in indices)
         fluxes = self.fluxes[indices] if self.fluxes is not None else None
-        return ProfileSet(self.grid, profs, fluxes)
+        return ProfileSet(self.grid, self.T[indices], self.p[indices], self.tau_c[indices], fluxes)
 
     def with_fluxes(self, fluxes: np.ndarray) -> "ProfileSet":
-        return ProfileSet(self.grid, self.profiles, fluxes)
+        return ProfileSet(self.grid, self.T, self.p, self.tau_c, fluxes)
 
 
 @dataclass(frozen=True)
@@ -159,10 +167,6 @@ class DataMatrix:
             raise ValueError("DataMatrix values must be 2-dimensional")
         if values.shape[1] != len(self.columns):
             raise ValueError(f"{values.shape[1]} columns but {len(self.columns)} labels")
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
 
     @property
     def n_cols(self) -> int:
@@ -191,7 +195,8 @@ def load_profiles(path, grid: LevelGrid) -> ProfileSet:
 
     The header must be T_1..T_n, p_1..p_n, tauc_1..tauc_n, optionally
     followed by L_0..L_n flux columns.  Schema or invariant violations
-    raise SchemaError naming the offending row.
+    raise SchemaError naming the offending row; rows are counted from 0
+    over the non-blank lines after the header.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -200,52 +205,57 @@ def load_profiles(path, grid: LevelGrid) -> ProfileSet:
         names = header.split(",")
         expected = grid.input_labels()
         with_flux = expected + grid.output_labels()
-        if names == expected:
-            has_flux = False
-        elif names == with_flux:
-            has_flux = True
-        else:
+        if names not in (expected, with_flux):
             raise SchemaError(
                 f"{path}: header mismatch, expected {len(expected)} or {len(with_flux)} "
                 f"columns for n_full={grid.n_full}, got {len(names)}"
             )
-        n = grid.n_full
-        profiles = []
-        fluxes = [] if has_flux else None
-        for row_idx, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
+        lines = [line for line in fh if not line.isspace()]
+    try:
+        vals = (np.loadtxt(lines, delimiter=",", comments=None, ndmin=2) if lines
+                else np.empty((0, len(names))))
+        if vals.shape[1] != len(names):
+            raise ValueError(f"expected {len(names)} values per row, got {vals.shape[1]}")
+    except ValueError as exc:
+        # Name the first bad row; numpy's message numbers rows inconsistently.
+        for row_idx, line in enumerate(lines):
             parts = line.split(",")
-            if len(parts) != len(names):
-                raise SchemaError(f"{path}: row {row_idx}: expected {len(names)} values, got {len(parts)}")
             try:
-                vals = np.array([float(x) for x in parts])
-            except ValueError as exc:
-                raise SchemaError(f"{path}: row {row_idx}: {exc}") from None
-            try:
-                profiles.append(Profile(vals[:n], vals[n:2 * n], vals[2 * n:3 * n]))
-            except ValueError as exc:
-                raise SchemaError(f"{path}: row {row_idx}: {exc}") from None
-            if has_flux:
-                fluxes.append(vals[3 * n:])
-    flux_arr = np.array(fluxes) if has_flux and fluxes else None
-    return ProfileSet(grid, tuple(profiles), flux_arr)
+                if len(parts) != len(names):
+                    raise ValueError(f"expected {len(names)} values, got {len(parts)}")
+                [float(x) for x in parts]
+            except ValueError as bad:
+                raise SchemaError(f"{path}: row {row_idx}: {bad}") from None
+        raise SchemaError(f"{path}: {exc}") from None
+    n = grid.n_full
+    try:
+        return ProfileSet(grid, vals[:, :n], vals[:, n:2 * n], vals[:, 2 * n:3 * n],
+                          vals[:, 3 * n:] if names == with_flux else None)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 def save_profiles(path, data: ProfileSet) -> None:
-    """Write a ProfileSet in the wide text format (exact float round trip)."""
+    """Write a ProfileSet in the wide text format (exact float round trip).
+
+    The file is written under a temporary name beside `path` and then
+    moved onto it, so an interrupted write never leaves a partial file
+    under the final name.
+    """
     labels = data.grid.input_labels()
+    blocks = [data.T, data.p, data.tau_c]
     if data.fluxes is not None:
         labels = labels + data.grid.output_labels()
-    lines = [",".join(labels)]
-    for k, prof in enumerate(data.profiles):
-        vals = np.concatenate([prof.T, prof.p, prof.tau_c])
-        if data.fluxes is not None:
-            vals = np.concatenate([vals, data.fluxes[k]])
-        lines.append(",".join(map(repr, vals.tolist())))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        blocks.append(data.fluxes)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(",".join(labels) + "\n")
+            fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in np.hstack(blocks))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def derive_cloud_optical_depth(q_l, q_i, r_l, r_i, dp) -> np.ndarray:
@@ -301,9 +311,7 @@ def flatten(data: ProfileSet, which: str = "inputs") -> DataMatrix:
     Output columns are the half-level fluxes L_0..L_n.
     """
     if which == "inputs":
-        rows = np.array([np.concatenate([pr.T, pr.p, pr.tau_c]) for pr in data.profiles])
-        rows = rows.reshape(len(data), 3 * data.grid.n_full)
-        return DataMatrix(rows, data.grid.input_labels())
+        return DataMatrix(np.hstack([data.T, data.p, data.tau_c]), data.grid.input_labels())
     if which == "outputs":
         if data.fluxes is None:
             raise ValueError("ProfileSet has no fluxes to flatten")
@@ -316,10 +324,7 @@ def unflatten(m: DataMatrix, grid: LevelGrid) -> ProfileSet:
     n = grid.n_full
     if m.n_cols != 3 * n:
         raise ValueError(f"expected {3 * n} columns for n_full={n}, got {m.n_cols}")
-    profiles = tuple(
-        Profile(row[:n], row[n:2 * n], row[2 * n:3 * n]) for row in m.values
-    )
-    return ProfileSet(grid, profiles)
+    return ProfileSet(grid, *np.hsplit(m.values, 3))
 
 
 def surrogate_sigma_grid(n_full: int) -> np.ndarray:
@@ -343,9 +348,9 @@ def generate_surrogate(n: int, grid: LevelGrid, seed: int) -> ProfileSet:
     gen = rng.stream(seed)
     lo = int(np.searchsorted(sigma, SURROGATE_CLOUD_SIGMA_LO))
     hi = max(int(np.searchsorted(sigma, SURROGATE_CLOUD_SIGMA_HI)), lo + 1)
-    profiles = []
+    T, p, tau_c = np.empty((n, nl)), np.empty((n, nl)), np.zeros((n, nl))
     phi = SURROGATE_AR1
-    for _ in range(n):
+    for k in range(n):
         # Fixed number of draws per profile keeps the stream aligned.
         u = np.clip(gen.random(nl + 13), 1e-12, 1 - 1e-12)
         offset = SURROGATE_T_OFFSET * ndtri(u[0])
@@ -354,16 +359,14 @@ def generate_surrogate(n: int, grid: LevelGrid, seed: int) -> ProfileSet:
         noise[0] = eps[0]
         for i in range(1, nl):
             noise[i] = phi * noise[i - 1] + math.sqrt(1 - phi * phi) * eps[i]
-        T = t_base + offset + SURROGATE_T_NOISE * noise
+        T[k] = t_base + offset + SURROGATE_T_NOISE * noise
         p0 = SURROGATE_P0_MEAN + SURROGATE_P0_SPREAD * (2 * u[nl + 1] - 1)
-        p = sigma * p0
-        tau_c = np.zeros(nl)
+        p[k] = sigma * p0
         if u[nl + 2] < SURROGATE_CLOUD_FRACTION:
             n_blocks = 1 + int(u[nl + 3] * 3)
             for b in range(n_blocks):
                 start = lo + int(u[nl + 4 + 3 * b] * max(hi - lo, 1))
                 length = 1 + int(u[nl + 5 + 3 * b] * 4)
                 mag = math.exp(SURROGATE_CLOUD_LOGMEAN + SURROGATE_CLOUD_LOGSTD * ndtri(u[nl + 6 + 3 * b]))
-                tau_c[start:min(start + length, nl)] += mag
-        profiles.append(Profile(T, p, tau_c))
-    return ProfileSet(grid, tuple(profiles))
+                tau_c[k, start:min(start + length, nl)] += mag
+    return ProfileSet(grid, T, p, tau_c)

@@ -23,6 +23,7 @@ from .bicop import Family
 from .dataset import (
     LevelGrid,
     ProfileSet,
+    SchemaError,
     SplitSpec,
     flatten,
     generate_surrogate,
@@ -215,9 +216,6 @@ class PipelineResult:
     def median_mae(self, case: str) -> float:
         return float(np.median([r[4] for r in self.rows if r[0] == case]))
 
-    def median_mb(self, case: str) -> float:
-        return float(np.median([r[3] for r in self.rows if r[0] == case]))
-
 
 def _depth_report_file(cfg: ExperimentConfig, out_dir: Path, case: str, y_true, y_pred, result):
     errors = np.asarray(y_true) - np.asarray(y_pred)
@@ -323,6 +321,8 @@ def _run_case(cfg, spec, case, factor, synth_model, cache_dir, out_dir, consts,
         cache_file = cache_dir / f"{case}-gen{gen}-{key}.csv"
         if cache_file.exists():
             synth_rad = load_profiles(cache_file, cfg.grid)
+            if len(synth_rad) != n_rows:
+                raise SchemaError(f"{cache_file}: expected {n_rows} rows, found {len(synth_rad)}")
         else:
             synth, _ = sample_synth_model(synth_model, n_rows, gen_seed)
             synth_rad = radiate_set(synth, consts)

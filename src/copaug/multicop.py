@@ -37,7 +37,7 @@ from .bicop import (
     kendall_tau,
     swap_arguments,
 )
-from .dataset import LevelGrid, Profile, ProfileSet, SchemaError, flatten
+from .dataset import LevelGrid, ProfileSet, SchemaError, flatten
 from .marginals import EmpiricalMarginal, fit_empirical, pseudo_observations, quantile
 
 MODEL_FORMAT_VERSION = 2
@@ -447,8 +447,7 @@ def sample_synth_model(model: SynthModel, n: int, seed: int):
     non-monotone pressure columns of individual profiles are re-sorted
     ascending (marginals are preserved exactly) and counted.
     """
-    n_full = model.d // 3
-    grid = LevelGrid(n_full)
+    grid = LevelGrid(model.d // 3)
     if len(model.active) < 2:
         U_act = rng.uniforms(seed, (n, len(model.active)))
     elif model.kind == "gaussian":
@@ -460,18 +459,14 @@ def sample_synth_model(model: SynthModel, n: int, seed: int):
     Z = np.empty_like(U)
     for j in range(model.d):
         Z[:, j] = quantile(model.marginals[j], U[:, j])
-    diag = SynthesisDiagnostics(n_rows=n)
-    profiles = []
-    for row in Z:
-        T, p, tau_c = row[:n_full].copy(), row[n_full:2 * n_full].copy(), row[2 * n_full:].copy()
-        if np.any(np.diff(p) <= 0):
-            p = np.sort(p)
-            for i in range(1, n_full):
-                if p[i] <= p[i - 1]:
-                    p[i] = np.nextafter(p[i - 1], np.inf)
-            diag.pressure_resorted += 1
-        profiles.append(Profile(T, p, tau_c))
-    return ProfileSet(grid, tuple(profiles)), diag
+    T, p, tau_c = np.hsplit(Z, 3)
+    resort = np.any(np.diff(p, axis=1) <= 0, axis=1)
+    q = np.sort(p[resort], axis=1)
+    for i in range(1, q.shape[1]):
+        q[:, i] = np.maximum(q[:, i], np.nextafter(q[:, i - 1], np.inf))
+    p[resort] = q
+    diag = SynthesisDiagnostics(n_rows=n, pressure_resorted=int(np.count_nonzero(resort)))
+    return ProfileSet(grid, T, p, tau_c), diag
 
 
 def synthesize(train: ProfileSet, spec: CopulaSpec, factor: int, seed: int) -> ProfileSet:
@@ -543,8 +538,13 @@ def model_from_dict(doc: dict) -> SynthModel:
         if R.size != da * da:
             raise SchemaError(f"correlation: {R.size} entries do not fit {da} active columns")
         R = R.reshape(da, da)
-        return SynthModel("gaussian", columns, margs, active,
-                          gaussian=GaussianCopulaModel(R, np.linalg.cholesky(R)))
+        if not (np.all(np.isfinite(R)) and np.array_equal(R, R.T) and np.all(np.diag(R) == 1.0)):
+            raise SchemaError("correlation: expected a finite, exactly symmetric matrix with unit diagonal")
+        try:
+            L = np.linalg.cholesky(R)
+        except np.linalg.LinAlgError:
+            raise SchemaError("correlation: matrix is not positive-definite") from None
+        return SynthModel("gaussian", columns, margs, active, gaussian=GaussianCopulaModel(R, L))
     matrix, rows = doc["vine"]["matrix"], doc["vine"]["copulas"]
     if len(matrix) != da:
         raise SchemaError(f"vine.matrix: expected {da} rows for {da} active columns, got {len(matrix)}")

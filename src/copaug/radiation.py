@@ -34,51 +34,49 @@ class RadiationConstants:
 
 @dataclass(frozen=True)
 class SigmaLayers:
-    """Per-layer fraction of total column mass; sums to 1."""
+    """Per-layer fraction of total column mass along the last axis; sums to 1."""
 
     delta_sigma: np.ndarray
-    p_half: np.ndarray
 
     def __post_init__(self):
         ds = np.asarray(self.delta_sigma, dtype=float)
         object.__setattr__(self, "delta_sigma", ds)
-        object.__setattr__(self, "p_half", np.asarray(self.p_half, dtype=float))
-        if np.any(ds <= 0):
-            raise ValueError("delta_sigma must be positive elementwise")
-        if abs(ds.sum() - 1.0) > 1e-9:
+        rows = np.flatnonzero(np.any(np.atleast_2d(ds) <= 0, axis=-1))
+        if rows.size:
+            raise ValueError(f"delta_sigma must be positive elementwise (row {rows[0]})")
+        if np.any(np.abs(ds.sum(axis=-1) - 1.0) > 1e-9):
             raise ValueError("delta_sigma must sum to 1")
 
 
 def half_level_pressures(p_full) -> np.ndarray:
-    """Half-level pressures: midpoints inside, 0 at the top, mirror at the surface."""
+    """Half-level pressures along the last axis: midpoints inside, 0 at the
+    top, mirror at the surface."""
     p_full = np.asarray(p_full, dtype=float)
     if np.any(np.diff(p_full) <= 0):
         raise ValueError("full-level pressures must be strictly increasing")
-    n = p_full.shape[0]
-    p_half = np.empty(n + 1)
-    p_half[0] = 0.0
-    p_half[1:n] = 0.5 * (p_full[:-1] + p_full[1:])
-    p_half[n] = p_full[-1] + (p_full[-1] - p_half[n - 1])
+    n = p_full.shape[-1]
+    p_half = np.empty(p_full.shape[:-1] + (n + 1,))
+    p_half[..., 0] = 0.0
+    p_half[..., 1:n] = 0.5 * (p_full[..., :-1] + p_full[..., 1:])
+    p_half[..., n] = p_full[..., -1] + (p_full[..., -1] - p_half[..., n - 1])
     # Full levels one ulp apart can collapse a midpoint onto its neighbour;
     # keep the output strictly increasing regardless.
     for i in range(1, n + 1):
-        if p_half[i] <= p_half[i - 1]:
-            p_half[i] = np.nextafter(p_half[i - 1], np.inf)
+        p_half[..., i] = np.maximum(p_half[..., i], np.nextafter(p_half[..., i - 1], np.inf))
     return p_half
 
 
 def sigma_layers(p_half) -> SigmaLayers:
-    """Layer mass fractions delta_sigma from half-level pressures."""
+    """Layer mass fractions delta_sigma from half-level pressures (last axis)."""
     p_half = np.asarray(p_half, dtype=float)
-    if p_half[0] != 0.0:
+    if np.any(p_half[..., 0] != 0.0):
         raise ValueError("top half-level pressure must be 0")
     if np.any(np.diff(p_half) <= 0):
         raise ValueError("half-level pressures must be strictly increasing")
-    p0 = p_half[-1]
-    if p0 <= 0:
+    p0 = p_half[..., -1:]
+    if np.any(p0 <= 0):
         raise ValueError("surface pressure must be positive")
-    sig = p_half / p0
-    return SigmaLayers(np.diff(sig), p_half)
+    return SigmaLayers(np.diff(p_half / p0))
 
 
 def planck_flux(T) -> np.ndarray:
@@ -106,30 +104,27 @@ def layer_emissivity(tau, consts: RadiationConstants = RadiationConstants()) -> 
     return -np.expm1(-consts.diffusivity * tau)
 
 
-def downwelling_longwave(profile: Profile, consts: RadiationConstants = RadiationConstants()) -> np.ndarray:
-    """Downwelling flux on half levels, L[0] = 0 at the top of the atmosphere.
+def _downwelling(T, p, tau_c, consts: RadiationConstants) -> np.ndarray:
+    """Downwelling flux of an (n, n_full) block of profiles, (n, n_full + 1).
 
-    L[i] = L[i-1] * (1 - eps_i) + B_i * eps_i for layers i = 1..n_full,
-    with B and eps constant within each layer.
+    L[:, i] = L[:, i-1] * (1 - eps_i) + B_i * eps_i for layers i = 1..n_full,
+    from L[:, 0] = 0, with B and eps constant within each layer; one step
+    per layer over all rows at once.
     """
-    p_half = half_level_pressures(profile.p)
-    layers = sigma_layers(p_half)
-    tau = layer_optical_depth(profile.tau_c, layers.delta_sigma, consts)
-    eps = layer_emissivity(tau, consts)
-    B = consts.sigma_sb * profile.T ** 4
-    L = np.empty(profile.n_full + 1)
-    L[0] = 0.0
-    for i in range(1, L.shape[0]):
-        L[i] = L[i - 1] * (1.0 - eps[i - 1]) + B[i - 1] * eps[i - 1]
+    layers = sigma_layers(half_level_pressures(p))
+    eps = layer_emissivity(layer_optical_depth(tau_c, layers.delta_sigma, consts), consts)
+    B = consts.sigma_sb * T ** 4
+    L = np.zeros((T.shape[0], T.shape[1] + 1))
+    for i in range(T.shape[1]):
+        L[:, i + 1] = L[:, i] * (1.0 - eps[:, i]) + B[:, i] * eps[:, i]
     return L
+
+
+def downwelling_longwave(profile: Profile, consts: RadiationConstants = RadiationConstants()) -> np.ndarray:
+    """Downwelling flux on half levels, L[0] = 0 at the top of the atmosphere."""
+    return _downwelling(profile.T[None], profile.p[None], profile.tau_c[None], consts)[0]
 
 
 def radiate_set(s: ProfileSet, consts: RadiationConstants = RadiationConstants()) -> ProfileSet:
     """Attach downwelling flux profiles to every profile in the set."""
-    fluxes = np.empty((len(s), s.grid.n_half))
-    for k, prof in enumerate(s.profiles):
-        try:
-            fluxes[k] = downwelling_longwave(prof, consts)
-        except ValueError as exc:
-            raise ValueError(f"profile {k}: {exc}") from None
-    return s.with_fluxes(fluxes)
+    return s.with_fluxes(_downwelling(s.T, s.p, s.tau_c, consts))

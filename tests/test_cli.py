@@ -139,6 +139,26 @@ class TestSampleRadiateTrainEval:
         assert err.startswith("error:schema:") and "version 1" in err
 
 
+    @pytest.mark.parametrize("edit", ["asymmetric", "not-pd"])
+    def test_bad_gaussian_correlation_schema_error(self, tiny_config, tmp_path, capsys, edit):
+        model = tmp_path / "model.json"
+        main(["fit", "--config", str(tiny_config), "--kind", "gaussian", "--out", str(model)])
+        doc = json.loads(model.read_text())
+        da = len(doc["active"])
+        R = np.asarray(doc["correlation"]).reshape(da, da)
+        if edit == "asymmetric":
+            R[0, 1] += 0.01
+        else:
+            R = np.full((da, da), -0.9)
+            np.fill_diagonal(R, 1.0)
+        doc["correlation"] = R.ravel().tolist()
+        model.write_text(json.dumps(doc))
+        code = main(["sample", "--config", str(tiny_config), "--model", str(model),
+                     "--count", "5", "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:schema: correlation: ")
+        assert not (tmp_path / "s.csv").exists()
+
     def test_malformed_mlp_schema_error(self, tiny_config, tmp_path, capsys):
         mlp = tmp_path / "mlp.json"
         save_mlp(mlp, init_mlp(MLPLayout(18, (8,), 7), 1))
@@ -206,6 +226,19 @@ class TestPipeline:
         a = run_pipeline(cfg, tmp_path / "same")
         b = run_pipeline(cfg, tmp_path / "same")  # second run loads the cache
         assert a.rows == b.rows
+
+    def test_truncated_cache_rejected(self, tmp_path, capsys):
+        # A cache file cut at a line boundary still parses; the row count
+        # must give it away instead of training on a third of the rows.
+        cfg = make_config(TINY)
+        run_pipeline(cfg, tmp_path / "run")
+        cache_file = sorted((tmp_path / "run" / "cache").iterdir())[0]
+        lines = cache_file.read_text().splitlines(keepends=True)
+        assert len(lines) == 49
+        cache_file.write_text("".join(lines[:21]))
+        again = run_pipeline(cfg, tmp_path / "run")
+        assert again.failures == [("gaussian-1x", f"{cache_file}: expected 48 rows, found 20")]
+        assert "gaussian-1x failed" in capsys.readouterr().err
 
     def test_cache_keyed_by_synthesis_inputs(self, tmp_path):
         # A run into a directory another master seed left behind must

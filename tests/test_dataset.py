@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +30,7 @@ def make_set(n, n_full=3, seed=0):
         p += np.arange(n_full)  # guard against ties
         tau = np.abs(gen.random(n_full)) * (gen.random(n_full) < 0.3)
         profs.append(Profile(T, p, tau))
-    return ProfileSet(LevelGrid(n_full), tuple(profs))
+    return ProfileSet(LevelGrid(n_full), *(np.array([getattr(pr, q) for pr in profs]) for q in ("T", "p", "tau_c")))
 
 
 class TestProfileInvariants:
@@ -47,7 +49,52 @@ class TestProfileInvariants:
     def test_fluxes_shape_checked(self):
         s = make_set(2)
         with pytest.raises(ValueError, match="fluxes"):
-            ProfileSet(s.grid, s.profiles, np.zeros((2, 3)))
+            ProfileSet(s.grid, s.T, s.p, s.tau_c, np.zeros((2, 3)))
+
+
+class TestColumnarProfileSet:
+    def test_invalid_row_named(self):
+        s = make_set(5)
+        p = s.p.copy()
+        p[3, 2] = p[3, 1]
+        with pytest.raises(ValueError, match="^row 3: pressure"):
+            ProfileSet(s.grid, s.T, p, s.tau_c)
+
+    def test_first_bad_row_and_its_first_failed_check(self):
+        s = make_set(5)
+        T, tau = s.T.copy(), s.tau_c.copy()
+        T[4, 0] = 0.0
+        tau[2, 1] = -1.0
+        T[2, 2] = np.nan
+        with pytest.raises(ValueError, match="^row 2: profile contains non-finite"):
+            ProfileSet(s.grid, T, s.p, tau)
+
+    def test_shape_checked(self):
+        s = make_set(3, n_full=3)
+        with pytest.raises(ValueError, match="shape"):
+            ProfileSet(LevelGrid(4), s.T, s.p, s.tau_c)
+        with pytest.raises(ValueError, match="shape"):
+            ProfileSet(s.grid, s.T, s.p[:2], s.tau_c)
+
+    def test_profiles_are_row_views(self):
+        s = make_set(4, n_full=3)
+        rows = s.profiles
+        assert len(rows) == 4 and all(isinstance(r, Profile) for r in rows)
+        for k, r in enumerate(rows):
+            assert np.shares_memory(r.T, s.T)
+            np.testing.assert_array_equal(r.p, s.p[k])
+            np.testing.assert_array_equal(r.tau_c, s.tau_c[k])
+
+    def test_subset_is_fancy_indexing(self):
+        s = make_set(6).with_fluxes(np.arange(24, dtype=float).reshape(6, 4))
+        sub = s.subset([4, 0, 4])
+        np.testing.assert_array_equal(sub.T, s.T[[4, 0, 4]])
+        np.testing.assert_array_equal(sub.fluxes, s.fluxes[[4, 0, 4]])
+        assert len(s.subset([])) == 0
+
+
+HEADER_3 = "T_1,T_2,T_3,p_1,p_2,p_3,tauc_1,tauc_2,tauc_3"
+GOOD_ROW_3 = "250,260,270,10000.0,20000.0,30000.0,0,0,0"
 
 
 class TestProfileFile:
@@ -79,6 +126,45 @@ class TestProfileFile:
         )
         with pytest.raises(SchemaError, match="row 1"):
             load_profiles(path, LevelGrid(3))
+
+    @pytest.mark.parametrize("bad,reason", [
+        ("250,260,270,1e4,2e4,3e4,0,nan,0", "non-finite"),
+        ("250,260,inf,1e4,2e4,3e4,0,0,0", "non-finite"),
+        ("250,-3,270,1e4,2e4,3e4,0,0,0", "temperature"),
+        ("250,260,270,1e4,2e4,2e4,0,0,0", "pressure"),
+        ("250,260,270,1e4,2e4,3e4,0,-0.5,0", "optical depth"),
+        ("250,260,270,1e4,2e4,3e4,0,0", "expected 9 values, got 8"),
+        ("250,260,270,1e4,2e4,3e4,0,0,0,1", "expected 9 values, got 10"),
+        ("250,260,warm,1e4,2e4,3e4,0,0,0", "could not convert"),
+    ])
+    def test_invalid_row_named(self, tmp_path, bad, reason):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([HEADER_3, GOOD_ROW_3, GOOD_ROW_3, bad, GOOD_ROW_3]) + "\n")
+        with pytest.raises(SchemaError, match=f"bad.csv: row 2: .*{reason}"):
+            load_profiles(path, LevelGrid(3))
+
+    def test_blank_lines_and_empty_body(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text(HEADER_3 + "\n\n" + GOOD_ROW_3 + "\n   \n" + GOOD_ROW_3 + "\n")
+        assert len(load_profiles(path, LevelGrid(3))) == 2
+        path.write_text(HEADER_3 + "\n")
+        empty = load_profiles(path, LevelGrid(3))
+        assert len(empty) == 0 and empty.T.shape == (0, 3)
+
+    def test_save_replaces_atomically(self, tmp_path, monkeypatch):
+        path = tmp_path / "set.csv"
+        save_profiles(path, make_set(2))
+        assert [p.name for p in tmp_path.iterdir()] == ["set.csv"]
+        before = path.read_bytes()
+
+        def crash(src, dst):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError, match="interrupted"):
+            save_profiles(path, make_set(5, seed=1))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["set.csv"]
 
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "short.csv"
@@ -133,7 +219,7 @@ class TestSplitShuffle:
     def test_paper_scale_sizes(self):
         # 25 000 single-level profiles keep the check cheap.
         profs = tuple(Profile([250.0], [1e5], [0.0]) for _ in range(25000))
-        data = ProfileSet(LevelGrid(1), profs)
+        data = ProfileSet(LevelGrid(1), *(np.array([getattr(pr, q) for pr in profs]) for q in ("T", "p", "tau_c")))
         tr, va, te = split_shuffle(data, SplitSpec(0.4, 0.2, 0.4, seed=3))
         assert (len(tr), len(va), len(te)) == (10000, 5000, 10000)
 

@@ -370,7 +370,7 @@ class TestSynthesize:
         for _ in range(150):
             p = np.sort(gen.uniform(1e4, 1e5, 4))
             profs.append(Profile(200 + 50 * gen.random(4), p, np.zeros(4)))
-        train = ProfileSet(LevelGrid(4), tuple(profs))
+        train = ProfileSet(LevelGrid(4), *(np.array([getattr(pr, q) for pr in profs]) for q in ("T", "p", "tau_c")))
         model = fit_synth_model(train, CopulaSpec(kind="gaussian"))
         synth, diag = sample_synth_model(model, 400, 3)
         assert diag.pressure_resorted > 0
@@ -434,6 +434,29 @@ class TestModelArtifact:
         doc["active"][-1] = len(doc["columns"]) + 3
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match="^active:"):
+            load_model(path)
+
+    @staticmethod
+    def edit_correlation(doc, edit):
+        da = len(doc["active"])
+        R = np.asarray(doc["correlation"]).reshape(da, da)
+        if edit == "asymmetric":
+            R[0, 1] += 0.01  # upper triangle only: the Cholesky factor reads the lower one
+        elif edit == "diagonal":
+            R[1, 1] = 1.0 + 1e-12
+        else:  # equicorrelation -0.9 in three or more dimensions is not positive-definite
+            R = np.full((da, da), -0.9)
+            np.fill_diagonal(R, 1.0)
+        doc["correlation"] = R.ravel().tolist()
+
+    @pytest.mark.parametrize("edit,reason", [("asymmetric", "symmetric"), ("diagonal", "unit diagonal"),
+                                             ("not-pd", "positive-definite")])
+    def test_bad_gaussian_correlation_rejected(self, tmp_path, edit, reason):
+        path, doc = self.saved(tmp_path, "gaussian")
+        assert len(doc["active"]) >= 3
+        self.edit_correlation(doc, edit)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=f"^correlation: .*{reason}"):
             load_model(path)
 
     def test_corrupted_matrix_entry_rejected(self, tmp_path):

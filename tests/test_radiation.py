@@ -197,3 +197,72 @@ class TestRadiateSet:
     def test_paper_scale_count(self):
         s = generate_surrogate(2500, LevelGrid(10), 4)
         assert radiate_set(s).fluxes.shape == (2500, 11)
+
+
+def reference_fluxes(T, p, tau_c, consts):
+    """Per-row flux recursion, one profile at a time: the reference the
+    vectorised radiate_set must match bit for bit."""
+    rows = []
+    for t, q, c in zip(T, p, tau_c):
+        n = q.shape[0]
+        p_half = np.empty(n + 1)
+        p_half[0] = 0.0
+        p_half[1:n] = 0.5 * (q[:-1] + q[1:])
+        p_half[n] = q[-1] + (q[-1] - p_half[n - 1])
+        for i in range(1, n + 1):
+            if p_half[i] <= p_half[i - 1]:
+                p_half[i] = np.nextafter(p_half[i - 1], np.inf)
+        ds = np.diff(p_half / p_half[-1])
+        if np.any(ds <= 0):
+            raise ValueError("delta_sigma must be positive elementwise")
+        eps = -np.expm1(-consts.diffusivity * (c + consts.gas_optical_depth * ds))
+        B = consts.sigma_sb * t ** 4
+        L = np.empty(n + 1)
+        L[0] = 0.0
+        for i in range(1, n + 1):
+            L[i] = L[i - 1] * (1.0 - eps[i - 1]) + B[i - 1] * eps[i - 1]
+        rows.append(L)
+    return np.array(rows).reshape(len(T), T.shape[1] + 1)
+
+
+class TestRadiateSetBitIdentity:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=12),
+           st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from([RadiationConstants(), RadiationConstants(diffusivity=1.3, gas_optical_depth=0.4)]))
+    def test_matches_per_row_reference(self, n, n_full, seed, consts):
+        gen = np.random.default_rng(seed)
+        T = gen.uniform(150.0, 320.0, (n, n_full))
+        tau_c = gen.exponential(1.0, (n, n_full)) * (gen.random((n, n_full)) < 0.4)
+        p = np.sort(gen.uniform(10.0, 1.1e5, (n, n_full)), axis=1)
+        p[:, 1:] += np.arange(1, n_full)  # no ties
+        # Row 0 is consecutive floats, other rows get random one-ulp runs:
+        # their half-level midpoints collapse, so the nextafter repair runs.
+        for k in range(n):
+            for j in range(1, n_full):
+                if k == 0 or gen.random() < 0.5:
+                    p[k, j] = np.nextafter(p[k, j - 1], np.inf)
+        s = ProfileSet(LevelGrid(n_full), T, p, tau_c)
+        try:
+            expected = reference_fluxes(s.T, s.p, s.tau_c, consts)
+        except ValueError:
+            # One-ulp pressure steps can also collapse a sigma difference.
+            with pytest.raises(ValueError, match=r"delta_sigma must be positive elementwise \(row \d+\)"):
+                radiate_set(s, consts)
+            return
+        out = radiate_set(s, consts).fluxes
+        np.testing.assert_array_equal(out.view(np.uint64), expected.view(np.uint64))
+        for prof, row in zip(s.profiles, expected):
+            np.testing.assert_array_equal(downwelling_longwave(prof, consts).view(np.uint64),
+                                          row.view(np.uint64))
+
+    def test_consecutive_float_pressures_need_the_repair(self):
+        # Four consecutive floats: three midpoints, two of which round to the
+        # same float, so the reference's repair branch is taken.
+        p = np.array([5e4])
+        for _ in range(3):
+            p = np.append(p, np.nextafter(p[-1], np.inf))
+        assert len(set((0.5 * (p[:-1] + p[1:])).tolist())) < 3
+        s = ProfileSet(LevelGrid(4), np.full((1, 4), 250.0), p[None], np.zeros((1, 4)))
+        expected = reference_fluxes(s.T, s.p, s.tau_c, RadiationConstants())
+        np.testing.assert_array_equal(radiate_set(s).fluxes.view(np.uint64), expected.view(np.uint64))
