@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import rng
-from .dataset import SchemaError, flatten, load_profiles, save_profiles
-from .emulator import MLPLayout, init_mlp, load_mlp, predict_set, save_mlp, train
+from .dataset import SchemaError, flatten, load_profiles, save_profiles, write_lines
+from .emulator import load_mlp, predict_set, save_mlp
 from .evaluation import error_metrics, write_level_quantiles
 from .experiment import (
     ExperimentConfig,
@@ -25,6 +26,7 @@ from .experiment import (
     resolve_dataset,
     run_pipeline,
     split_dataset,
+    train_emulator,
 )
 from .multicop import fit_synth_model, load_model, sample_synth_model, save_model
 from .radiation import radiate_set
@@ -56,13 +58,13 @@ def cmd_fit(args) -> int:
     model = fit_synth_model(train_set, cfg.copula_spec(args.kind))
     save_model(args.out, model)
     if model.kind == "vine" and model.vine is not None:
-        families = {}
-        for tree in model.vine.trees:
-            for e in tree:
-                key = e.copula.family.value
-                families[key] = families.get(key, 0) + 1
-        hist = ", ".join(f"{k}={v}" for k, v in sorted(families.items()))
-        print(f"wrote {args.out}: vine on {model.d} features ({len(model.active)} active), edges: {hist}")
+        vine = model.vine
+        # Trees past the truncation level hold independence copulas only.
+        families = Counter(cop.family.value for row in vine.copulas for cop, _ in row)
+        families["independence"] += vine.d * (vine.d - 1) // 2 - sum(map(len, vine.copulas))
+        hist = ", ".join(f"{k}={v}" for k, v in sorted(families.items()) if v)
+        print(f"wrote {args.out}: vine on {model.d} features ({len(model.active)} active), "
+              f"truncation {vine.truncation}, edges: {hist}")
     else:
         print(f"wrote {args.out}: gaussian copula on {model.d} features ({len(model.active)} active)")
     return 0
@@ -94,17 +96,9 @@ def cmd_train(args) -> int:
     val_set = load_profiles(args.val, cfg.grid)
     if train_set.fluxes is None or val_set.fluxes is None:
         raise ValueError("training and validation files must carry flux columns (run radiate first)")
-    x_tr = flatten(train_set, "inputs").values
-    y_tr = flatten(train_set, "outputs").values
-    layout = MLPLayout(x_tr.shape[1], cfg.hidden, y_tr.shape[1])
-    init_seed = rng.derive_seed(cfg.master_seed, "train-cmd", args.case or "-", "init")
-    shuffle_seed = rng.derive_seed(cfg.master_seed, "train-cmd", args.case or "-", "shuffle")
-    model = train(
-        init_mlp(layout, init_seed),
-        x_tr, y_tr,
-        flatten(val_set, "inputs").values, flatten(val_set, "outputs").values,
-        cfg.train_config(shuffle_seed),
-    )
+    model = train_emulator(cfg, flatten(train_set, "inputs").values, flatten(train_set, "outputs").values,
+                           flatten(val_set, "inputs").values, flatten(val_set, "outputs").values,
+                           "train-cmd", args.case or "-")
     save_mlp(args.out, model)
     best = min(model.history["val"])
     print(f"wrote {args.out}: best val loss {best:.6g} at epoch {model.best_epoch}, "
@@ -122,11 +116,8 @@ def cmd_eval(args) -> int:
     em = error_metrics(flatten(test_set, "outputs").values, pred.values)
     case = args.case or "eval"
     out = Path(args.out)
-    out.write_text(
-        "case,generation,repeat,mb,mae\n"
-        f"{case},-,0,{float(em.mb)!r},{float(em.mae)!r}\n",
-        encoding="utf-8",
-    )
+    write_lines(out, ["case,generation,repeat,mb,mae",
+                      f"{case},-,0,{float(em.mb)!r},{float(em.mae)!r}"])
     quant_path = out.with_name(out.stem + "_levels.csv")
     write_level_quantiles(quant_path, em)
     print(f"{case}: MB={em.mb:.6g} MAE={em.mae:.6g} (rows in {out}, levels in {quant_path})")

@@ -11,6 +11,7 @@ desk-scale stand-in data with realistic cross-level dependence.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -235,27 +236,35 @@ def load_profiles(path, grid: LevelGrid) -> ProfileSet:
         raise SchemaError(f"{path}: {exc}") from None
 
 
+def write_lines(path, lines) -> None:
+    """Write each line of the iterable `lines`, plus a newline, to `path`.
+
+    The lines go to a temporary file beside `path`, which is then moved
+    onto it, so an interrupted write never leaves a partial file under
+    the final name; an existing file stays untouched until the move.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(line + "\n" for line in lines)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_profiles(path, data: ProfileSet) -> None:
     """Write a ProfileSet in the wide text format (exact float round trip).
 
-    The file is written under a temporary name beside `path` and then
-    moved onto it, so an interrupted write never leaves a partial file
-    under the final name.
+    Rows are formatted as they are written, never as one whole-file string.
     """
     labels = data.grid.input_labels()
     blocks = [data.T, data.p, data.tau_c]
     if data.fluxes is not None:
         labels = labels + data.grid.output_labels()
         blocks.append(data.fluxes)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(",".join(labels) + "\n")
-            fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in np.hstack(blocks))
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    rows = (",".join(map(repr, row.tolist())) for row in np.hstack(blocks))
+    write_lines(path, itertools.chain([",".join(labels)], rows))
 
 
 def derive_cloud_optical_depth(q_l, q_i, r_l, r_i, dp) -> np.ndarray:

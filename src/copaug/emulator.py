@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .dataset import DataMatrix, ProfileSet, SchemaError, flatten
+from .dataset import DataMatrix, ProfileSet, SchemaError, flatten, write_lines
 
 MLP_FORMAT_VERSION = 1
 
@@ -93,16 +93,6 @@ class MLPModel:
     normalizer: Normalizer
     history: dict = field(default_factory=lambda: {"train": [], "val": []})
     best_epoch: int = -1
-
-    def copy(self) -> "MLPModel":
-        return MLPModel(
-            self.layout,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.normalizer,
-            {k: list(v) for k, v in self.history.items()},
-            self.best_epoch,
-        )
 
 
 def init_mlp(layout: MLPLayout, seed: int) -> MLPModel:
@@ -181,14 +171,15 @@ def huber_loss(pred, target, delta: float = 1.0) -> float:
     return float(per.mean())
 
 
-def loss_and_grads(m: MLPModel, x: np.ndarray, y: np.ndarray, delta: float, out=None):
+def loss_and_grads(m: MLPModel, x_norm: np.ndarray, y: np.ndarray, delta: float, out=None):
     """Huber loss and its analytic gradients w.r.t. every weight and bias.
 
-    The gradients are written into `out`, a flat vector in the training
+    `x_norm` is the network's input, already normalized: `m.normalizer`
+    is not applied here, so callers pass `m.normalizer.apply(x)`.  The
+    gradients are written into `out`, a flat vector in the training
     parameter layout (allocated when None), and returned as per-layer
     views of it: (loss, grads_w, grads_b).
     """
-    x_norm = m.normalizer.apply(x)
     neg, act = _forward_cached(m, x_norm)
     r = act[-1]
     r -= y
@@ -258,16 +249,10 @@ def train(m: MLPModel, train_x, train_y, val_x, val_y, cfg: TrainConfig = TrainC
     if tx.shape[1] != m.layout.n_inputs or ty.shape[1] != m.layout.n_outputs:
         raise ValueError("data widths do not match the model layout")
 
-    model = m.copy()
-    model.normalizer = Normalizer.from_data(tx)
-    txn = model.normalizer.apply(tx)
     flat = np.concatenate([p.ravel() for layer in zip(m.weights, m.biases) for p in layer],
                           dtype=np.float64)
-    model.weights, model.biases = _param_views(model.layout, flat)
-    # Forward/backward below work on pre-normalized arrays via a pass-through.
-    runner = MLPModel(model.layout, model.weights, model.biases,
-                      Normalizer.identity(model.layout.n_inputs))
-    vxn = model.normalizer.apply(vx)
+    model = MLPModel(m.layout, *_param_views(m.layout, flat), Normalizer.from_data(tx))
+    txn = model.normalizer.apply(tx)
 
     gen = rng.stream(cfg.seed)
     adam = AdamState([flat])
@@ -281,12 +266,12 @@ def train(m: MLPModel, train_x, train_y, val_x, val_y, cfg: TrainConfig = TrainC
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            loss, _, _ = loss_and_grads(runner, txn[idx], ty[idx], cfg.huber_delta, out=grad)
+            loss, _, _ = loss_and_grads(model, txn[idx], ty[idx], cfg.huber_delta, out=grad)
             if not math.isfinite(loss):
                 raise ValueError(f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}")
             adam.step([flat], [grad], cfg)
             epoch_loss += loss * idx.shape[0]
-        val_loss = huber_loss(forward(runner, vxn), vy, cfg.huber_delta)
+        val_loss = huber_loss(forward(model, vx), vy, cfg.huber_delta)
         model.history["train"].append(epoch_loss / n)
         model.history["val"].append(val_loss)
         if val_loss < best_val:
@@ -328,9 +313,7 @@ def save_mlp(path, m: MLPModel) -> None:
         "history": m.history,
         "best_epoch": m.best_epoch,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    write_lines(path, [json.dumps(doc)])
 
 
 def _finite_array(value, name: str, shape: tuple) -> np.ndarray:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .dataset import write_lines
 
 PROJECTION_STATISTICS = ("mean", "variance", "std", "q10", "q50", "q90")
 
@@ -164,8 +165,7 @@ def write_projection_report(path, report: ProjectionReport) -> None:
         s_real, s_synth = report.stats[name]
         for it in range(report.iterations):
             lines.append(f"{name},{it},{s_real[it]!r},{s_synth[it]!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def write_depth_report(path, curves, ranking: DepthRanking) -> None:
@@ -178,13 +178,11 @@ def write_depth_report(path, curves, ranking: DepthRanking) -> None:
         lines.append(
             f"{lev},{central[:, lev].min()!r},{median_curve[lev]!r},{central[:, lev].max()!r}"
         )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def write_level_quantiles(path, metrics: ErrorMetrics) -> None:
     lines = ["level,q_low,q_mid,q_high"]
     for lev, row in enumerate(metrics.level_quantiles):
         lines.append(f"{lev},{row[0]!r},{row[1]!r},{row[2]!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)

@@ -30,8 +30,9 @@ from .dataset import (
     load_profiles,
     save_profiles,
     split_shuffle,
+    write_lines,
 )
-from .emulator import MLPLayout, TrainConfig, init_mlp, predict_set, train
+from .emulator import MLPLayout, MLPModel, TrainConfig, init_mlp, predict_set, train
 from .evaluation import (
     band_depth,
     depth_groups,
@@ -126,18 +127,8 @@ class ExperimentConfig:
         return tuple(int(h) for h in self.raw["training"]["hidden"])
 
     def train_config(self, seed: int) -> TrainConfig:
-        t = self.raw["training"]
-        return TrainConfig(
-            epochs=int(t["epochs"]),
-            patience=int(t["patience"]),
-            batch_size=int(t["batch_size"]),
-            learning_rate=t["learning_rate"],
-            beta1=t["beta1"],
-            beta2=t["beta2"],
-            adam_eps=t["adam_eps"],
-            huber_delta=t["huber_delta"],
-            seed=seed,
-        )
+        opts = {k: v for k, v in self.raw["training"].items() if k not in ("repeats", "hidden")}
+        return TrainConfig(**opts, seed=seed)
 
     @property
     def projection_iterations(self) -> int:
@@ -151,14 +142,33 @@ class ExperimentConfig:
         return hashlib.sha256(json.dumps(self.raw, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def _merged(defaults: dict, overrides: dict, path: str = "") -> dict:
+# JSON types a set value may have, by its default's type (its items' for a list).
+_JSON_TYPES = {dict: ((dict,), "an object"), int: ((int,), "an integer"),
+               float: ((int, float), "a number"), str: ((str,), "a string")}
+_NULLABLE = {"data.path": str, "copulas.truncation": int}
+
+
+def _check_type(key: str, default, val) -> None:
+    """Raise ValueError naming `key` unless `val` has its default's JSON type."""
+    listed = isinstance(default, list)
+    types, name = _JSON_TYPES[_NULLABLE.get(key) or type(default[0] if listed else default)]
+    if listed and not (type(val) is list and all(type(v) in types for v in val)):
+        raise ValueError(f"config: {key}: expected a list of {name.split()[1]}s")
+    if not listed and not (type(val) in types or (val is None and key in _NULLABLE)):
+        raise ValueError(f"config: {key}: expected {name}{' or null' * (key in _NULLABLE)}")
+
+
+def _merged(defaults: dict, overrides, path: str = "") -> dict:
+    _check_type(path[:-1] or "top level", defaults, overrides)
     out = {}
     for key, default in defaults.items():
-        if key in overrides:
-            val = overrides[key]
-            out[key] = _merged(default, val, f"{path}{key}.") if isinstance(default, dict) else val
-        else:
+        if key not in overrides:
             out[key] = default
+        elif isinstance(default, dict):
+            out[key] = _merged(default, overrides[key], f"{path}{key}.")
+        else:
+            _check_type(path + key, default, overrides[key])
+            out[key] = overrides[key]
     unknown = set(overrides) - set(defaults)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(path + k for k in unknown)}")
@@ -166,7 +176,7 @@ def _merged(defaults: dict, overrides: dict, path: str = "") -> dict:
 
 
 def make_config(overrides: dict | None = None) -> ExperimentConfig:
-    return ExperimentConfig(_merged(_DEFAULTS, overrides or {}))
+    return ExperimentConfig(_merged(_DEFAULTS, {} if overrides is None else overrides))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -195,16 +205,15 @@ def split_dataset(cfg: ExperimentConfig, data: ProfileSet):
     return split_shuffle(data, cfg.split_spec(seed))
 
 
-def _train_one(cfg: ExperimentConfig, x_tr, y_tr, x_val, y_val, case: str, gen, rep: int):
+def train_emulator(cfg: ExperimentConfig, x_tr, y_tr, x_val, y_val, *labels) -> MLPModel:
+    """Seed, initialise and train one emulator with the configured recipe.
+
+    The init and shuffle seeds derive from the master seed and `labels`.
+    """
     layout = MLPLayout(x_tr.shape[1], cfg.hidden, y_tr.shape[1])
-    init_seed = rng.derive_seed(cfg.master_seed, case, f"gen{gen}", f"train{rep}", "init")
-    shuffle_seed = rng.derive_seed(cfg.master_seed, case, f"gen{gen}", f"train{rep}", "shuffle")
-    model = init_mlp(layout, init_seed)
+    model = init_mlp(layout, rng.derive_seed(cfg.master_seed, *labels, "init"))
+    shuffle_seed = rng.derive_seed(cfg.master_seed, *labels, "shuffle")
     return train(model, x_tr, y_tr, x_val, y_val, cfg.train_config(shuffle_seed))
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 @dataclass
@@ -235,11 +244,13 @@ def _depth_report_file(cfg: ExperimentConfig, out_dir: Path, case: str, y_true, 
 def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
     """Execute the full experiment and write all result tables.
 
-    Baseline: `training_repeats` emulators on the real training split.
-    Each copula kind x augmentation factor: `generation_repeats`
-    syntheses, each labelled by the physics model once (cached on disk)
-    and used for `training_repeats` trainings.  Every trained model is
-    scored on the held-out test split.
+    Every case trains `training_repeats` emulators per generation and
+    scores each on the held-out test split.  The baseline is the case
+    with no synthetic rows and the single generation "-".  Each copula
+    kind x augmentation factor runs `generation_repeats` syntheses, each
+    labelled by the physics model once (cached on disk) and appended to
+    the real training split.  A failing augmented case is recorded and
+    skipped; the rest run.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -260,33 +271,64 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
     y_val = flatten(val_rad, "outputs").values
     y_test = flatten(test_rad, "outputs").values
 
-    # Baseline case.
-    for rep in range(cfg.training_repeats):
-        model = _train_one(cfg, x_tr, y_tr, x_val, y_val, "baseline", "-", rep)
-        pred = predict_set(model, test_rad)
-        em = error_metrics(y_test, pred.values)
-        result.rows.append(("baseline", "-", rep, em.mb, em.mae))
-        if rep == 0:
-            path = out_dir / "error_quantiles_baseline.csv"
-            write_level_quantiles(path, em)
-            result.files.append(str(path))
-            _depth_report_file(cfg, out_dir, "baseline", y_test, pred.values, result)
+    def synthetic_set(case: str, gen: int, n_rows: int, spec: CopulaSpec, synth_model):
+        """A generation's radiated synthetic set and its cache file."""
+        gen_seed = rng.derive_seed(cfg.master_seed, case, f"gen{gen}")
+        key = _synthesis_key(gen_seed, n_rows, spec, x_tr, consts)
+        cache_file = cache_dir / f"{case}-gen{gen}-{key}.csv"
+        if cache_file.exists():
+            synth_rad = load_profiles(cache_file, cfg.grid)
+            if len(synth_rad) != n_rows:
+                raise SchemaError(f"{cache_file}: expected {n_rows} rows, found {len(synth_rad)}")
+        else:
+            synth, _ = sample_synth_model(synth_model, n_rows, gen_seed)
+            synth_rad = radiate_set(synth, consts)
+            save_profiles(cache_file, synth_rad)
+        return synth_rad, cache_file
 
-    # Augmented cases.  A failing case is logged and skipped; the rest run.
+    def run_case(case: str, factor: int = 0, spec: CopulaSpec | None = None, synth_model=None):
+        """Train and score every generation's repeats; factor 0 is the baseline."""
+        generations = range(cfg.generation_repeats) if factor else ["-"]
+        for gen in generations:
+            x, y = x_tr, y_tr
+            if factor:
+                synth_rad, cache_file = synthetic_set(case, gen, factor * len(x_tr), spec, synth_model)
+                result.files.append(str(cache_file))
+                x_syn = flatten(synth_rad, "inputs").values
+                x = np.vstack([x_tr, x_syn])
+                y = np.vstack([y_tr, flatten(synth_rad, "outputs").values])
+                if gen == 0:
+                    report = random_projection_report(
+                        x_tr, x_syn, cfg.projection_iterations,
+                        rng.derive_seed(cfg.master_seed, case, "projection"),
+                    )
+                    path = out_dir / f"projection_{case}.csv"
+                    write_projection_report(path, report)
+                    result.files.append(str(path))
+            for rep in range(cfg.training_repeats):
+                model = train_emulator(cfg, x, y, x_val, y_val, case, f"gen{gen}", f"train{rep}")
+                pred = predict_set(model, test_rad).values
+                em = error_metrics(y_test, pred)
+                result.rows.append((case, gen, rep, em.mb, em.mae))
+                if gen == generations[0] and rep == 0:
+                    path = out_dir / f"error_quantiles_{case}.csv"
+                    write_level_quantiles(path, em)
+                    result.files.append(str(path))
+                    _depth_report_file(cfg, out_dir, case, y_test, pred, result)
+
+    run_case("baseline")
     for kind in cfg.kinds:
         try:
             spec = cfg.copula_spec(kind)
-            synth_model = fit_synth_model(train_rad, spec)
+            fit = (spec, fit_synth_model(train_rad, spec))
         except ValueError as exc:
-            for factor in cfg.factors:
-                result.failures.append((f"{kind}-{factor}x", str(exc)))
-                print(f"case {kind}-{factor}x failed: {exc}", file=sys.stderr)
-            continue
+            fit = exc  # fails each of the kind's cases below
         for factor in cfg.factors:
             case = f"{kind}-{factor}x"
             try:
-                _run_case(cfg, spec, case, factor, synth_model, cache_dir, out_dir, consts,
-                          x_tr, y_tr, x_val, y_val, test_rad, y_test, result)
+                if isinstance(fit, ValueError):
+                    raise fit
+                run_case(case, factor, *fit)
             except ValueError as exc:
                 result.failures.append((case, str(exc)))
                 print(f"case {case} failed: {exc}", file=sys.stderr)
@@ -312,68 +354,24 @@ def _synthesis_key(gen_seed: int, n_rows: int, spec: CopulaSpec, x_tr: np.ndarra
     return digest.hexdigest()[:12]
 
 
-def _run_case(cfg, spec, case, factor, synth_model, cache_dir, out_dir, consts,
-              x_tr, y_tr, x_val, y_val, test_rad, y_test, result) -> None:
-    for gen in range(cfg.generation_repeats):
-        gen_seed = rng.derive_seed(cfg.master_seed, case, f"gen{gen}")
-        n_rows = factor * len(x_tr)
-        key = _synthesis_key(gen_seed, n_rows, spec, x_tr, consts)
-        cache_file = cache_dir / f"{case}-gen{gen}-{key}.csv"
-        if cache_file.exists():
-            synth_rad = load_profiles(cache_file, cfg.grid)
-            if len(synth_rad) != n_rows:
-                raise SchemaError(f"{cache_file}: expected {n_rows} rows, found {len(synth_rad)}")
-        else:
-            synth, _ = sample_synth_model(synth_model, n_rows, gen_seed)
-            synth_rad = radiate_set(synth, consts)
-            save_profiles(cache_file, synth_rad)
-        result.files.append(str(cache_file))
-        x_syn = flatten(synth_rad, "inputs").values
-        y_syn = flatten(synth_rad, "outputs").values
-        x_aug = np.vstack([x_tr, x_syn])
-        y_aug = np.vstack([y_tr, y_syn])
-        if gen == 0:
-            report = random_projection_report(
-                x_tr, x_syn, cfg.projection_iterations,
-                rng.derive_seed(cfg.master_seed, case, "projection"),
-            )
-            path = out_dir / f"projection_{case}.csv"
-            write_projection_report(path, report)
-            result.files.append(str(path))
-        for rep in range(cfg.training_repeats):
-            model = _train_one(cfg, x_aug, y_aug, x_val, y_val, case, gen, rep)
-            pred = predict_set(model, test_rad)
-            em = error_metrics(y_test, pred.values)
-            result.rows.append((case, gen, rep, em.mb, em.mae))
-            if gen == 0 and rep == 0:
-                path = out_dir / f"error_quantiles_{case}.csv"
-                write_level_quantiles(path, em)
-                result.files.append(str(path))
-                _depth_report_file(cfg, out_dir, case, y_test, pred.values, result)
-
-
 def _write_results(out_dir: Path, result: PipelineResult) -> None:
     lines = ["case,generation,repeat,mb,mae"]
     for case, gen, rep, mb, mae in result.rows:
-        lines.append(f"{case},{gen},{rep},{_fmt(mb)},{_fmt(mae)}")
+        lines.append(f"{case},{gen},{rep},{float(mb)!r},{float(mae)!r}")
     path = out_dir / "results.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
     result.files.append(str(path))
 
-    cases = []
-    for row in result.rows:
-        if row[0] not in cases:
-            cases.append(row[0])
     lines = ["case,runs,mb_median,mb_spread,mae_median,mae_spread"]
-    for case in cases:
+    for case in dict.fromkeys(row[0] for row in result.rows):
         mbs = np.array([r[3] for r in result.rows if r[0] == case])
         maes = np.array([r[4] for r in result.rows if r[0] == case])
         lines.append(
-            f"{case},{mbs.size},{_fmt(np.median(mbs))},{_fmt(np.ptp(mbs))},"
-            f"{_fmt(np.median(maes))},{_fmt(np.ptp(maes))}"
+            f"{case},{mbs.size},{float(np.median(mbs))!r},{float(np.ptp(mbs))!r},"
+            f"{float(np.median(maes))!r},{float(np.ptp(maes))!r}"
         )
     path = out_dir / "summary.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
     result.files.append(str(path))
 
 
@@ -382,7 +380,4 @@ def _write_manifest(cfg: ExperimentConfig, out_dir: Path, result: PipelineResult
         "config_hash": cfg.config_hash(),
         "files": sorted(str(Path(f).relative_to(out_dir)) for f in result.files),
     }
-    path = out_dir / "manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_lines(out_dir / "manifest.json", [json.dumps(manifest, indent=2, sort_keys=True)])

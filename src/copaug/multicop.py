@@ -37,7 +37,7 @@ from .bicop import (
     kendall_tau,
     swap_arguments,
 )
-from .dataset import LevelGrid, ProfileSet, SchemaError, flatten
+from .dataset import LevelGrid, ProfileSet, SchemaError, flatten, write_lines
 from .marginals import EmpiricalMarginal, fit_empirical, pseudo_observations, quantile
 
 MODEL_FORMAT_VERSION = 2
@@ -557,9 +557,7 @@ def model_from_dict(doc: dict) -> SynthModel:
 
 
 def save_model(path, model: SynthModel) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh)
-        fh.write("\n")
+    write_lines(path, [json.dumps(model_to_dict(model))])
 
 
 def load_model(path) -> SynthModel:

@@ -1,14 +1,17 @@
+import hashlib
 import json
+import os
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from copaug.cli import main
-from copaug.dataset import LevelGrid, load_profiles
+from copaug.dataset import LevelGrid, generate_surrogate, load_profiles
 from copaug.emulator import MLPLayout, init_mlp, save_mlp
 from copaug.experiment import make_config, run_pipeline
-from copaug.multicop import load_model
+from copaug.multicop import CopulaSpec, fit_synth_model, load_model, save_model
 
 TINY = {
     "master_seed": 11,
@@ -68,6 +71,19 @@ class TestFit:
         for tree in model.vine.trees[2:]:
             assert all(edge.copula.family.value == "independence" for edge in tree)
 
+    def test_vine_summary_counts_every_edge(self, tmp_path, capsys):
+        # The summary counts families from the fitted trees 1..k plus the
+        # independence edges past k; it must match a count over all trees.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(TINY, copulas={"kinds": ["vine"], "truncation": 2})))
+        out = tmp_path / "vine.json"
+        assert main(["fit", "--config", str(cfg_path), "--kind", "vine", "--out", str(out)]) == 0
+        vine = load_model(out).vine
+        assert vine.truncation == 2 and len(vine.trees) > 2
+        counts = Counter(e.copula.family.value for tree in vine.trees for e in tree)
+        hist = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+        assert capsys.readouterr().out.rstrip("\n").endswith(f", truncation 2, edges: {hist}")
+
     def test_refit_identical_bytes(self, tiny_config, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["fit", "--config", str(tiny_config), "--kind", "gaussian", "--out", str(a)])
@@ -111,6 +127,17 @@ class TestSampleRadiateTrainEval:
         main(["eval", "--config", str(tiny_config), "--model", str(mlp),
               "--test", str(data_rad), "--case", "demo", "--out", str(metrics2)])
         assert metrics.read_text().split("\n")[1] == metrics2.read_text().split("\n")[1]
+
+    def test_train_model_matches_recorded_bytes(self, tiny_config, tmp_path):
+        # sha256 recorded before the pipeline and `train` shared one training
+        # routine; a changed seed label or recipe changes the bytes.
+        data, rad, mlp = tmp_path / "data.csv", tmp_path / "rad.csv", tmp_path / "mlp.json"
+        main(["gen-data", "--config", str(tiny_config), "--out", str(data)])
+        main(["radiate", "--config", str(tiny_config), "--input", str(data), "--out", str(rad)])
+        assert main(["train", "--config", str(tiny_config), "--train", str(rad), "--val", str(rad),
+                     "--case", "pin", "--out", str(mlp)]) == 0
+        assert hashlib.sha256(mlp.read_bytes()).hexdigest() == (
+            "848d9135654e617b0359de7741b4f7f67ee814d5a73791006e37fcdcbcb8a23b")
 
     def test_missing_file_io_error(self, tiny_config, tmp_path, capsys):
         code = main(["radiate", "--config", str(tiny_config), "--input",
@@ -221,6 +248,45 @@ class TestPipeline:
         assert {r[0] for r in result.rows} == {"baseline", "gaussian-1x"}
         assert "bogus-1x failed" in capsys.readouterr().err
 
+    def test_failing_fit_fails_each_factor(self, tmp_path, capsys):
+        cfg = dict(TINY, copulas={"kinds": ["vine", "gaussian"], "truncation": 0},
+                   augmentation={"factors": [1, 2], "generation_repeats": 1})
+        result = run_pipeline(make_config(cfg), tmp_path / "run")
+        reason = "truncation level must be >= 1"
+        assert result.failures == [("vine-1x", reason), ("vine-2x", reason)]
+        assert {r[0] for r in result.rows} == {"baseline", "gaussian-1x", "gaussian-2x"}
+        err = capsys.readouterr().err
+        assert f"case vine-1x failed: {reason}" in err and f"case vine-2x failed: {reason}" in err
+
+    def test_results_match_recorded_sha256(self, tmp_path):
+        # Recorded before the baseline became the case without synthetic
+        # rows; seeds, row order and formatting must not move.
+        cfg = dict(TINY, copulas={"kinds": ["gaussian", "vine"], "truncation": 2})
+        run_pipeline(make_config(cfg), tmp_path / "run")
+        digests = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+                   for name in ("results.csv", "summary.csv")}
+        assert digests == {
+            "results.csv": "cbe3d050019a9b2c5060796492de11c116f77fc531b2f0a091f9622a9bfe0838",
+            "summary.csv": "a05c9d976c586780c9f6c0c23eb3f415af2fb1d2aed353eed844072abba6c812",
+        }
+
+    def test_failed_replace_keeps_results(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        run_pipeline(make_config(TINY), out)
+        before = (out / "results.csv").read_bytes()
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst).name == "results.csv":
+                raise OSError("interrupted")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="interrupted"):
+            run_pipeline(make_config(dict(TINY, master_seed=12)), out)
+        assert (out / "results.csv").read_bytes() == before
+        assert not list(out.rglob("*.tmp"))
+
     def test_cache_reused_on_rerun(self, tmp_path):
         cfg = make_config(TINY)
         a = run_pipeline(cfg, tmp_path / "same")
@@ -273,3 +339,50 @@ def test_unknown_config_key_rejected(tmp_path):
     path.write_text(json.dumps({"tipo": 1}))
     code = main(["gen-data", "--config", str(path), "--out", str(tmp_path / "x.csv")])
     assert code == 1
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"training": 5}, "training: expected an object"),
+    ({"data": {"n_levels": None}}, "data.n_levels: expected an integer"),
+    ([1, 2], "top level: expected an object"),
+    ({"training": {"hidden": "abc"}}, "training.hidden: expected a list of integers"),
+    ({"training": {"epochs": True}}, "training.epochs: expected an integer"),
+    ({"evaluation": {"depth_curves": "x"}}, "evaluation.depth_curves: expected an integer"),
+    ({"copulas": {"kinds": ["vine"], "truncation": "x"}},
+     "copulas.truncation: expected an integer or null"),
+    ({"data": {"path": 3}}, "data.path: expected a string or null"),
+    ({"split": {"train": "0.4"}}, "split.train: expected a number"),
+])
+def test_malformed_config_fails_at_load(tmp_path, capsys, config, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error:invalid: config: {message}\n"
+    assert not out.exists()
+
+
+def test_config_accepts_json_types():
+    cfg = make_config({"data": {"path": None}, "copulas": {"truncation": None, "kinds": []},
+                       "training": {"learning_rate": 1, "hidden": [4, 3]}})
+    assert cfg.raw["training"]["learning_rate"] == 1 and cfg.hidden == (4, 3)
+    assert make_config({"copulas": {"truncation": 3}}).copula_spec("vine").truncation == 3
+
+
+@pytest.mark.parametrize("kind", ["mlp", "copula"])
+def test_failed_replace_keeps_model_json(tmp_path, monkeypatch, kind):
+    path = tmp_path / "model.json"
+    path.write_text("previous model\n")
+    if kind == "mlp":
+        model, save = init_mlp(MLPLayout(18, (8,), 7), 1), save_mlp
+    else:
+        model, save = fit_synth_model(generate_surrogate(40, LevelGrid(3), 1), CopulaSpec()), save_model
+
+    def crash(src, dst):
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError, match="interrupted"):
+        save(path, model)
+    assert path.read_text() == "previous model\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]

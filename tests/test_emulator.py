@@ -120,6 +120,18 @@ class TestGradients:
         assert all(np.shares_memory(g, out) for g in gw2 + gb2)
         assert [g.shape for g in gw2] == [(5, 4), (4, 3), (3, 2)]
 
+    def test_loss_takes_normalized_input(self):
+        # A trained model's normalizer is not the identity; loss_and_grads
+        # must not apply it a second time.
+        gen = np.random.default_rng(9)
+        x = 50.0 + 10.0 * gen.normal(size=(24, 3))
+        y = gen.normal(size=(24, 2))
+        m = train(init_mlp(MLPLayout(3, (6,), 2), 3), x, y, x, y,
+                  TrainConfig(epochs=3, patience=3, batch_size=8, seed=5))
+        assert not np.array_equal(m.normalizer.mean, np.zeros(3))
+        loss, _, _ = loss_and_grads(m, m.normalizer.apply(x), y, 1.0)
+        assert loss == huber_loss(forward(m, x), y, 1.0)
+
     def test_adam_zero_gradient_is_noop(self):
         m = init_mlp(MLPLayout(3, (4,), 2), 1)
         before = [w.copy() for w in m.weights]
