@@ -290,11 +290,6 @@ def pair_pdf(c: PairCopula, u, v) -> np.ndarray:
     return np.exp(_log_pdf(c, _clip(u), _clip(v)))
 
 
-def pair_loglik(c: PairCopula, u, v) -> float:
-    """Sum of log densities over paired observations."""
-    return float(np.sum(_log_pdf(c, _clip(u), _clip(v))))
-
-
 def _direction_one(c: PairCopula, direction: int, base, x, z):
     """base (_h1_base or _h1_inv_base) of c along `direction`, rotation applied.
 

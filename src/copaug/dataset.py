@@ -328,14 +328,6 @@ def flatten(data: ProfileSet, which: str = "inputs") -> DataMatrix:
     raise ValueError(f"which must be 'inputs' or 'outputs', got {which!r}")
 
 
-def unflatten(m: DataMatrix, grid: LevelGrid) -> ProfileSet:
-    """Inverse of flatten for input matrices."""
-    n = grid.n_full
-    if m.n_cols != 3 * n:
-        raise ValueError(f"expected {3 * n} columns for n_full={n}, got {m.n_cols}")
-    return ProfileSet(grid, *np.hsplit(m.values, 3))
-
-
 def surrogate_sigma_grid(n_full: int) -> np.ndarray:
     """Fixed full-level sigma grid used by the surrogate generator."""
     return ((np.arange(n_full) + 1.0) / n_full) ** SURROGATE_SIGMA_EXPONENT

@@ -9,7 +9,6 @@ case's random streams.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import sys
@@ -23,12 +22,10 @@ from .bicop import Family
 from .dataset import (
     LevelGrid,
     ProfileSet,
-    SchemaError,
     SplitSpec,
     flatten,
     generate_surrogate,
     load_profiles,
-    save_profiles,
     split_shuffle,
     write_lines,
 )
@@ -248,14 +245,12 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
     scores each on the held-out test split.  The baseline is the case
     with no synthetic rows and the single generation "-".  Each copula
     kind x augmentation factor runs `generation_repeats` syntheses, each
-    labelled by the physics model once (cached on disk) and appended to
-    the real training split.  A failing augmented case is recorded and
-    skipped; the rest run.
+    sampled from the fitted model, labelled by the physics model and
+    appended to the real training split; no synthetic set is stored.  A
+    failing augmented case is recorded and skipped; the rest run.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cache_dir = out_dir / "cache"
-    cache_dir.mkdir(exist_ok=True)
     result = PipelineResult()
 
     data = resolve_dataset(cfg)
@@ -271,29 +266,15 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
     y_val = flatten(val_rad, "outputs").values
     y_test = flatten(test_rad, "outputs").values
 
-    def synthetic_set(case: str, gen: int, n_rows: int, spec: CopulaSpec, synth_model):
-        """A generation's radiated synthetic set and its cache file."""
-        gen_seed = rng.derive_seed(cfg.master_seed, case, f"gen{gen}")
-        key = _synthesis_key(gen_seed, n_rows, spec, x_tr, consts)
-        cache_file = cache_dir / f"{case}-gen{gen}-{key}.csv"
-        if cache_file.exists():
-            synth_rad = load_profiles(cache_file, cfg.grid)
-            if len(synth_rad) != n_rows:
-                raise SchemaError(f"{cache_file}: expected {n_rows} rows, found {len(synth_rad)}")
-        else:
-            synth, _ = sample_synth_model(synth_model, n_rows, gen_seed)
-            synth_rad = radiate_set(synth, consts)
-            save_profiles(cache_file, synth_rad)
-        return synth_rad, cache_file
-
-    def run_case(case: str, factor: int = 0, spec: CopulaSpec | None = None, synth_model=None):
+    def run_case(case: str, factor: int = 0, synth_model=None):
         """Train and score every generation's repeats; factor 0 is the baseline."""
         generations = range(cfg.generation_repeats) if factor else ["-"]
         for gen in generations:
             x, y = x_tr, y_tr
             if factor:
-                synth_rad, cache_file = synthetic_set(case, gen, factor * len(x_tr), spec, synth_model)
-                result.files.append(str(cache_file))
+                gen_seed = rng.derive_seed(cfg.master_seed, case, f"gen{gen}")
+                synth, _ = sample_synth_model(synth_model, factor * len(x_tr), gen_seed)
+                synth_rad = radiate_set(synth, consts)
                 x_syn = flatten(synth_rad, "inputs").values
                 x = np.vstack([x_tr, x_syn])
                 y = np.vstack([y_tr, flatten(synth_rad, "outputs").values])
@@ -319,8 +300,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
     run_case("baseline")
     for kind in cfg.kinds:
         try:
-            spec = cfg.copula_spec(kind)
-            fit = (spec, fit_synth_model(train_rad, spec))
+            fit = fit_synth_model(train_rad, cfg.copula_spec(kind))
         except ValueError as exc:
             fit = exc  # fails each of the kind's cases below
         for factor in cfg.factors:
@@ -328,7 +308,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
             try:
                 if isinstance(fit, ValueError):
                     raise fit
-                run_case(case, factor, *fit)
+                run_case(case, factor, fit)
             except ValueError as exc:
                 result.failures.append((case, str(exc)))
                 print(f"case {case} failed: {exc}", file=sys.stderr)
@@ -336,22 +316,6 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
     _write_results(out_dir, result)
     _write_manifest(cfg, out_dir, result)
     return result
-
-
-def _synthesis_key(gen_seed: int, n_rows: int, spec: CopulaSpec, x_tr: np.ndarray,
-                   consts: RadiationConstants) -> str:
-    """Short sha256 of everything a cached synthetic set is derived from."""
-    inputs = {
-        "seed": gen_seed,
-        "rows": n_rows,
-        "copula": {"kind": spec.kind, "catalogue": sorted(f.value for f in spec.catalogue),
-                   "truncation": spec.truncation},
-        "split_shape": list(x_tr.shape),
-        "radiation": dataclasses.asdict(consts),
-    }
-    digest = hashlib.sha256(json.dumps(inputs, sort_keys=True).encode("utf-8"))
-    digest.update(np.ascontiguousarray(x_tr, dtype=float).tobytes())
-    return digest.hexdigest()[:12]
 
 
 def _write_results(out_dir: Path, result: PipelineResult) -> None:

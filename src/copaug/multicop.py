@@ -70,15 +70,6 @@ class VineEdge:
 
 
 @dataclass(frozen=True)
-class VineStructure:
-    """Tree sequence of conditioned pairs and conditioning sets."""
-
-    d: int
-    trees: tuple  # tree t (1-based) at index t-1: tuple of (cond, given)
-    truncation: int
-
-
-@dataclass(frozen=True)
 class VineModel:
     """Fitted regular vine, truncated: an R-vine matrix plus pair copulas.
 
@@ -357,14 +348,6 @@ def _encode(levels: list, trunc: int) -> VineModel:
         M[d - 1 - j][j] = x
     M[0][d - 1] = M[0][d - 2]
     return VineModel(tuple(map(tuple, M)), tuple(map(tuple, copulas)))
-
-
-def select_structure(u, truncation: int | None = None) -> VineStructure:
-    """Structure selection only (edges up to the truncation level are still
-    fitted for the conditional pseudo-data the deeper trees are built on)."""
-    vine = fit_vine(u, CopulaSpec(kind="vine", truncation=truncation))
-    trees = tuple(tuple((e.cond, e.given) for e in tree) for tree in vine.trees)
-    return VineStructure(vine.d, trees, vine.truncation)
 
 
 def _edge_sources(M, k: int) -> list:

@@ -2,10 +2,8 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from copaug.dataset import (
-    DataMatrix,
     LevelGrid,
     Profile,
     ProfileSet,
@@ -17,7 +15,6 @@ from copaug.dataset import (
     load_profiles,
     save_profiles,
     split_shuffle,
-    unflatten,
 )
 
 
@@ -260,30 +257,6 @@ class TestFlatten:
         assert flatten(s, "inputs").values.shape[1] == 411
         s = s.with_fluxes(np.zeros((2, 138)))
         assert flatten(s, "outputs").values.shape[1] == 138
-
-    def test_round_trip_exact(self):
-        s = make_set(5, n_full=4, seed=7)
-        back = unflatten(flatten(s, "inputs"), s.grid)
-        for a, b in zip(s.profiles, back.profiles):
-            np.testing.assert_array_equal(a.T, b.T)
-            np.testing.assert_array_equal(a.p, b.p)
-            np.testing.assert_array_equal(a.tau_c, b.tau_c)
-
-    def test_unflatten_width_mismatch(self):
-        m = DataMatrix(np.zeros((2, 8)), [f"c{i}" for i in range(8)])
-        with pytest.raises(ValueError, match="columns"):
-            unflatten(m, LevelGrid(3))
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=7),
-           st.integers(min_value=0, max_value=10_000))
-    def test_round_trip_property(self, n_profiles, n_full, seed):
-        s = make_set(n_profiles, n_full=n_full, seed=seed)
-        back = unflatten(flatten(s, "inputs"), s.grid)
-        assert all(
-            np.array_equal(a.T, b.T) and np.array_equal(a.p, b.p) and np.array_equal(a.tau_c, b.tau_c)
-            for a, b in zip(s.profiles, back.profiles)
-        )
 
 
 def test_full_scale_file_round_trip(tmp_path):

@@ -1,4 +1,5 @@
 import json
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from copaug.multicop import (
     load_model,
     sample_synth_model,
     save_model,
-    select_structure,
     simulate_gaussian,
     simulate_vine,
     synthesize,
@@ -109,6 +109,16 @@ class TestGaussianCopula:
         assert np.abs(R_hat - R).max() < 0.05
 
 
+VineStructure = namedtuple("VineStructure", "trees truncation")
+
+
+def vine_structure(u, truncation=None) -> VineStructure:
+    """The fitted vine's (cond, given) pairs, tree by tree, and its truncation."""
+    vine = fit_vine(u, CopulaSpec(kind="vine", truncation=truncation))
+    trees = tuple(tuple((e.cond, e.given) for e in tree) for tree in vine.trees)
+    return VineStructure(trees, vine.truncation)
+
+
 class TestStructureSelection:
     def test_hand_checkable_mst(self):
         # |tau| targets: (0,1)=0.8, (1,2)=0.7, (0,2)=0.56 -> tree 1 is {01, 12}.
@@ -119,30 +129,30 @@ class TestStructureSelection:
             [rho(0.56), rho(0.7), 1.0],
         ])
         u = gaussian_umatrix(R, 4000, 21)
-        structure = select_structure(u)
+        structure = vine_structure(u)
         tree1 = {cond for cond, _ in structure.trees[0]}
         assert tree1 == {(0, 1), (1, 2)}
 
     def test_two_features(self):
         u = rng.uniforms(3, (200, 2))
-        s = select_structure(u)
+        s = vine_structure(u)
         assert s.trees == (((((0, 1), frozenset()),))[0],) or s.trees[0][0][0] == (0, 1)
         assert len(s.trees) == 1
 
     def test_truncation_keeps_structure(self):
         u = gaussian_umatrix(0.6 ** np.abs(np.subtract.outer(range(5), range(5))), 800, 5)
-        s = select_structure(u, truncation=1)
+        s = vine_structure(u, truncation=1)
         assert len(s.trees) == 4
         assert s.truncation == 1
 
     def test_deterministic(self):
         u = rng.uniforms(8, (300, 4))
-        assert select_structure(u) == select_structure(u)
+        assert vine_structure(u) == vine_structure(u)
 
     def test_edge_count_quadratic(self):
         d = 7
         u = gaussian_umatrix(0.5 ** np.abs(np.subtract.outer(range(d), range(d))), 400, 3)
-        s = select_structure(u)
+        s = vine_structure(u)
         assert sum(len(t) for t in s.trees) == d * (d - 1) // 2
 
 
