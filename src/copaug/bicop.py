@@ -273,21 +273,21 @@ def _h1_inv_base(family: Family, w, v, theta: float, nu: float | None):
 # Rotation dispatch.
 # ---------------------------------------------------------------------------
 
-def _log_pdf(c: PairCopula, u, v):
-    rot = c.rotation
-    if rot == 0:
-        return _logpdf_base(c.family, u, v, c.theta, c.nu)
-    if rot == 90:
-        return _logpdf_base(c.family, v, 1.0 - u, c.theta, c.nu)
-    if rot == 180:
-        return _logpdf_base(c.family, 1.0 - u, 1.0 - v, c.theta, c.nu)
-    return _logpdf_base(c.family, 1.0 - v, u, c.theta, c.nu)
+def _rotate_args(rotation: int, u, v):
+    if rotation == 0:
+        return u, v
+    if rotation == 90:
+        return v, 1.0 - u
+    if rotation == 180:
+        return 1.0 - u, 1.0 - v
+    return 1.0 - v, u
 
 
 def pair_pdf(c: PairCopula, u, v) -> np.ndarray:
     """Copula density at (u, v), rotation applied."""
     _check_unit(u, v)
-    return np.exp(_log_pdf(c, _clip(u), _clip(v)))
+    ur, vr = _rotate_args(c.rotation, _clip(u), _clip(v))
+    return np.exp(_logpdf_base(c.family, ur, vr, c.theta, c.nu))
 
 
 def _direction_one(c: PairCopula, direction: int, base, x, z):
@@ -490,7 +490,7 @@ def tau_to_param(f: Family, tau: float) -> float:
 # Fitting.
 # ---------------------------------------------------------------------------
 
-def _tau_range(f: Family, rotation: int) -> tuple[float, float]:
+def _tau_range(f: Family) -> tuple[float, float]:
     cap = _TAU_CAP[f.value if f is not Family.STUDENT_T else "student"]
     if f in (Family.GAUSSIAN, Family.STUDENT_T, Family.FRANK):
         return (-cap, cap)
@@ -519,16 +519,6 @@ def _golden_max(fun, lo: float, hi: float, tol: float | None = None) -> tuple[fl
     return (c, fc) if fc > fd else (d, fd)
 
 
-def _rotate_args(rotation: int, u, v):
-    if rotation == 0:
-        return u, v
-    if rotation == 90:
-        return v, 1.0 - u
-    if rotation == 180:
-        return 1.0 - u, 1.0 - v
-    return 1.0 - v, u
-
-
 def _fit_family(f: Family, rotation: int, tau_hat: float, u, v) -> PairCopula:
     """Tau inversion plus golden-section MLE for one family/rotation.
 
@@ -536,7 +526,7 @@ def _fit_family(f: Family, rotation: int, tau_hat: float, u, v) -> PairCopula:
     mapping [tau0 - 0.5, tau0 + 0.5] (clamped to the family's admissible
     tau range) through the tau inversion.
     """
-    lo_t, hi_t = _tau_range(f, rotation)
+    lo_t, hi_t = _tau_range(f)
     base_tau = abs(tau_hat) if f in ROTATABLE else tau_hat
     base_tau = min(max(base_tau, lo_t), hi_t)
     lo_tau = max(lo_t, base_tau - 0.5)

@@ -21,11 +21,6 @@ from scipy.special import ndtri
 
 from . import rng
 
-# Constants of the cloud optical depth conversion.
-DENSITY_LIQUID = 1000.0   # kg m^-3
-DENSITY_ICE = 917.0       # kg m^-3
-GRAVITY = 9.81            # m s^-2
-
 # Surrogate generator contract constants (kept in one place on purpose:
 # tests depend on the statistical contract, not the exact values).
 SURROGATE_T_TOP = 210.0         # K, baseline temperature aloft
@@ -265,32 +260,6 @@ def save_profiles(path, data: ProfileSet) -> None:
         blocks.append(data.fluxes)
     rows = (",".join(map(repr, row.tolist())) for row in np.hstack(blocks))
     write_lines(path, itertools.chain([",".join(labels)], rows))
-
-
-def derive_cloud_optical_depth(q_l, q_i, r_l, r_i, dp) -> np.ndarray:
-    """Per-layer cloud optical depth from condensate mixing ratios.
-
-    tau_c = (3/2) (dp/g) (q_l / (rho_l r_l) + q_i / (rho_i r_i)) with the
-    liquid/ice water densities and standard gravity fixed above.  Where a
-    mixing ratio is zero the corresponding term is zero regardless of the
-    effective radius.
-    """
-    q_l = np.asarray(q_l, dtype=float)
-    q_i = np.asarray(q_i, dtype=float)
-    r_l = np.broadcast_to(np.asarray(r_l, dtype=float), q_l.shape)
-    r_i = np.broadcast_to(np.asarray(r_i, dtype=float), q_i.shape)
-    dp = np.broadcast_to(np.asarray(dp, dtype=float), q_l.shape)
-    if np.any(q_l < 0) or np.any(q_i < 0):
-        raise ValueError("mixing ratios must be nonnegative")
-    if np.any(dp <= 0):
-        raise ValueError("layer pressure thickness must be positive")
-    if np.any((q_l > 0) & (r_l <= 0)):
-        raise ValueError("liquid effective radius must be positive where q_l > 0")
-    if np.any((q_i > 0) & (r_i <= 0)):
-        raise ValueError("ice effective radius must be positive where q_i > 0")
-    liq = np.where(q_l > 0, q_l / (DENSITY_LIQUID * np.where(r_l > 0, r_l, 1.0)), 0.0)
-    ice = np.where(q_i > 0, q_i / (DENSITY_ICE * np.where(r_i > 0, r_i, 1.0)), 0.0)
-    return 1.5 * (dp / GRAVITY) * (liq + ice)
 
 
 def split_shuffle(data: ProfileSet, spec: SplitSpec):

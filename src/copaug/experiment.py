@@ -306,6 +306,8 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
         for factor in cfg.factors:
             case = f"{kind}-{factor}x"
             try:
+                if factor < 1:
+                    raise ValueError("augmentation factor must be >= 1")
                 if isinstance(fit, ValueError):
                     raise fit
                 run_case(case, factor, fit)

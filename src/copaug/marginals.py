@@ -1,53 +1,16 @@
 """Empirical per-feature marginal distributions.
 
-Each feature gets a sorted-sample representation with a piecewise-linear
-CDF through the points (z_(k), k/(n+1)) and the matching quantile
-function, plus rank-based pseudo-observations that map a data matrix
-onto the open unit hypercube.
+The marginals of d features are one (d, n) table whose row j is feature
+j's sorted training sample z_(1) <= ... <= z_(n).  Feature j's quantile
+function is piecewise linear through the points (k/(n+1), z_(k)) and
+clamped to the sample range; rank-based pseudo-observations map a data
+matrix onto the open unit hypercube.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.stats import rankdata
-
-
-@dataclass(frozen=True)
-class EmpiricalMarginal:
-    """Sorted sample of one feature; n >= 2."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.ndim != 1 or vals.shape[0] < 2:
-            raise ValueError("an empirical marginal needs at least 2 values")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("marginal sample contains non-finite values")
-        if np.any(np.diff(vals) < 0):
-            raise ValueError("marginal sample must be sorted ascending")
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def probs(self) -> np.ndarray:
-        n = self.n
-        return np.arange(1, n + 1) / (n + 1.0)
-
-
-def fit_empirical(column) -> EmpiricalMarginal:
-    """Fit an empirical marginal to one feature column (order irrelevant)."""
-    vals = np.asarray(column, dtype=float)
-    if vals.ndim != 1:
-        raise ValueError("expected a 1-dimensional column")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("column contains non-finite values")
-    return EmpiricalMarginal(np.sort(vals))
 
 
 def pseudo_observations(values: np.ndarray) -> np.ndarray:
@@ -71,21 +34,20 @@ def pseudo_observations(values: np.ndarray) -> np.ndarray:
     return u[:, 0] if squeeze else u
 
 
-def cdf(m: EmpiricalMarginal, z) -> np.ndarray:
-    """Rescaled empirical CDF: linear between order statistics, clamped.
+def quantile(table: np.ndarray, U) -> np.ndarray:
+    """Map column j of the (rows, d) matrix U through row j of the (d, n) table.
 
-    Values below the sample minimum map to 1/(n+1), above the maximum to
-    n/(n+1).
+    Linear between (k/(n+1), z_(k)), clamped to [z_(1), z_(n)]; every
+    column shares the one probability grid.
     """
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("cdf argument must be finite")
-    return np.interp(z, m.values, m.probs)
-
-
-def quantile(m: EmpiricalMarginal, u) -> np.ndarray:
-    """Inverse of cdf: linear between (k/(n+1), z_(k)), clamped to the range."""
-    u = np.asarray(u, dtype=float)
-    if np.any(u <= 0) or np.any(u >= 1):
+    U = np.asarray(U, dtype=float)
+    d, n = table.shape
+    if U.ndim != 2 or U.shape[1] != d:
+        raise ValueError(f"quantile argument must have {d} columns, got shape {U.shape}")
+    if not np.all((U > 0.0) & (U < 1.0)):
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
-    return np.interp(u, m.probs, m.values)
+    probs = np.arange(1, n + 1) / (n + 1.0)
+    Z = np.empty_like(U)
+    for j in range(d):
+        Z[:, j] = np.interp(U[:, j], probs, table[j])
+    return Z

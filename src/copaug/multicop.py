@@ -9,9 +9,9 @@ pseudo-data pushed through the fitted h-functions to the next tree.  The
 vine is an R-vine matrix; simulation inverts the Rosenblatt transform
 along its columns.
 
-The synthesize entry point ties marginals and copula together: fit both
-on a flattened training set, simulate, map columns back through the
-marginal quantiles and rebuild profiles.
+A SynthModel ties marginals and copula together: fit_synth_model fits
+both on a flattened training set, and sample_synth_model simulates, maps
+the columns back through the marginal quantiles and rebuilds profiles.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .bicop import (
     swap_arguments,
 )
 from .dataset import LevelGrid, ProfileSet, SchemaError, flatten, write_lines
-from .marginals import EmpiricalMarginal, fit_empirical, pseudo_observations, quantile
+from .marginals import pseudo_observations, quantile
 
 MODEL_FORMAT_VERSION = 2
 
@@ -156,7 +156,7 @@ class SynthModel:
 
     kind: str
     columns: tuple
-    marginals: tuple  # EmpiricalMarginal per column
+    marginals: np.ndarray  # (d, n): row j is column j's sorted training sample
     active: tuple  # column indices covered by the copula
     gaussian: GaussianCopulaModel | None = None
     vine: VineModel | None = None
@@ -170,7 +170,6 @@ class SynthModel:
 class SynthesisDiagnostics:
     """Bookkeeping of invariant enforcement during synthesis."""
 
-    n_rows: int = 0
     pressure_resorted: int = 0
 
 
@@ -410,11 +409,11 @@ def simulate_vine(m: VineModel, n: int, seed: int) -> np.ndarray:
 
 def fit_synth_model(train: ProfileSet, spec: CopulaSpec) -> SynthModel:
     """Fit marginals and the chosen copula on the flattened training inputs."""
-    if len(train) == 0:
-        raise ValueError("training set is empty")
+    if len(train) < 2:
+        raise ValueError(f"an empirical marginal needs at least 2 values, got {len(train)}")
     X = flatten(train, "inputs")
-    margs = tuple(fit_empirical(X.values[:, j]) for j in range(X.n_cols))
-    active = tuple(j for j in range(X.n_cols) if np.ptp(X.values[:, j]) > 0.0)
+    margs = np.sort(X.values.T, axis=1)
+    active = tuple(np.flatnonzero(margs[:, -1] > margs[:, 0]).tolist())
     if len(active) < 2:
         return SynthModel(spec.kind, X.columns, margs, active)
     U = pseudo_observations(X.values[:, active])
@@ -439,26 +438,14 @@ def sample_synth_model(model: SynthModel, n: int, seed: int):
         U_act = simulate_vine(model.vine, n, seed)
     U = np.full((n, model.d), 0.5)
     U[:, list(model.active)] = U_act
-    Z = np.empty_like(U)
-    for j in range(model.d):
-        Z[:, j] = quantile(model.marginals[j], U[:, j])
-    T, p, tau_c = np.hsplit(Z, 3)
+    T, p, tau_c = np.hsplit(quantile(model.marginals, U), 3)
     resort = np.any(np.diff(p, axis=1) <= 0, axis=1)
     q = np.sort(p[resort], axis=1)
     for i in range(1, q.shape[1]):
         q[:, i] = np.maximum(q[:, i], np.nextafter(q[:, i - 1], np.inf))
     p[resort] = q
-    diag = SynthesisDiagnostics(n_rows=n, pressure_resorted=int(np.count_nonzero(resort)))
+    diag = SynthesisDiagnostics(pressure_resorted=int(np.count_nonzero(resort)))
     return ProfileSet(grid, T, p, tau_c), diag
-
-
-def synthesize(train: ProfileSet, spec: CopulaSpec, factor: int, seed: int) -> ProfileSet:
-    """Fit marginals + copula on the training set and simulate factor * N profiles."""
-    if factor < 1:
-        raise ValueError("augmentation factor must be >= 1")
-    model = fit_synth_model(train, spec)
-    synth, _ = sample_synth_model(model, factor * len(train), seed)
-    return synth
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +472,7 @@ def model_to_dict(model: SynthModel) -> dict:
         "kind": model.kind,
         "d": model.d,
         "columns": list(model.columns),
-        "marginals": [m.values.tolist() for m in model.marginals],
+        "marginals": model.marginals.tolist(),
         "active": list(model.active),
     }
     if len(model.active) < 2:
@@ -499,24 +486,50 @@ def model_to_dict(model: SynthModel) -> dict:
     return doc
 
 
+def _require(doc: dict, *keys) -> None:
+    for key in keys:
+        if key not in doc:
+            raise SchemaError(f"model artifact is missing the {key} field")
+
+
+def _marginal_table(rows, d: int) -> np.ndarray:
+    """The (d, n) table of sorted samples, n >= 2, finite; else SchemaError."""
+    try:
+        table = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError):
+        raise SchemaError(f"marginals: expected {d} rows of numbers of one length") from None
+    if table.ndim != 2 or table.shape[0] != d or table.shape[1] < 2:
+        raise SchemaError(f"marginals: expected shape ({d}, n) with n >= 2, got {table.shape}")
+    if not np.all(np.isfinite(table)):
+        raise SchemaError("marginals: values must be finite")
+    if np.any(np.diff(table, axis=1) < 0):
+        raise SchemaError("marginals: every row must be sorted ascending")
+    return table
+
+
 def model_from_dict(doc: dict) -> SynthModel:
     """Decode a model artifact; a malformed one raises SchemaError naming the field."""
-    if "version" not in doc:
+    if not isinstance(doc, dict) or "version" not in doc:
         raise SchemaError("model artifact is missing the version field")
     if doc["version"] != MODEL_FORMAT_VERSION:
         raise SchemaError(f"unsupported model format version {doc['version']!r}: "
                           f"this build reads version {MODEL_FORMAT_VERSION}; refit the model")
+    _require(doc, "kind", "columns", "marginals", "active")
+    kind = doc["kind"]
+    if kind not in ("gaussian", "vine"):
+        raise SchemaError(f"kind: expected 'gaussian' or 'vine', got {kind!r}")
     columns = tuple(doc["columns"])
-    margs = tuple(EmpiricalMarginal(np.asarray(v, dtype=float)) for v in doc["marginals"])
+    margs = _marginal_table(doc["marginals"], len(columns))
     active = doc["active"]
     if not (isinstance(active, list) and len(set(active)) == len(active)
             and all(type(a) is int and 0 <= a < len(columns) for a in active)):
         raise SchemaError(f"active: expected distinct column indices in 0..{len(columns) - 1}")
     active = tuple(active)
     if len(active) < 2:
-        return SynthModel(doc["kind"], columns, margs, active)
+        return SynthModel(kind, columns, margs, active)
     da = len(active)
-    if doc["kind"] == "gaussian":
+    _require(doc, "correlation" if kind == "gaussian" else "vine")
+    if kind == "gaussian":
         R = np.asarray(doc["correlation"], dtype=float)
         if R.size != da * da:
             raise SchemaError(f"correlation: {R.size} entries do not fit {da} active columns")

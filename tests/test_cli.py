@@ -186,6 +186,18 @@ class TestSampleRadiateTrainEval:
         assert capsys.readouterr().err.startswith("error:schema: correlation: ")
         assert not (tmp_path / "s.csv").exists()
 
+    def test_ragged_marginals_schema_error(self, tiny_config, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        main(["fit", "--config", str(tiny_config), "--kind", "gaussian", "--out", str(model)])
+        doc = json.loads(model.read_text())
+        del doc["marginals"][0][5:]
+        model.write_text(json.dumps(doc))
+        code = main(["sample", "--config", str(tiny_config), "--model", str(model),
+                     "--count", "5", "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:schema: marginals: ")
+        assert not (tmp_path / "s.csv").exists()
+
     def test_malformed_mlp_schema_error(self, tiny_config, tmp_path, capsys):
         mlp = tmp_path / "mlp.json"
         save_mlp(mlp, init_mlp(MLPLayout(18, (8,), 7), 1))
@@ -257,6 +269,14 @@ class TestPipeline:
         assert {r[0] for r in result.rows} == {"baseline", "gaussian-1x", "gaussian-2x"}
         err = capsys.readouterr().err
         assert f"case vine-1x failed: {reason}" in err and f"case vine-2x failed: {reason}" in err
+
+    def test_factor_below_one_fails_its_case(self, tmp_path, capsys):
+        cfg = dict(TINY, augmentation={"factors": [0, -1, 1], "generation_repeats": 1})
+        result = run_pipeline(make_config(cfg), tmp_path / "run")
+        reason = "augmentation factor must be >= 1"
+        assert result.failures == [("gaussian-0x", reason), ("gaussian--1x", reason)]
+        assert {r[0] for r in result.rows} == {"baseline", "gaussian-1x"}
+        assert f"case gaussian-0x failed: {reason}" in capsys.readouterr().err
 
     def test_results_match_recorded_sha256(self, tmp_path):
         # Recorded before the baseline became the case without synthetic

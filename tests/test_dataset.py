@@ -9,7 +9,6 @@ from copaug.dataset import (
     ProfileSet,
     SchemaError,
     SplitSpec,
-    derive_cloud_optical_depth,
     flatten,
     generate_surrogate,
     load_profiles,
@@ -176,40 +175,6 @@ class TestProfileFile:
         )
         with pytest.raises(SchemaError, match="row 0"):
             load_profiles(path, LevelGrid(3))
-
-
-class TestCloudOpticalDepth:
-    def test_no_condensate(self):
-        tau = derive_cloud_optical_depth(np.zeros(4), np.zeros(4), 1e-5, 3e-5, 1000.0)
-        np.testing.assert_array_equal(tau, np.zeros(4))
-
-    def test_liquid_only_value(self):
-        tau = derive_cloud_optical_depth(
-            np.array([1e-4]), np.array([0.0]), np.array([1e-5]), np.array([1e-5]), np.array([1000.0])
-        )
-        expected = 1.5 * (1000.0 / 9.81) * (1e-4 / (1000.0 * 1e-5))
-        np.testing.assert_allclose(tau, [expected], rtol=1e-12)
-        assert abs(expected - 1.529) < 1e-3
-
-    def test_linear_in_liquid(self):
-        args = dict(q_i=np.array([0.0]), r_l=np.array([1e-5]), r_i=np.array([1e-5]), dp=np.array([1000.0]))
-        one = derive_cloud_optical_depth(np.array([1e-4]), **args)
-        two = derive_cloud_optical_depth(np.array([2e-4]), **args)
-        np.testing.assert_allclose(two, 2 * one, rtol=1e-12)
-
-    def test_additive_in_phases(self):
-        q = np.array([1e-4])
-        r = np.array([1e-5])
-        dp = np.array([1000.0])
-        both = derive_cloud_optical_depth(q, q, r, r, dp)
-        liq = derive_cloud_optical_depth(q, 0 * q, r, r, dp)
-        ice = derive_cloud_optical_depth(0 * q, q, r, r, dp)
-        np.testing.assert_allclose(both, liq + ice, rtol=1e-12)
-
-    def test_zero_radius_with_mass_rejected(self):
-        with pytest.raises(ValueError, match="radius"):
-            derive_cloud_optical_depth(np.array([1e-4]), np.array([0.0]),
-                                       np.array([0.0]), np.array([1e-5]), np.array([1000.0]))
 
 
 class TestSplitShuffle:

@@ -4,30 +4,51 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 from copaug import rng
-from copaug.marginals import EmpiricalMarginal, cdf, fit_empirical, pseudo_observations, quantile
+from copaug.dataset import LevelGrid, flatten, generate_surrogate
+from copaug.marginals import pseudo_observations, quantile
+from copaug.dataset import SchemaError
+from copaug.multicop import CopulaSpec, fit_synth_model, model_from_dict, model_to_dict
+
+
+def interp_reference(table, U):
+    """The per-column quantile: one np.interp on each column's own grid."""
+    out = np.empty_like(U)
+    for j, row in enumerate(table):
+        probs = np.arange(1, row.size + 1) / (row.size + 1.0)
+        out[:, j] = np.interp(np.ascontiguousarray(U[:, j]), probs, np.ascontiguousarray(row))
+    return out
 
 
 class TestFit:
     def test_sorts_input(self):
-        m = fit_empirical([3.0, 1.0, 2.0])
-        np.testing.assert_array_equal(m.values, [1.0, 2.0, 3.0])
+        train = generate_surrogate(30, LevelGrid(4), 3)
+        model = fit_synth_model(train, CopulaSpec(kind="gaussian"))
+        X = flatten(train).values
+        assert model.marginals.shape == (X.shape[1], 30)
+        for j in range(X.shape[1]):
+            np.testing.assert_array_equal(model.marginals[j], np.sort(X[:, j]))
 
     def test_constant_column_accepted(self):
-        m = fit_empirical([5.0, 5.0, 5.0])
-        for u in (0.1, 0.5, 0.9):
-            assert quantile(m, u) == 5.0
+        table = np.full((1, 3), 5.0)
+        np.testing.assert_array_equal(quantile(table, [[0.1], [0.5], [0.9]]), [[5.0]] * 3)
 
     def test_large_column(self):
-        m = fit_empirical(np.arange(10_000, dtype=float))
-        assert m.n == 10_000
+        table = np.arange(10_000, dtype=float)[None, :]
+        probs = np.arange(1, 10_001) / 10_001.0
+        np.testing.assert_array_equal(quantile(table, probs[:, None])[:, 0], table[0])
 
     def test_too_small(self):
-        with pytest.raises(ValueError):
-            fit_empirical([1.0])
+        one = generate_surrogate(1, LevelGrid(4), 3)
+        with pytest.raises(ValueError, match="at least 2 values"):
+            fit_synth_model(one, CopulaSpec(kind="gaussian"))
 
     def test_non_finite(self):
-        with pytest.raises(ValueError):
-            fit_empirical([1.0, np.nan, 2.0])
+        model = fit_synth_model(generate_surrogate(20, LevelGrid(3), 1), CopulaSpec(kind="gaussian"))
+        for bad in (np.inf, -np.inf):
+            doc = model_to_dict(model)
+            doc["marginals"][0][-1] = bad
+            with pytest.raises(SchemaError, match="^marginals: values must be finite"):
+                model_from_dict(doc)
 
 
 class TestPseudoObservations:
@@ -62,52 +83,61 @@ class TestPseudoObservations:
         np.testing.assert_array_equal(np.sort(ranks), np.arange(1, 21))
 
 
+@st.composite
+def tables_and_uniforms(draw):
+    """A sorted (d, n) table with ties and constant rows, and a (rows, d) U
+    drawn from the grid points k/(n+1), one ulp either side of them, the
+    extreme doubles inside (0, 1) and arbitrary values."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 25))
+    value = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e6, 1e6))
+    table = np.sort(np.array(draw(st.lists(st.lists(value, min_size=n, max_size=n),
+                                           min_size=d, max_size=d))), axis=1)
+    for j in draw(st.sets(st.integers(0, d - 1))):
+        table[j] = table[j, 0]
+    probs = np.arange(1, n + 1) / (n + 1.0)
+    points = np.concatenate([probs, np.nextafter(probs, 0.0), np.nextafter(probs, 1.0),
+                             [np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)]])
+    u = st.one_of(st.sampled_from(points.tolist()),
+                  st.floats(min_value=np.nextafter(0.0, 1.0), max_value=np.nextafter(1.0, 0.0)))
+    rows = draw(st.integers(1, 12))
+    U = np.array(draw(st.lists(st.lists(u, min_size=d, max_size=d), min_size=rows, max_size=rows)))
+    return table, U
+
+
 class TestCdfQuantile:
+    """The quantile, inverse of the CDF through (k/(n+1), z_(k))."""
+
     def setup_method(self):
-        self.m = EmpiricalMarginal(np.array([1.0, 2.0, 3.0]))
-
-    def test_cdf_at_nodes(self):
-        assert cdf(self.m, 2.0) == 0.5
-
-    def test_cdf_clamps_below(self):
-        assert cdf(self.m, -10.0) == 0.25
-
-    def test_cdf_midpoint_interpolation(self):
-        assert cdf(self.m, 1.5) == 0.375
+        self.table = np.array([[1.0, 2.0, 3.0]])
 
     def test_quantile_at_node(self):
-        assert quantile(self.m, 0.5) == 2.0
+        assert quantile(self.table, [[0.5]]) == 2.0
 
     def test_quantile_clamps(self):
-        assert quantile(self.m, 0.999) == 3.0
+        assert quantile(self.table, [[0.001]]) == 1.0
+        assert quantile(self.table, [[0.999]]) == 3.0
 
     def test_quantile_inverts_cdf_example(self):
-        assert quantile(self.m, 0.375) == 1.5
+        assert quantile(self.table, [[0.375]]) == 1.5
 
     def test_quantile_domain(self):
-        with pytest.raises(ValueError):
-            quantile(self.m, 0.0)
-        with pytest.raises(ValueError):
-            quantile(self.m, 1.0)
+        for bad in (0.0, 1.0, np.nan):
+            with pytest.raises(ValueError, match="strictly inside"):
+                quantile(self.table, [[bad]])
+        with pytest.raises(ValueError, match="1 columns"):
+            quantile(self.table, [[0.5, 0.5]])
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=40, unique=True),
-           st.floats(min_value=0.001, max_value=0.999))
-    def test_quantile_cdf_identity(self, vals, frac):
-        m = fit_empirical(np.array(vals))
-        z = m.values[0] + frac * (m.values[-1] - m.values[0])
-        assert abs(quantile(m, float(cdf(m, z))) - z) < 1e-12 * max(1.0, abs(z))
-
-    def test_cdf_monotone(self):
-        m = fit_empirical(np.random.default_rng(2).normal(size=25))
-        zs = np.linspace(m.values[0] - 1, m.values[-1] + 1, 200)
-        u = cdf(m, zs)
-        assert np.all(np.diff(u) >= 0)
+    @settings(max_examples=200, deadline=None)
+    @given(tables_and_uniforms())
+    def test_quantile_bitwise_matches_interp(self, case):
+        table, U = case
+        got = quantile(table, U)
+        assert np.array_equal(got.view(np.uint64), interp_reference(table, U).view(np.uint64))
 
 
 class TestSamplingFidelity:
     def test_ks_against_source(self):
         source = np.random.default_rng(5).gamma(2.0, 1.5, size=10_000)
-        m = fit_empirical(source)
-        draws = quantile(m, rng.uniforms(123, 10_000))
+        draws = quantile(np.sort(source)[None, :], rng.uniforms(123, 10_000)[:, None])[:, 0]
         assert ks_2samp(draws, source).statistic < 0.03

@@ -20,7 +20,6 @@ from copaug.multicop import (
     save_model,
     simulate_gaussian,
     simulate_vine,
-    synthesize,
 )
 
 
@@ -348,6 +347,11 @@ class TestTruncatedVine:
         assert len(calls["h_inv"]) == sum(f is not Family.INDEPENDENCE for f in fitted)
 
 
+def synthesize(train, spec, factor, seed):
+    synth, _ = sample_synth_model(fit_synth_model(train, spec), factor * len(train), seed)
+    return synth
+
+
 class TestSynthesize:
     def test_factor_and_validity(self):
         train = generate_surrogate(50, LevelGrid(6), 123)
@@ -467,6 +471,41 @@ class TestModelArtifact:
         self.edit_correlation(doc, edit)
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match=f"^correlation: .*{reason}"):
+            load_model(path)
+
+    @staticmethod
+    def active_row(doc):
+        return doc["marginals"][doc["active"][0]]
+
+    MALFORMED = {
+        "no-kind": ("gaussian", lambda doc: doc.pop("kind"), "^model artifact is missing the kind field"),
+        "no-columns": ("gaussian", lambda doc: doc.pop("columns"), "^model artifact is missing the columns field"),
+        "no-marginals": ("vine", lambda doc: doc.pop("marginals"), "^model artifact is missing the marginals field"),
+        "no-active": ("vine", lambda doc: doc.pop("active"), "^model artifact is missing the active field"),
+        "no-correlation": ("gaussian", lambda doc: doc.pop("correlation"),
+                           "^model artifact is missing the correlation field"),
+        "no-vine": ("vine", lambda doc: doc.pop("vine"), "^model artifact is missing the vine field"),
+        "unknown-kind": ("gaussian", lambda doc: doc.update(kind="foo"), "^kind: expected 'gaussian' or 'vine'"),
+        "too-few-rows": ("gaussian", lambda doc: doc.update(marginals=doc["marginals"][:2]),
+                         r"^marginals: expected shape \(15, n\)"),
+        "one-value-rows": ("vine", lambda doc: doc.update(marginals=[r[:1] for r in doc["marginals"]]),
+                           r"^marginals: expected shape \(15, n\) with n >= 2"),
+        "ragged": ("gaussian", lambda doc: TestModelArtifact.active_row(doc).__delitem__(slice(5, None)),
+                   "^marginals: "),
+        "non-number": ("vine", lambda doc: TestModelArtifact.active_row(doc).__setitem__(3, "x"), "^marginals: "),
+        "unsorted": ("gaussian", lambda doc: TestModelArtifact.active_row(doc).reverse(),
+                     "^marginals: every row must be sorted"),
+        "nan": ("vine", lambda doc: TestModelArtifact.active_row(doc).__setitem__(0, float("nan")),
+                "^marginals: values must be finite"),
+    }
+
+    @pytest.mark.parametrize("fault", MALFORMED)
+    def test_malformed_artifact_rejected(self, tmp_path, fault):
+        kind, edit, match = self.MALFORMED[fault]
+        path, doc = self.saved(tmp_path, kind)
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=match):
             load_model(path)
 
     def test_corrupted_matrix_entry_rejected(self, tmp_path):
