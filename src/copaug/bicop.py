@@ -36,17 +36,6 @@ EPS = 1e-10
 
 STUDENT_NU_GRID = (2.0, 3.0, 4.0, 6.0, 10.0, 20.0, 30.0)
 
-# Tau-space search clamps keep parameters inside numerically safe ranges.
-_TAU_CAP = {
-    "gaussian": 0.99,
-    "student": 0.99,
-    "clayton": 0.93,
-    "gumbel": 0.93,
-    "joe": 0.93,
-    "frank": 0.91,
-}
-_FRANK_THETA_CAP = 45.0
-
 
 class Family(Enum):
     INDEPENDENCE = "independence"
@@ -56,6 +45,18 @@ class Family(Enum):
     GUMBEL = "gumbel"
     FRANK = "frank"
     JOE = "joe"
+
+
+# Tau-space search clamps keep parameters inside numerically safe ranges.
+_TAU_CAP = {
+    Family.GAUSSIAN: 0.99,
+    Family.STUDENT_T: 0.99,
+    Family.CLAYTON: 0.93,
+    Family.GUMBEL: 0.93,
+    Family.JOE: 0.93,
+    Family.FRANK: 0.91,
+}
+_FRANK_THETA_CAP = 45.0
 
 
 #: Families whose rotations are meaningful (tail-asymmetric ones).
@@ -134,61 +135,70 @@ def _frank_denom(t: float, u, v):
     return np.exp(-t * u) * np.expm1(-t * v) + np.exp(-t * v) * np.expm1(-t * (1.0 - v))
 
 
-def _logpdf_base(family: Family, u, v, theta: float, nu: float | None):
+def _loglik(family: Family, u, v, nu: float | None):
+    """theta -> per-observation log-density of the unrotated family at (u, v).
+
+    Everything that does not depend on theta is computed once, here, so a
+    fitter evaluating many thetas on one sample pays for it once.
+    """
     if family is Family.INDEPENDENCE:
-        return np.zeros(np.broadcast(u, v).shape)
+        zeros = np.zeros(np.broadcast(u, v).shape)
+        return lambda theta: zeros
     if family is Family.GAUSSIAN:
-        r = theta
         x, y = ndtri(u), ndtri(v)
-        s2 = 1.0 - r * r
-        return -0.5 * math.log(s2) - (r * r * (x * x + y * y) - 2.0 * r * x * y) / (2.0 * s2)
+        xx_yy, xy = x * x + y * y, x * y
+
+        def gaussian(r):
+            s2 = 1.0 - r * r
+            return -0.5 * math.log(s2) - (r * r * xx_yy - 2.0 * r * xy) / (2.0 * s2)
+        return gaussian
     if family is Family.STUDENT_T:
-        r, df = theta, float(nu)
+        df = float(nu)
         x, y = stdtrit(df, u), stdtrit(df, v)
-        s2 = 1.0 - r * r
-        q = (x * x - 2.0 * r * x * y + y * y) / (df * s2)
-        log_joint = (
-            gammaln((df + 2.0) / 2.0)
-            + gammaln(df / 2.0)
-            - 2.0 * gammaln((df + 1.0) / 2.0)
-            - 0.5 * math.log(s2)
-            - ((df + 2.0) / 2.0) * np.log1p(q)
-        )
+        const = float(gammaln((df + 2.0) / 2.0) + gammaln(df / 2.0) - 2.0 * gammaln((df + 1.0) / 2.0))
         log_marg = -((df + 1.0) / 2.0) * (np.log1p(x * x / df) + np.log1p(y * y / df))
-        return log_joint - log_marg
+        xx_yy, xy = x * x + y * y, x * y
+
+        def student(r):
+            s2 = 1.0 - r * r
+            q = (xx_yy - 2.0 * r * xy) / (df * s2)
+            return const - 0.5 * math.log(s2) - ((df + 2.0) / 2.0) * np.log1p(q) - log_marg
+        return student
     if family is Family.CLAYTON:
-        t = theta
-        a, b = -t * np.log(u), -t * np.log(v)
-        m = np.maximum(a, b)
-        log_s = m + np.log(np.exp(a - m) + np.exp(b - m) - np.exp(-m))
-        return math.log1p(t) - (1.0 + t) * (np.log(u) + np.log(v)) - (2.0 + 1.0 / t) * log_s
+        log_u, log_v = np.log(u), np.log(v)
+        log_uv = log_u + log_v
+
+        def clayton(t):
+            a, b = -t * log_u, -t * log_v
+            m = np.maximum(a, b)
+            log_s = m + np.log(np.exp(a - m) + np.exp(b - m) - np.exp(-m))
+            return math.log1p(t) - (1.0 + t) * log_uv - (2.0 + 1.0 / t) * log_s
+        return clayton
     if family is Family.GUMBEL:
-        t = theta
         x, y = -np.log(u), -np.log(v)
-        s = x ** t + y ** t
-        s_rt = s ** (1.0 / t)
-        return (
-            -s_rt
-            + (t - 1.0) * (np.log(x) + np.log(y))
-            + (1.0 / t - 2.0) * np.log(s)
-            + np.log(s_rt + t - 1.0)
-            + x
-            + y
-        )
+        log_xy = np.log(x) + np.log(y)
+
+        def gumbel(t):
+            s = x ** t + y ** t
+            s_rt = s ** (1.0 / t)
+            return -s_rt + (t - 1.0) * log_xy + (1.0 / t - 2.0) * np.log(s) + np.log(s_rt + t - 1.0) + x + y
+        return gumbel
     if family is Family.FRANK:
-        t = theta
-        d = _frank_denom(t, u, v)
-        return math.log(t * (-np.expm1(-t))) - t * (u + v) - 2.0 * np.log(np.abs(d))
+        u_plus_v = u + v
+
+        def frank(t):
+            d = _frank_denom(t, u, v)
+            return math.log(t * (-np.expm1(-t))) - t * u_plus_v - 2.0 * np.log(np.abs(d))
+        return frank
     if family is Family.JOE:
-        t = theta
         ub, vb = 1.0 - u, 1.0 - v
-        ut, vt = ub ** t, vb ** t
-        a = np.maximum(ut + vt - ut * vt, 1e-300)
-        return (
-            (1.0 / t - 2.0) * np.log(a)
-            + (t - 1.0) * (np.log(ub) + np.log(vb))
-            + np.log(t - 1.0 + a)
-        )
+        log_ubvb = np.log(ub) + np.log(vb)
+
+        def joe(t):
+            ut, vt = ub ** t, vb ** t
+            a = np.maximum(ut + vt - ut * vt, 1e-300)
+            return (1.0 / t - 2.0) * np.log(a) + (t - 1.0) * log_ubvb + np.log(t - 1.0 + a)
+        return joe
     raise ValueError(f"unknown family {family}")
 
 
@@ -287,7 +297,7 @@ def pair_pdf(c: PairCopula, u, v) -> np.ndarray:
     """Copula density at (u, v), rotation applied."""
     _check_unit(u, v)
     ur, vr = _rotate_args(c.rotation, _clip(u), _clip(v))
-    return np.exp(_logpdf_base(c.family, ur, vr, c.theta, c.nu))
+    return np.exp(_loglik(c.family, ur, vr, c.nu)(c.theta))
 
 
 def _direction_one(c: PairCopula, direction: int, base, x, z):
@@ -490,14 +500,6 @@ def tau_to_param(f: Family, tau: float) -> float:
 # Fitting.
 # ---------------------------------------------------------------------------
 
-def _tau_range(f: Family) -> tuple[float, float]:
-    cap = _TAU_CAP[f.value if f is not Family.STUDENT_T else "student"]
-    if f in (Family.GAUSSIAN, Family.STUDENT_T, Family.FRANK):
-        return (-cap, cap)
-    # Asymmetric families are fitted on |tau| regardless of rotation.
-    return (1e-4, cap)
-
-
 def _golden_max(fun, lo: float, hi: float, tol: float | None = None) -> tuple[float, float]:
     """Golden-section maximization of fun on [lo, hi]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -519,65 +521,41 @@ def _golden_max(fun, lo: float, hi: float, tol: float | None = None) -> tuple[fl
     return (c, fc) if fc > fd else (d, fd)
 
 
-def _fit_family(f: Family, rotation: int, tau_hat: float, u, v) -> PairCopula:
-    """Tau inversion plus golden-section MLE for one family/rotation.
+def _fit_family(f: Family, tau_hat: float, u, v) -> list[PairCopula]:
+    """Tau inversion plus golden-section MLE: one fit per rotation f allows.
 
     The search runs in parameter space over the bracket obtained by
     mapping [tau0 - 0.5, tau0 + 0.5] (clamped to the family's admissible
-    tau range) through the tau inversion.
+    tau range) through the tau inversion; Student-t keeps the best nu of
+    STUDENT_NU_GRID.  Fits come in the order 0/180 or 90/270.
     """
-    lo_t, hi_t = _tau_range(f)
-    base_tau = abs(tau_hat) if f in ROTATABLE else tau_hat
-    base_tau = min(max(base_tau, lo_t), hi_t)
-    lo_tau = max(lo_t, base_tau - 0.5)
-    hi_tau = min(hi_t, base_tau + 0.5)
+    cap = _TAU_CAP[f]
+    # Asymmetric families are fitted on |tau| regardless of rotation.
+    lo_t, base_tau = (1e-4, abs(tau_hat)) if f in ROTATABLE else (-cap, tau_hat)
+    base_tau = min(max(base_tau, lo_t), cap)
+    lo_tau, hi_tau = max(lo_t, base_tau - 0.5), min(cap, base_tau + 0.5)
     if f is Family.FRANK:
         # Exclude the removable singularity at theta = 0 from the bracket.
         if lo_tau <= 0.0 <= hi_tau:
             lo_tau, hi_tau = (1e-4, max(hi_tau, 2e-4)) if base_tau >= 0 else (min(lo_tau, -2e-4), -1e-4)
-    th_lo = tau_to_param(f, lo_tau)
-    th_hi = tau_to_param(f, hi_tau)
-    ur, vr = _rotate_args(rotation, u, v)
-
-    if f is Family.GAUSSIAN:
-        x, y = ndtri(ur), ndtri(vr)
-        xx_yy, xy = x * x + y * y, x * y
-
-        def loglik_of(r: float) -> float:
-            s2 = 1.0 - r * r
-            return float(np.sum(-0.5 * math.log(s2) - (r * r * xx_yy - 2.0 * r * xy) / (2.0 * s2)))
-
-        theta, ll = _golden_max(loglik_of, th_lo, th_hi)
-        return PairCopula(f, rotation, theta, None, ll)
-
-    if f is Family.STUDENT_T:
+    th_lo, th_hi = tau_to_param(f, lo_tau), tau_to_param(f, hi_tau)
+    rotations = ((0, 180) if tau_hat > 0 else (90, 270)) if f in ROTATABLE else (0,)
+    fits = []
+    for rotation in rotations:
+        ur, vr = _rotate_args(rotation, u, v)
         best = None
-        for df in STUDENT_NU_GRID:
-            x, y = stdtrit(df, ur), stdtrit(df, vr)
-            const = float(
-                gammaln((df + 2.0) / 2.0) + gammaln(df / 2.0) - 2.0 * gammaln((df + 1.0) / 2.0)
-            )
-            log_marg = -((df + 1.0) / 2.0) * (np.log1p(x * x / df) + np.log1p(y * y / df))
-            xx_yy, xy = x * x + y * y, x * y
+        for nu in STUDENT_NU_GRID if f is Family.STUDENT_T else (None,):
+            logpdf = _loglik(f, ur, vr, nu)
 
-            def loglik_of(r: float) -> float:
-                s2 = 1.0 - r * r
-                q = (xx_yy - 2.0 * r * xy) / (df * s2)
-                lp = const - 0.5 * math.log(s2) - ((df + 2.0) / 2.0) * np.log1p(q) - log_marg
-                return float(np.sum(lp))
+            def loglik_of(theta: float) -> float:
+                ll = float(np.sum(logpdf(theta)))
+                return ll if np.isfinite(ll) else -1e300
 
             theta, ll = _golden_max(loglik_of, th_lo, th_hi)
-            if best is None or ll > best[2]:
-                best = (theta, df, ll)
-        theta, df, ll = best
-        return PairCopula(f, rotation, theta, df, ll)
-
-    def loglik_of(theta: float) -> float:
-        ll = float(np.sum(_logpdf_base(f, ur, vr, theta, None)))
-        return ll if np.isfinite(ll) else -1e300
-
-    theta, ll = _golden_max(loglik_of, th_lo, th_hi)
-    return PairCopula(f, rotation, theta, None, ll)
+            if best is None or ll > best.loglik:
+                best = PairCopula(f, rotation, theta, nu, ll)
+        fits.append(best)
+    return fits
 
 
 def aic(c: PairCopula) -> float:
@@ -607,15 +585,7 @@ def fit_pair(u, v, catalogue=DEFAULT_CATALOGUE, *, tau: float | None = None) -> 
         return INDEPENDENCE
     candidates = []
     for f in catalogue:
-        if f is Family.INDEPENDENCE:
-            candidates.append(INDEPENDENCE)
-            continue
-        if f in ROTATABLE:
-            rotations = (0, 180) if tau_hat > 0 else (90, 270)
-        else:
-            rotations = (0,)
-        for rot in rotations:
-            candidates.append(_fit_family(f, rot, tau_hat, u, v))
+        candidates += [INDEPENDENCE] if f is Family.INDEPENDENCE else _fit_family(f, tau_hat, u, v)
     if not candidates:
         raise ValueError("catalogue is empty")
     return min(candidates, key=aic)

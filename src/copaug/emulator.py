@@ -150,7 +150,7 @@ def _forward_cached(m: MLPModel, x_norm: np.ndarray):
 
 def forward(m: MLPModel, x) -> np.ndarray:
     """Normalized forward pass; accepts a single row or a batch."""
-    x = np.asarray(getattr(x, "values", x), dtype=float)
+    x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     if single:
         x = x[None, :]
@@ -240,10 +240,10 @@ def train(m: MLPModel, train_x, train_y, val_x, val_y, cfg: TrainConfig = TrainC
     consecutive epochs (or at the epoch limit) and returns a model
     carrying the weights of the best validation epoch.
     """
-    tx = np.asarray(getattr(train_x, "values", train_x), dtype=float)
-    ty = np.asarray(getattr(train_y, "values", train_y), dtype=float)
-    vx = np.asarray(getattr(val_x, "values", val_x), dtype=float)
-    vy = np.asarray(getattr(val_y, "values", val_y), dtype=float)
+    tx = np.asarray(train_x, dtype=float)
+    ty = np.asarray(train_y, dtype=float)
+    vx = np.asarray(val_x, dtype=float)
+    vy = np.asarray(val_y, dtype=float)
     if tx.shape[0] == 0 or vx.shape[0] == 0:
         raise ValueError("training and validation sets must be nonempty")
     if tx.shape[1] != m.layout.n_inputs or ty.shape[1] != m.layout.n_outputs:

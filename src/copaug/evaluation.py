@@ -53,10 +53,6 @@ class ErrorMetrics:
     quantile_probs: tuple = (0.1, 0.5, 0.9)
 
 
-def _matrix(x) -> np.ndarray:
-    return np.asarray(getattr(x, "values", x), dtype=float)
-
-
 def _summaries(p: np.ndarray) -> dict:
     return {
         "mean": float(p.mean()),
@@ -75,8 +71,8 @@ def random_projection_report(real, synth, iters: int = 100, seed: int = 0) -> Pr
     matrices; the report records each summary statistic of the two
     projection vectors as an (s_real, s_synth) pair.
     """
-    real = _matrix(real)
-    synth = _matrix(synth)
+    real = np.asarray(real, dtype=float)
+    synth = np.asarray(synth, dtype=float)
     if real.shape[1] != synth.shape[1]:
         raise ValueError(f"column counts differ: {real.shape[1]} vs {synth.shape[1]}")
     if iters < 1:
@@ -100,7 +96,7 @@ def band_depth(curves) -> np.ndarray:
     BD(f) is the fraction of curve pairs {i, j} whose pointwise envelope
     contains f everywhere; a curve is inside every band it bounds.
     """
-    a = _matrix(curves)
+    a = np.asarray(curves, dtype=float)
     if a.ndim != 2:
         raise ValueError("curves must form a 2-dimensional array")
     n = a.shape[0]
@@ -145,8 +141,8 @@ def error_metrics(y_true, y_pred) -> ErrorMetrics:
     Both aggregate over every matrix entry; per-level quantiles of d
     support profile plots.
     """
-    yt = _matrix(y_true)
-    yp = _matrix(y_pred)
+    yt = np.asarray(y_true, dtype=float)
+    yp = np.asarray(y_pred, dtype=float)
     if yt.shape != yp.shape:
         raise ValueError(f"shape mismatch {yt.shape} vs {yp.shape}")
     d = yt - yp
@@ -170,7 +166,7 @@ def write_projection_report(path, report: ProjectionReport) -> None:
 
 def write_depth_report(path, curves, ranking: DepthRanking) -> None:
     """Per level: envelope of the central group around the median curve."""
-    a = _matrix(curves)
+    a = np.asarray(curves, dtype=float)
     central = a[ranking.groups["central"]]
     median_curve = a[ranking.median_index]
     lines = ["level,q_low,q_mid,q_high"]

@@ -16,10 +16,10 @@ from scipy.stats import rankdata
 def pseudo_observations(values: np.ndarray) -> np.ndarray:
     """Columnwise rank/(n+1) pseudo-observations, average rank on ties.
 
-    Accepts a 2-d array (or DataMatrix-like .values) and returns an array
-    of the same shape with entries strictly inside (0, 1).
+    Accepts a 2-d array and returns an array of the same shape with
+    entries strictly inside (0, 1).
     """
-    vals = np.asarray(getattr(values, "values", values), dtype=float)
+    vals = np.asarray(values, dtype=float)
     if vals.ndim == 1:
         vals = vals[:, None]
         squeeze = True

@@ -174,7 +174,7 @@ class SynthesisDiagnostics:
 
 
 def _check_umatrix(u) -> np.ndarray:
-    u = np.asarray(getattr(u, "values", u), dtype=float)
+    u = np.asarray(u, dtype=float)
     if u.ndim != 2:
         raise ValueError("pseudo-observation matrix must be 2-dimensional")
     if not np.all((u > 0.0) & (u < 1.0)):
@@ -462,8 +462,21 @@ def _copula_to_dict(c: PairCopula) -> dict:
     }
 
 
-def _copula_from_dict(d: dict) -> PairCopula:
-    return PairCopula(Family(d["family"]), d["rotation"], d["theta"], d["nu"], d["loglik"])
+_EDGE_FIELDS = ("family", "rotation", "theta", "nu", "loglik", "tau_hat")
+
+
+def _edge_from_dict(e, where: str) -> tuple:
+    """(copula, tau_hat) of one vine.copulas entry; SchemaError naming `where`."""
+    missing = [key for key in _EDGE_FIELDS if not isinstance(e, dict) or key not in e]
+    if missing:
+        raise SchemaError(f"{where}: missing {', '.join(missing)}")
+    numbers = [e["theta"], e["loglik"], e["tau_hat"]] + ([] if e["nu"] is None else [e["nu"]])
+    if not all(type(x) in (int, float) and np.isfinite(x) for x in numbers):
+        raise SchemaError(f"{where}: theta, loglik and tau_hat must be finite numbers, nu one or null")
+    try:
+        return PairCopula(Family(e["family"]), e["rotation"], e["theta"], e["nu"], e["loglik"]), e["tau_hat"]
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
 
 
 def model_to_dict(model: SynthModel) -> dict:
@@ -518,7 +531,11 @@ def model_from_dict(doc: dict) -> SynthModel:
     kind = doc["kind"]
     if kind not in ("gaussian", "vine"):
         raise SchemaError(f"kind: expected 'gaussian' or 'vine', got {kind!r}")
-    columns = tuple(doc["columns"])
+    columns = doc["columns"]
+    k = len(columns) // 3 if isinstance(columns, list) else 0
+    if k < 1 or columns != LevelGrid(k).input_labels():
+        raise SchemaError("columns: expected T_1..T_k, p_1..p_k, tauc_1..tauc_k for some k >= 1")
+    columns = tuple(columns)
     margs = _marginal_table(doc["marginals"], len(columns))
     active = doc["active"]
     if not (isinstance(active, list) and len(set(active)) == len(active)
@@ -530,7 +547,10 @@ def model_from_dict(doc: dict) -> SynthModel:
     da = len(active)
     _require(doc, "correlation" if kind == "gaussian" else "vine")
     if kind == "gaussian":
-        R = np.asarray(doc["correlation"], dtype=float)
+        try:
+            R = np.asarray(doc["correlation"], dtype=float)
+        except (TypeError, ValueError):
+            raise SchemaError("correlation: expected a list of numbers") from None
         if R.size != da * da:
             raise SchemaError(f"correlation: {R.size} entries do not fit {da} active columns")
         R = R.reshape(da, da)
@@ -541,12 +561,18 @@ def model_from_dict(doc: dict) -> SynthModel:
         except np.linalg.LinAlgError:
             raise SchemaError("correlation: matrix is not positive-definite") from None
         return SynthModel("gaussian", columns, margs, active, gaussian=GaussianCopulaModel(R, L))
-    matrix, rows = doc["vine"]["matrix"], doc["vine"]["copulas"]
-    if len(matrix) != da:
-        raise SchemaError(f"vine.matrix: expected {da} rows for {da} active columns, got {len(matrix)}")
+    vine = doc["vine"]
+    if not (isinstance(vine, dict) and "matrix" in vine and "copulas" in vine):
+        raise SchemaError("vine: expected an object with matrix and copulas")
+    matrix, rows = vine["matrix"], vine["copulas"]
+    if not (isinstance(matrix, list) and len(matrix) == da and all(isinstance(row, list) for row in matrix)):
+        raise SchemaError(f"vine.matrix: expected a list of {da} rows for {da} active columns")
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise SchemaError("vine.copulas: expected a list of rows")
+    copulas = tuple(tuple(_edge_from_dict(e, f"vine.copulas[{t}][{j}]") for j, e in enumerate(row))
+                    for t, row in enumerate(rows))
     try:
-        vine = VineModel(tuple(map(tuple, matrix)),
-                         tuple(tuple((_copula_from_dict(e), e["tau_hat"]) for e in row) for row in rows))
+        vine = VineModel(tuple(map(tuple, matrix)), copulas)
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
     return SynthModel("vine", columns, margs, active, vine=vine)

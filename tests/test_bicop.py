@@ -354,6 +354,38 @@ class TestFitPair:
         assert fit.family is Family.GAUSSIAN
 
 
+# fit_pair(catalogue={family}) on 300 draws from each copula below, recorded
+# before the fitter and pair_pdf shared one log-density per family:
+# (family, rotation, theta, nu, seed, (rotation, theta.hex(), nu, loglik.hex())).
+FIT_PINS = [
+    (Family.GAUSSIAN, 0, 0.6, None, 100, (0, "0x1.3f8743c453176p-1", None, "0x1.1bf624b23dd9ap+6")),
+    (Family.STUDENT_T, 0, 0.5, 4.0, 101, (0, "0x1.eb1c42cb5abf1p-2", 6.0, "0x1.4ddb18886f545p+5")),
+    (Family.FRANK, 0, 5.0, None, 102, (0, "0x1.51f0b9552f66dp+2", None, "0x1.6018c62189852p+6")),
+    (Family.FRANK, 0, -5.0, None, 103, (0, "-0x1.2e2330b02398dp+2", None, "0x1.079f422613c92p+6")),
+    (Family.CLAYTON, 0, 2.0, None, 104, (0, "0x1.0995006d67033p+1", None, "0x1.1444fe8c56b74p+7")),
+    (Family.CLAYTON, 90, 2.0, None, 105, (90, "0x1.e3076c744cdb5p+0", None, "0x1.98ea9c4935185p+6")),
+    (Family.CLAYTON, 180, 2.0, None, 106, (180, "0x1.c2d47f8a171fap+0", None, "0x1.ba8032c6b6950p+6")),
+    (Family.CLAYTON, 270, 2.0, None, 107, (270, "0x1.01caba240aecfp+1", None, "0x1.170d142b4e334p+7")),
+    (Family.GUMBEL, 0, 1.8, None, 108, (0, "0x1.cb27ad76631f1p+0", None, "0x1.5c0a4e322c80cp+6")),
+    (Family.GUMBEL, 90, 1.8, None, 109, (90, "0x1.c8352e8b4460ep+0", None, "0x1.8509d4d8dcf36p+6")),
+    (Family.GUMBEL, 180, 1.8, None, 110, (180, "0x1.d5f5388342cdcp+0", None, "0x1.598464ef8bb9ep+6")),
+    (Family.GUMBEL, 270, 1.8, None, 111, (270, "0x1.d0452d107fc98p+0", None, "0x1.81686d3f42bc0p+6")),
+    (Family.JOE, 0, 2.0, None, 112, (0, "0x1.d77aba0b6d30fp+0", None, "0x1.c99ac5f458af6p+5")),
+    (Family.JOE, 90, 2.0, None, 113, (90, "0x1.039eb72124bc6p+1", None, "0x1.3d7506e840212p+6")),
+    (Family.JOE, 180, 2.0, None, 114, (180, "0x1.dd193b4854c5bp+0", None, "0x1.96e70adc1c3b7p+5")),
+    (Family.JOE, 270, 2.0, None, 115, (270, "0x1.e6d7f82556df1p+0", None, "0x1.be1f391fe9490p+5")),
+]
+
+
+@pytest.mark.parametrize("family,rotation,theta,nu,seed,expected", FIT_PINS,
+                         ids=[f"{p[0].value}-r{p[1]}-{p[2]}" for p in FIT_PINS])
+def test_fit_pair_matches_recorded_bits(family, rotation, theta, nu, seed, expected):
+    uv = sample_pair(PairCopula(family, rotation, theta, nu), 300, seed)
+    fit = fit_pair(uv[:, 0], uv[:, 1], frozenset({family}))
+    assert fit.family is family
+    assert (fit.rotation, fit.theta.hex(), fit.nu, fit.loglik.hex()) == expected
+
+
 class TestSamplePair:
     def test_independence_tau_near_zero(self):
         s = sample_pair(INDEPENDENCE, 2000, 12)

@@ -71,6 +71,21 @@ class TestFit:
         for tree in model.vine.trees[2:]:
             assert all(edge.copula.family.value == "independence" for edge in tree)
 
+    @pytest.mark.parametrize("kind,truncation,digest", [
+        ("gaussian", 2, "eab41014e9793ced34394d39769271dd7fe009f40957528b1b90c1abaada0a36"),
+        ("vine", 2, "dcb0a8ec5d5aed567b90e8b26613d323506a1c79802d574954aee98984aefb5d"),
+    ])
+    def test_fit_matches_recorded_sha256(self, tmp_path, kind, truncation, digest):
+        # Recorded before the pair-copula fitter and pair_pdf shared one
+        # log-density per family; any change to a fitted theta, nu or
+        # loglik changes the bytes.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"master_seed": 11, "data": {"n_profiles": 300, "n_levels": 20},
+                                        "copulas": {"truncation": truncation}}))
+        out = tmp_path / "model.json"
+        assert main(["fit", "--config", str(cfg_path), "--kind", kind, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_vine_summary_counts_every_edge(self, tmp_path, capsys):
         # The summary counts families from the fitted trees 1..k plus the
         # independence edges past k; it must match a count over all trees.
@@ -196,6 +211,21 @@ class TestSampleRadiateTrainEval:
                      "--count", "5", "--out", str(tmp_path / "s.csv")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:schema: marginals: ")
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_columns_not_a_level_grid_schema_error(self, tiny_config, tmp_path, capsys):
+        # 3k + 1 columns with a marginal row each used to fail in sampling's
+        # split into T, p and tauc blocks, as error:invalid.
+        model = tmp_path / "model.json"
+        main(["fit", "--config", str(tiny_config), "--kind", "gaussian", "--out", str(model)])
+        doc = json.loads(model.read_text())
+        doc["columns"].append("T_99")
+        doc["marginals"].append(doc["marginals"][0])
+        model.write_text(json.dumps(doc))
+        code = main(["sample", "--config", str(tiny_config), "--model", str(model),
+                     "--count", "5", "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:schema: columns: expected T_1..T_k")
         assert not (tmp_path / "s.csv").exists()
 
     def test_malformed_mlp_schema_error(self, tiny_config, tmp_path, capsys):

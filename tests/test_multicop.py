@@ -497,6 +497,24 @@ class TestModelArtifact:
                      "^marginals: every row must be sorted"),
         "nan": ("vine", lambda doc: TestModelArtifact.active_row(doc).__setitem__(0, float("nan")),
                 "^marginals: values must be finite"),
+        "columns-not-list": ("gaussian", lambda doc: doc.update(columns=5), "^columns: expected T_1..T_k"),
+        "columns-not-3k": ("vine", lambda doc: (doc["columns"].append("T_6"),
+                                                doc["marginals"].append(doc["marginals"][0])),
+                           "^columns: expected T_1..T_k"),
+        "correlation-not-numeric": ("gaussian", lambda doc: doc.update(correlation="x"),
+                                    "^correlation: expected a list of numbers"),
+        "vine-not-object": ("vine", lambda doc: doc.update(vine=7), "^vine: expected an object with matrix"),
+        "vine-no-matrix": ("vine", lambda doc: doc["vine"].pop("matrix"), "^vine: expected an object with matrix"),
+        "copula-no-theta": ("vine", lambda doc: doc["vine"]["copulas"][0][1].pop("theta"),
+                            r"^vine\.copulas\[0\]\[1\]: missing theta$"),
+        "copula-theta-string": ("vine", lambda doc: doc["vine"]["copulas"][1][0].update(theta="x"),
+                                r"^vine\.copulas\[1\]\[0\]: theta, loglik and tau_hat must be finite numbers"),
+        "copula-nan-theta": ("vine", lambda doc: doc["vine"]["copulas"][0][2].update(theta=float("nan")),
+                             r"^vine\.copulas\[0\]\[2\]: theta, loglik and tau_hat must be finite"),
+        "matrix-not-list": ("vine", lambda doc: doc["vine"].update(matrix=3), r"^vine\.matrix: expected a list"),
+        "copulas-not-list": ("vine", lambda doc: doc["vine"].update(copulas=3), r"^vine\.copulas: expected a list"),
+        "copula-bad-family": ("vine", lambda doc: doc["vine"]["copulas"][0][0].update(family="normal"),
+                              r"^vine\.copulas\[0\]\[0\]: 'normal' is not a valid Family"),
     }
 
     @pytest.mark.parametrize("fault", MALFORMED)
