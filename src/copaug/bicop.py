@@ -86,6 +86,8 @@ class PairCopula:
         if self.rotation != 0 and self.family not in ROTATABLE:
             raise ValueError(f"{self.family.value} copula only supports rotation 0")
         f, t = self.family, self.theta
+        if not math.isfinite(t) or (self.nu is not None and not math.isfinite(self.nu)):
+            raise ValueError(f"theta and nu must be finite, got theta={t}, nu={self.nu}")
         if f in (Family.GAUSSIAN, Family.STUDENT_T) and not -1 < t < 1:
             raise ValueError(f"correlation parameter must lie in (-1, 1), got {t}")
         if f is Family.CLAYTON and t <= 0:

@@ -15,30 +15,30 @@ from collections import Counter
 from pathlib import Path
 
 from . import rng
-from .dataset import SchemaError, flatten, load_profiles, save_profiles, write_lines
+from .dataset import SchemaError, flatten, load_profiles, save_profiles, split_shuffle, write_lines
 from .emulator import load_mlp, predict_set, save_mlp
 from .evaluation import error_metrics, write_level_quantiles
 from .experiment import (
     ExperimentConfig,
     default_config_dict,
-    load_config,
     make_config,
     resolve_dataset,
     run_pipeline,
-    split_dataset,
     train_emulator,
 )
-from .multicop import fit_synth_model, load_model, sample_synth_model, save_model
+from .multicop import CopulaSpec, fit_synth_model, load_model, sample_synth_model, save_model
 from .radiation import radiate_set
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else make_config()
-    if getattr(args, "seed", None) is not None:
-        raw = json.loads(json.dumps(cfg.raw))
-        raw["master_seed"] = args.seed
-        cfg = make_config(raw)
-    return cfg
+    """The --config document with --seed as its master seed, built once."""
+    doc = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    if args.seed is not None and isinstance(doc, dict):
+        doc = dict(doc, master_seed=args.seed)
+    return make_config(doc)
 
 
 def cmd_gen_data(args) -> int:
@@ -54,8 +54,8 @@ def cmd_gen_data(args) -> int:
 def cmd_fit(args) -> int:
     cfg = _config_from_args(args)
     data = resolve_dataset(cfg)
-    train_set, _, _ = split_dataset(cfg, data)
-    model = fit_synth_model(train_set, cfg.copula_spec(args.kind))
+    train_set, _, _ = split_shuffle(data, cfg.split)
+    model = fit_synth_model(train_set, CopulaSpec(args.kind, cfg.catalogue, cfg.truncation))
     save_model(args.out, model)
     if model.kind == "vine" and model.vine is not None:
         vine = model.vine
@@ -84,7 +84,7 @@ def cmd_sample(args) -> int:
 def cmd_radiate(args) -> int:
     cfg = _config_from_args(args)
     data = load_profiles(args.input, cfg.grid)
-    radiated = radiate_set(data, cfg.constants)
+    radiated = radiate_set(data, cfg.radiation)
     save_profiles(args.out, radiated)
     print(f"wrote {args.out}: {len(radiated)} profiles with fluxes")
     return 0
@@ -206,8 +206,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except SchemaError as exc:
         print(f"error:schema: {exc}", file=sys.stderr)
-    except FileNotFoundError as exc:
-        print(f"error:io: {exc}", file=sys.stderr)
     except OSError as exc:
         print(f"error:io: {exc}", file=sys.stderr)
     except ValueError as exc:

@@ -42,6 +42,26 @@ class SchemaError(ValueError):
     """Profile file does not match the expected wide-format schema."""
 
 
+def json_numbers(value, name: str, shape: tuple | None = None) -> np.ndarray:
+    """The float array of a rectangular nest of finite JSON numbers.
+
+    Strings, booleans, null, ragged nests, non-finite numbers and, when
+    `shape` is given, any other shape raise SchemaError naming `name`.
+    """
+    nest = np.array(value, dtype=object)  # a ragged nest keeps lists as its items
+    if not set(map(type, nest.flat)) <= {int, float}:
+        raise SchemaError(f"{name}: expected a list of numbers or of equal-length lists of numbers")
+    try:
+        arr = nest.astype(float)
+    except OverflowError:
+        raise SchemaError(f"{name}: values must be finite") from None
+    if shape is not None and arr.shape != shape:
+        raise SchemaError(f"{name}: expected shape {shape}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(f"{name}: values must be finite")
+    return arr
+
+
 @dataclass(frozen=True)
 class LevelGrid:
     """Vertical grid: n_full full levels, n_full + 1 half levels."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .dataset import DataMatrix, ProfileSet, SchemaError, flatten, write_lines
+from .dataset import DataMatrix, ProfileSet, SchemaError, flatten, json_numbers, write_lines
 
 MLP_FORMAT_VERSION = 1
 
@@ -56,10 +56,6 @@ class Normalizer:
         std = np.maximum(x.std(axis=0), 1e-8)  # floor for constant features
         return cls(x.mean(axis=0), std)
 
-    @classmethod
-    def identity(cls, width: int) -> "Normalizer":
-        return cls(np.zeros(width), np.ones(width))
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=float) - self.mean) / self.std
 
@@ -83,6 +79,8 @@ class TrainConfig:
             raise ValueError("patience must not exceed the epoch limit")
         if min(self.learning_rate, self.huber_delta, self.adam_eps) <= 0:
             raise ValueError("learning_rate, huber_delta and adam_eps must be positive")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ValueError("beta1 and beta2 must lie in [0, 1)")
 
 
 @dataclass
@@ -105,7 +103,7 @@ def init_mlp(layout: MLPLayout, seed: int) -> MLPModel:
         w = (2.0 * gen.random((fan_in, fan_out)) - 1.0) * scale
         weights.append(w)
         biases.append(np.zeros(fan_out))
-    return MLPModel(layout, weights, biases, Normalizer.identity(layout.n_inputs))
+    return MLPModel(layout, weights, biases, Normalizer(np.zeros(widths[0]), np.ones(widths[0])))
 
 
 def elu(z: np.ndarray) -> np.ndarray:
@@ -316,18 +314,6 @@ def save_mlp(path, m: MLPModel) -> None:
     write_lines(path, [json.dumps(doc)])
 
 
-def _finite_array(value, name: str, shape: tuple) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{name}: expected a numeric array of shape {shape}") from None
-    if arr.shape != shape:
-        raise SchemaError(f"{name}: expected shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise SchemaError(f"{name}: values must be finite")
-    return arr
-
-
 def load_mlp(path) -> MLPModel:
     """Read a model artifact; a malformed one raises SchemaError naming the field."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -341,6 +327,8 @@ def load_mlp(path) -> MLPModel:
             raise SchemaError(f"model artifact is missing the {key} field")
     try:
         lay = doc["layout"]
+        if not all(type(w) is int for w in (lay["n_inputs"], *lay["hidden"], lay["n_outputs"])):
+            raise TypeError
         layout = MLPLayout(lay["n_inputs"], tuple(lay["hidden"]), lay["n_outputs"])
     except (KeyError, TypeError, ValueError):
         raise SchemaError("layout: expected n_inputs, hidden and n_outputs as positive "
@@ -350,15 +338,15 @@ def load_mlp(path) -> MLPModel:
     for key in ("weights", "biases"):
         if not isinstance(doc[key], list) or len(doc[key]) != n_layers:
             raise SchemaError(f"{key}: expected a list of {n_layers} layers")
-    weights = [_finite_array(w, f"weights[{k}]", (widths[k], widths[k + 1]))
+    weights = [json_numbers(w, f"weights[{k}]", (widths[k], widths[k + 1]))
                for k, w in enumerate(doc["weights"])]
-    biases = [_finite_array(b, f"biases[{k}]", (widths[k + 1],))
+    biases = [json_numbers(b, f"biases[{k}]", (widths[k + 1],))
               for k, b in enumerate(doc["biases"])]
     norm = doc["normalizer"]
     if not isinstance(norm, dict) or not {"mean", "std"} <= norm.keys():
         raise SchemaError("normalizer: expected mean and std")
-    mean = _finite_array(norm["mean"], "normalizer.mean", (layout.n_inputs,))
-    std = _finite_array(norm["std"], "normalizer.std", (layout.n_inputs,))
+    mean = json_numbers(norm["mean"], "normalizer.mean", (layout.n_inputs,))
+    std = json_numbers(norm["std"], "normalizer.std", (layout.n_inputs,))
     if not np.all(std > 0.0):
         raise SchemaError("normalizer.std: values must be positive")
     return MLPModel(layout, weights, biases, Normalizer(mean, std), doc["history"],

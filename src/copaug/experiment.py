@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -71,69 +72,28 @@ _DEFAULTS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The experiment's settings, each stage's built and checked once by `make_config`.
+
+    `raw` is the merged JSON document that `config_hash` digests.
+    """
+
     raw: dict
-
-    @property
-    def master_seed(self) -> int:
-        return int(self.raw["master_seed"])
-
-    @property
-    def grid(self) -> LevelGrid:
-        return LevelGrid(int(self.raw["data"]["n_levels"]))
-
-    @property
-    def data_path(self):
-        return self.raw["data"]["path"]
-
-    @property
-    def n_profiles(self) -> int:
-        return int(self.raw["data"]["n_profiles"])
-
-    def split_spec(self, seed: int) -> SplitSpec:
-        s = self.raw["split"]
-        return SplitSpec(s["train"], s["val"], s["test"], seed)
-
-    @property
-    def constants(self) -> RadiationConstants:
-        r = self.raw["radiation"]
-        return RadiationConstants(diffusivity=r["diffusivity"], gas_optical_depth=r["gas_optical_depth"])
-
-    def copula_spec(self, kind: str) -> CopulaSpec:
-        c = self.raw["copulas"]
-        catalogue = frozenset(Family(name) for name in c["catalogue"])
-        return CopulaSpec(kind=kind, catalogue=catalogue, truncation=c["truncation"])
-
-    @property
-    def kinds(self) -> list:
-        return list(self.raw["copulas"]["kinds"])
-
-    @property
-    def factors(self) -> list:
-        return [int(f) for f in self.raw["augmentation"]["factors"]]
-
-    @property
-    def generation_repeats(self) -> int:
-        return int(self.raw["augmentation"]["generation_repeats"])
-
-    @property
-    def training_repeats(self) -> int:
-        return int(self.raw["training"]["repeats"])
-
-    @property
-    def hidden(self) -> tuple:
-        return tuple(int(h) for h in self.raw["training"]["hidden"])
-
-    def train_config(self, seed: int) -> TrainConfig:
-        opts = {k: v for k, v in self.raw["training"].items() if k not in ("repeats", "hidden")}
-        return TrainConfig(**opts, seed=seed)
-
-    @property
-    def projection_iterations(self) -> int:
-        return int(self.raw["evaluation"]["projection_iterations"])
-
-    @property
-    def depth_curves(self) -> int:
-        return int(self.raw["evaluation"]["depth_curves"])
+    master_seed: int
+    data_path: str | None
+    n_profiles: int
+    grid: LevelGrid
+    split: SplitSpec
+    radiation: RadiationConstants
+    catalogue: frozenset
+    truncation: int | None
+    copulas: tuple  # one CopulaSpec per configured kind, in order
+    factors: tuple
+    generation_repeats: int
+    training_repeats: int
+    hidden: tuple
+    training: TrainConfig  # seed 0; train_emulator sets each run's shuffle seed
+    projection_iterations: int
+    depth_curves: int
 
     def config_hash(self) -> str:
         return hashlib.sha256(json.dumps(self.raw, sort_keys=True).encode("utf-8")).hexdigest()
@@ -153,6 +113,8 @@ def _check_type(key: str, default, val) -> None:
         raise ValueError(f"config: {key}: expected a list of {name.split()[1]}s")
     if not listed and not (type(val) in types or (val is None and key in _NULLABLE)):
         raise ValueError(f"config: {key}: expected {name}{' or null' * (key in _NULLABLE)}")
+    if type(val) is float and not math.isfinite(val):
+        raise ValueError(f"config: {key}: expected a finite number")
 
 
 def _merged(defaults: dict, overrides, path: str = "") -> dict:
@@ -168,17 +130,51 @@ def _merged(defaults: dict, overrides, path: str = "") -> dict:
             out[key] = overrides[key]
     unknown = set(overrides) - set(defaults)
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(path + k for k in unknown)}")
+        raise ValueError(f"config: unknown keys: {sorted(path + k for k in unknown)}")
     return out
 
 
+def _build(section: str, make, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError re-raised as `config: <section>: ...`."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"config: {section}: {exc}") from None
+
+
 def make_config(overrides: dict | None = None) -> ExperimentConfig:
-    return ExperimentConfig(_merged(_DEFAULTS, {} if overrides is None else overrides))
+    """Merge `overrides` into the defaults and build every stage's settings.
 
-
-def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return make_config(json.load(fh))
+    A value of the wrong JSON type, or one the stage's own type rejects,
+    raises ValueError `config: <key or section>: ...`.  The truncation
+    level and the augmentation factors are checked by the cases that use
+    them.
+    """
+    raw = _merged(_DEFAULTS, {} if overrides is None else overrides)
+    data, cop, aug, tr, ev = (raw[k] for k in ("data", "copulas", "augmentation", "training", "evaluation"))
+    seed = raw["master_seed"]
+    catalogue = _build("copulas", frozenset, map(Family, cop["catalogue"]))
+    return ExperimentConfig(
+        raw=raw,
+        master_seed=seed,
+        data_path=data["path"],
+        n_profiles=data["n_profiles"],
+        grid=_build("data", LevelGrid, data["n_levels"]),
+        split=_build("split", SplitSpec, **raw["split"], seed=rng.derive_seed(seed, "split")),
+        radiation=_build("radiation", RadiationConstants, **raw["radiation"]),
+        catalogue=catalogue,
+        truncation=cop["truncation"],
+        copulas=tuple(_build("copulas", CopulaSpec, kind, catalogue, cop["truncation"])
+                      for kind in cop["kinds"]),
+        factors=tuple(aug["factors"]),
+        generation_repeats=aug["generation_repeats"],
+        training_repeats=tr["repeats"],
+        hidden=tuple(tr["hidden"]),
+        training=_build("training", TrainConfig,
+                        **{k: v for k, v in tr.items() if k not in ("repeats", "hidden")}),
+        projection_iterations=ev["projection_iterations"],
+        depth_curves=ev["depth_curves"],
+    )
 
 
 def default_config_dict() -> dict:
@@ -197,11 +193,6 @@ def resolve_dataset(cfg: ExperimentConfig) -> ProfileSet:
     return generate_surrogate(cfg.n_profiles, cfg.grid, seed)
 
 
-def split_dataset(cfg: ExperimentConfig, data: ProfileSet):
-    seed = rng.derive_seed(cfg.master_seed, "split")
-    return split_shuffle(data, cfg.split_spec(seed))
-
-
 def train_emulator(cfg: ExperimentConfig, x_tr, y_tr, x_val, y_val, *labels) -> MLPModel:
     """Seed, initialise and train one emulator with the configured recipe.
 
@@ -210,7 +201,7 @@ def train_emulator(cfg: ExperimentConfig, x_tr, y_tr, x_val, y_val, *labels) -> 
     layout = MLPLayout(x_tr.shape[1], cfg.hidden, y_tr.shape[1])
     model = init_mlp(layout, rng.derive_seed(cfg.master_seed, *labels, "init"))
     shuffle_seed = rng.derive_seed(cfg.master_seed, *labels, "shuffle")
-    return train(model, x_tr, y_tr, x_val, y_val, cfg.train_config(shuffle_seed))
+    return train(model, x_tr, y_tr, x_val, y_val, replace(cfg.training, seed=shuffle_seed))
 
 
 @dataclass
@@ -254,11 +245,10 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
     result = PipelineResult()
 
     data = resolve_dataset(cfg)
-    train_set, val_set, test_set = split_dataset(cfg, data)
-    consts = cfg.constants
-    train_rad = radiate_set(train_set, consts)
-    val_rad = radiate_set(val_set, consts)
-    test_rad = radiate_set(test_set, consts)
+    train_set, val_set, test_set = split_shuffle(data, cfg.split)
+    train_rad = radiate_set(train_set, cfg.radiation)
+    val_rad = radiate_set(val_set, cfg.radiation)
+    test_rad = radiate_set(test_set, cfg.radiation)
 
     x_tr = flatten(train_rad, "inputs").values
     y_tr = flatten(train_rad, "outputs").values
@@ -274,7 +264,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
             if factor:
                 gen_seed = rng.derive_seed(cfg.master_seed, case, f"gen{gen}")
                 synth, _ = sample_synth_model(synth_model, factor * len(x_tr), gen_seed)
-                synth_rad = radiate_set(synth, consts)
+                synth_rad = radiate_set(synth, cfg.radiation)
                 x_syn = flatten(synth_rad, "inputs").values
                 x = np.vstack([x_tr, x_syn])
                 y = np.vstack([y_tr, flatten(synth_rad, "outputs").values])
@@ -298,13 +288,13 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
                     _depth_report_file(cfg, out_dir, case, y_test, pred, result)
 
     run_case("baseline")
-    for kind in cfg.kinds:
+    for spec in cfg.copulas:
         try:
-            fit = fit_synth_model(train_rad, cfg.copula_spec(kind))
+            fit = fit_synth_model(train_rad, spec)
         except ValueError as exc:
             fit = exc  # fails each of the kind's cases below
         for factor in cfg.factors:
-            case = f"{kind}-{factor}x"
+            case = f"{spec.kind}-{factor}x"
             try:
                 if factor < 1:
                     raise ValueError("augmentation factor must be >= 1")

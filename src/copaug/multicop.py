@@ -37,7 +37,7 @@ from .bicop import (
     kendall_tau,
     swap_arguments,
 )
-from .dataset import LevelGrid, ProfileSet, SchemaError, flatten, write_lines
+from .dataset import LevelGrid, ProfileSet, SchemaError, flatten, json_numbers, write_lines
 from .marginals import pseudo_observations, quantile
 
 MODEL_FORMAT_VERSION = 2
@@ -505,18 +505,20 @@ def _require(doc: dict, *keys) -> None:
             raise SchemaError(f"model artifact is missing the {key} field")
 
 
-def _marginal_table(rows, d: int) -> np.ndarray:
-    """The (d, n) table of sorted samples, n >= 2, finite; else SchemaError."""
-    try:
-        table = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError):
-        raise SchemaError(f"marginals: expected {d} rows of numbers of one length") from None
+def _marginal_table(rows, columns: tuple) -> np.ndarray:
+    """The (d, n) table of sorted samples, n >= 2, finite and within the
+    profile invariants (T and p positive, tau_c nonnegative); else SchemaError."""
+    d = len(columns)
+    table = json_numbers(rows, "marginals")
     if table.ndim != 2 or table.shape[0] != d or table.shape[1] < 2:
         raise SchemaError(f"marginals: expected shape ({d}, n) with n >= 2, got {table.shape}")
-    if not np.all(np.isfinite(table)):
-        raise SchemaError("marginals: values must be finite")
     if np.any(np.diff(table, axis=1) < 0):
         raise SchemaError("marginals: every row must be sorted ascending")
+    k = d // 3
+    bad = np.flatnonzero(np.concatenate([table[:2 * k, 0] <= 0, table[2 * k:, 0] < 0]))
+    if bad.size:
+        raise SchemaError(f"marginals: row {bad[0]} ({columns[bad[0]]}): T and p must be positive, "
+                          "tauc nonnegative")
     return table
 
 
@@ -536,10 +538,10 @@ def model_from_dict(doc: dict) -> SynthModel:
     if k < 1 or columns != LevelGrid(k).input_labels():
         raise SchemaError("columns: expected T_1..T_k, p_1..p_k, tauc_1..tauc_k for some k >= 1")
     columns = tuple(columns)
-    margs = _marginal_table(doc["marginals"], len(columns))
+    margs = _marginal_table(doc["marginals"], columns)
     active = doc["active"]
-    if not (isinstance(active, list) and len(set(active)) == len(active)
-            and all(type(a) is int and 0 <= a < len(columns) for a in active)):
+    if not (isinstance(active, list) and all(type(a) is int and 0 <= a < len(columns) for a in active)
+            and len(set(active)) == len(active)):
         raise SchemaError(f"active: expected distinct column indices in 0..{len(columns) - 1}")
     active = tuple(active)
     if len(active) < 2:
@@ -547,15 +549,12 @@ def model_from_dict(doc: dict) -> SynthModel:
     da = len(active)
     _require(doc, "correlation" if kind == "gaussian" else "vine")
     if kind == "gaussian":
-        try:
-            R = np.asarray(doc["correlation"], dtype=float)
-        except (TypeError, ValueError):
-            raise SchemaError("correlation: expected a list of numbers") from None
+        R = json_numbers(doc["correlation"], "correlation")
         if R.size != da * da:
             raise SchemaError(f"correlation: {R.size} entries do not fit {da} active columns")
         R = R.reshape(da, da)
-        if not (np.all(np.isfinite(R)) and np.array_equal(R, R.T) and np.all(np.diag(R) == 1.0)):
-            raise SchemaError("correlation: expected a finite, exactly symmetric matrix with unit diagonal")
+        if not (np.array_equal(R, R.T) and np.all(np.diag(R) == 1.0)):
+            raise SchemaError("correlation: expected an exactly symmetric matrix with unit diagonal")
         try:
             L = np.linalg.cholesky(R)
         except np.linalg.LinAlgError:

@@ -83,6 +83,14 @@ class TestParameterValidation:
         with pytest.raises(ValueError):
             PairCopula(Family.STUDENT_T, 0, 0.5)
 
+    @pytest.mark.parametrize("family, theta, nu", [
+        (Family.JOE, np.nan, None), (Family.CLAYTON, np.inf, None), (Family.FRANK, -np.inf, None),
+        (Family.GUMBEL, np.nan, None), (Family.STUDENT_T, 0.5, np.nan), (Family.STUDENT_T, 0.5, np.inf),
+    ])
+    def test_non_finite_parameters_rejected(self, family, theta, nu):
+        with pytest.raises(ValueError, match="theta and nu must be finite"):
+            PairCopula(family, 0, theta, nu)
+
 
 class TestDensity:
     def test_independence_is_one(self):

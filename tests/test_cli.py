@@ -105,6 +105,17 @@ class TestFit:
         main(["fit", "--config", str(tiny_config), "--kind", "gaussian", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_seed_override_reseeds_the_split(self, tiny_config, tmp_path):
+        # With the profiles read from a file, the seed moves only the split.
+        data = tmp_path / "data.csv"
+        main(["gen-data", "--config", str(tiny_config), "--out", str(data)])
+        cfg = tmp_path / "from_file.json"
+        cfg.write_text(json.dumps(dict(TINY, data={"path": str(data), "n_levels": 6})))
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        main(["fit", "--config", str(cfg), "--kind", "gaussian", "--out", str(a)])
+        main(["fit", "--config", str(cfg), "--seed", "99", "--kind", "gaussian", "--out", str(b)])
+        assert json.loads(a.read_text())["marginals"] != json.loads(b.read_text())["marginals"]
+
 
 class TestSampleRadiateTrainEval:
     def test_full_command_chain(self, tiny_config, tmp_path, capsys):
@@ -282,13 +293,12 @@ class TestPipeline:
         assert main(["pipeline", "--config", str(tiny_config), "--out", str(tmp_path / "o")]) == 0
         assert "result rows" in capsys.readouterr().out
 
-    def test_failing_case_skipped_others_continue(self, tmp_path, capsys):
-        cfg = dict(TINY)
-        cfg["copulas"] = {"kinds": ["bogus", "gaussian"]}
-        result = run_pipeline(make_config(cfg), tmp_path / "run")
-        assert [f[0] for f in result.failures] == ["bogus-1x"]
-        assert {r[0] for r in result.rows} == {"baseline", "gaussian-1x"}
-        assert "bogus-1x failed" in capsys.readouterr().err
+    def test_failing_case_skipped_others_continue(self):
+        # An unknown kind fails at load; the two tests below pin per-case
+        # failures (truncation 0 and factors below 1).
+        cfg = dict(TINY, copulas={"kinds": ["bogus", "gaussian"]})
+        with pytest.raises(ValueError, match="^config: copulas: kind must be 'gaussian' or 'vine', got 'bogus'"):
+            make_config(cfg)
 
     def test_failing_fit_fails_each_factor(self, tmp_path, capsys):
         cfg = dict(TINY, copulas={"kinds": ["vine", "gaussian"], "truncation": 0},
@@ -402,6 +412,17 @@ def test_unknown_config_key_rejected(tmp_path):
      "copulas.truncation: expected an integer or null"),
     ({"data": {"path": 3}}, "data.path: expected a string or null"),
     ({"split": {"train": "0.4"}}, "split.train: expected a number"),
+    ({"training": {"epoch": 5}}, "unknown keys: ['training.epoch']"),
+    ({"radiation": {"diffusivity": float("nan")}}, "radiation.diffusivity: expected a finite number"),
+    ({"split": {"val": -0.2}}, "split: val fraction must be positive"),
+    ({"training": {"epochs": 10, "patience": 11}}, "training: patience must not exceed the epoch limit"),
+    ({"training": {"learning_rate": 0}}, "training: learning_rate, huber_delta and adam_eps must be positive"),
+    ({"training": {"adam_eps": -1e-8}}, "training: learning_rate, huber_delta and adam_eps must be positive"),
+    ({"training": {"beta1": -0.9}}, "training: beta1 and beta2 must lie in [0, 1)"),
+    ({"radiation": {"diffusivity": 0}}, "radiation: radiation constants must be positive (tau_g >= 0)"),
+    ({"data": {"n_levels": 0}}, "data: n_full must be >= 1, got 0"),
+    ({"copulas": {"catalogue": ["gaussian", "normal"]}}, "copulas: 'normal' is not a valid Family"),
+    ({"copulas": {"kinds": ["gaussian", "bogus"]}}, "copulas: kind must be 'gaussian' or 'vine', got 'bogus'"),
 ])
 def test_malformed_config_fails_at_load(tmp_path, capsys, config, message):
     path = tmp_path / "bad.json"
@@ -416,7 +437,7 @@ def test_config_accepts_json_types():
     cfg = make_config({"data": {"path": None}, "copulas": {"truncation": None, "kinds": []},
                        "training": {"learning_rate": 1, "hidden": [4, 3]}})
     assert cfg.raw["training"]["learning_rate"] == 1 and cfg.hidden == (4, 3)
-    assert make_config({"copulas": {"truncation": 3}}).copula_spec("vine").truncation == 3
+    assert [spec.truncation for spec in make_config({"copulas": {"truncation": 3}}).copulas] == [3, 3]
 
 
 @pytest.mark.parametrize("kind", ["mlp", "copula"])

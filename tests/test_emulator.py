@@ -49,12 +49,12 @@ class TestForward:
     def test_zero_network(self):
         lay = MLPLayout(3, (4,), 2)
         m = MLPModel(lay, [np.zeros((3, 4)), np.zeros((4, 2))],
-                     [np.zeros(4), np.zeros(2)], Normalizer.identity(3))
+                     [np.zeros(4), np.zeros(2)], Normalizer(np.zeros(3), np.ones(3)))
         np.testing.assert_array_equal(forward(m, np.ones(3)), np.zeros(2))
 
     def test_affine_single_layer(self):
         m = MLPModel(MLPLayout(1, (), 1), [np.array([[2.0]])], [np.array([1.0])],
-                     Normalizer.identity(1))
+                     Normalizer(np.zeros(1), np.ones(1)))
         assert forward(m, np.array([3.0])) == 7.0
 
     def test_elu_branch_values(self):
@@ -328,6 +328,13 @@ class TestMlpArtifact:
                      r"weights\[0\]: values must be finite", id="weight-nan"),
         pytest.param(lambda d: d["biases"][1].__setitem__(0, float("inf")),
                      r"biases\[1\]: values must be finite", id="bias-inf"),
+        pytest.param(lambda d: d["weights"][0][1].__setitem__(2, "0.25"),
+                     r"weights\[0\]: expected a list of numbers", id="weight-string"),
+        pytest.param(lambda d: d["biases"][0].__setitem__(0, None),
+                     r"biases\[0\]: expected a list of numbers", id="bias-null"),
+        pytest.param(lambda d: d["normalizer"]["std"].__setitem__(1, True),
+                     r"normalizer.std: expected a list of numbers", id="std-bool"),
+        pytest.param(lambda d: d["layout"].__setitem__("hidden", ["3"]), "layout", id="hidden-string"),
         pytest.param(lambda d: d.__setitem__("version", 2), "version 2", id="version"),
     ])
     def test_malformed_artifact_names_field(self, tmp_path, edit, field):

@@ -515,6 +515,20 @@ class TestModelArtifact:
         "copulas-not-list": ("vine", lambda doc: doc["vine"].update(copulas=3), r"^vine\.copulas: expected a list"),
         "copula-bad-family": ("vine", lambda doc: doc["vine"]["copulas"][0][0].update(family="normal"),
                               r"^vine\.copulas\[0\]\[0\]: 'normal' is not a valid Family"),
+        "marginals-numeric-string": ("gaussian", lambda doc: doc["marginals"][0].__setitem__(0, "193.4"),
+                                     "^marginals: expected a list of numbers"),
+        "marginals-bool": ("vine", lambda doc: TestModelArtifact.active_row(doc).__setitem__(-1, True),
+                           "^marginals: expected a list of numbers"),
+        "correlation-numeric-string": ("gaussian", lambda doc: doc["correlation"].__setitem__(0, "1.0"),
+                                       "^correlation: expected a list of numbers"),
+        "active-list-entry": ("vine", lambda doc: doc["active"].__setitem__(0, [0]), "^active: expected distinct"),
+        "active-object-entry": ("gaussian", lambda doc: doc["active"].__setitem__(1, {}), "^active: expected distinct"),
+        "negative-temperature": ("gaussian", lambda doc: doc["marginals"][0].__setitem__(0, -5.0),
+                                 r"^marginals: row 0 \(T_1\): T and p must be positive"),
+        "zero-pressure": ("vine", lambda doc: doc["marginals"][5].__setitem__(0, 0.0),
+                          r"^marginals: row 5 \(p_1\): T and p must be positive"),
+        "negative-tauc": ("gaussian", lambda doc: doc["marginals"][10].__setitem__(0, -1e-3),
+                          r"^marginals: row 10 \(tauc_1\): T and p must be positive, tauc nonnegative"),
     }
 
     @pytest.mark.parametrize("fault", MALFORMED)
