@@ -57,7 +57,7 @@ def cmd_fit(args) -> int:
     train_set, _, _ = split_shuffle(data, cfg.split)
     model = fit_synth_model(train_set, CopulaSpec(args.kind, cfg.catalogue, cfg.truncation))
     save_model(args.out, model)
-    if model.kind == "vine" and model.vine is not None:
+    if model.kind == "vine":
         vine = model.vine
         # Trees past the truncation level hold independence copulas only.
         families = Counter(cop.family.value for row in vine.copulas for cop, _ in row)

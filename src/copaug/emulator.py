@@ -147,15 +147,12 @@ def _forward_cached(m: MLPModel, x_norm: np.ndarray):
 
 
 def forward(m: MLPModel, x) -> np.ndarray:
-    """Normalized forward pass; accepts a single row or a batch."""
+    """Normalized forward pass of an (n, n_inputs) batch."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] != m.layout.n_inputs:
-        raise ValueError(f"expected {m.layout.n_inputs} input features, got {x.shape[1]}")
+    if x.ndim != 2 or x.shape[1] != m.layout.n_inputs:
+        raise ValueError(f"expected an (n, {m.layout.n_inputs}) matrix of input features, got {x.shape}")
     _, act = _forward_cached(m, m.normalizer.apply(x))
-    return act[-1][0] if single else act[-1]
+    return act[-1]
 
 
 def huber_loss(pred, target, delta: float = 1.0) -> float:

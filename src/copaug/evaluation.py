@@ -28,9 +28,6 @@ class ProjectionReport:
     iterations: int
     seed: int
 
-    def pairs(self, name: str):
-        return self.stats[name]
-
 
 @dataclass(frozen=True)
 class DepthRanking:
@@ -50,7 +47,6 @@ class ErrorMetrics:
     mb: float
     mae: float
     level_quantiles: np.ndarray  # (n_levels, 3): q10, q50, q90 of the error
-    quantile_probs: tuple = (0.1, 0.5, 0.9)
 
 
 def _summaries(p: np.ndarray) -> dict:
@@ -146,8 +142,7 @@ def error_metrics(y_true, y_pred) -> ErrorMetrics:
     if yt.shape != yp.shape:
         raise ValueError(f"shape mismatch {yt.shape} vs {yp.shape}")
     d = yt - yp
-    d2 = d if d.ndim == 2 else d[:, None]
-    lq = np.column_stack([np.quantile(d2, p, axis=0) for p in (0.1, 0.5, 0.9)])
+    lq = np.column_stack([np.quantile(d, p, axis=0) for p in (0.1, 0.5, 0.9)])
     return ErrorMetrics(mb=float(d.mean()), mae=float(np.abs(d).mean()), level_quantiles=lq)
 
 

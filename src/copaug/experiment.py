@@ -90,7 +90,7 @@ class ExperimentConfig:
     factors: tuple
     generation_repeats: int
     training_repeats: int
-    hidden: tuple
+    layout: MLPLayout  # 3 * n_levels inputs, the configured hidden widths, n_levels + 1 outputs
     training: TrainConfig  # seed 0; train_emulator sets each run's shuffle seed
     projection_iterations: int
     depth_curves: int
@@ -142,24 +142,32 @@ def _build(section: str, make, *args, **kwargs):
         raise ValueError(f"config: {section}: {exc}") from None
 
 
+def _count(section: str, key: str, value: int, low: int) -> int:
+    """`value`, or ValueError `config: <section>: <key> must be >= <low>` below `low`."""
+    if value < low:
+        raise ValueError(f"config: {section}: {key} must be >= {low}, got {value}")
+    return value
+
+
 def make_config(overrides: dict | None = None) -> ExperimentConfig:
     """Merge `overrides` into the defaults and build every stage's settings.
 
-    A value of the wrong JSON type, or one the stage's own type rejects,
-    raises ValueError `config: <key or section>: ...`.  The truncation
-    level and the augmentation factors are checked by the cases that use
-    them.
+    A value of the wrong JSON type, one the stage's own type rejects, or
+    a count below its minimum raises ValueError `config: <key or
+    section>: ...`.  The truncation level and the augmentation factors
+    are checked by the cases that use them.
     """
     raw = _merged(_DEFAULTS, {} if overrides is None else overrides)
     data, cop, aug, tr, ev = (raw[k] for k in ("data", "copulas", "augmentation", "training", "evaluation"))
     seed = raw["master_seed"]
+    grid = _build("data", LevelGrid, data["n_levels"])
     catalogue = _build("copulas", frozenset, map(Family, cop["catalogue"]))
     return ExperimentConfig(
         raw=raw,
         master_seed=seed,
         data_path=data["path"],
-        n_profiles=data["n_profiles"],
-        grid=_build("data", LevelGrid, data["n_levels"]),
+        n_profiles=_count("data", "n_profiles", data["n_profiles"], 1),
+        grid=grid,
         split=_build("split", SplitSpec, **raw["split"], seed=rng.derive_seed(seed, "split")),
         radiation=_build("radiation", RadiationConstants, **raw["radiation"]),
         catalogue=catalogue,
@@ -167,13 +175,13 @@ def make_config(overrides: dict | None = None) -> ExperimentConfig:
         copulas=tuple(_build("copulas", CopulaSpec, kind, catalogue, cop["truncation"])
                       for kind in cop["kinds"]),
         factors=tuple(aug["factors"]),
-        generation_repeats=aug["generation_repeats"],
-        training_repeats=tr["repeats"],
-        hidden=tuple(tr["hidden"]),
+        generation_repeats=_count("augmentation", "generation_repeats", aug["generation_repeats"], 1),
+        training_repeats=_count("training", "repeats", tr["repeats"], 1),
+        layout=_build("training", MLPLayout, 3 * grid.n_full, tr["hidden"], grid.n_half),
         training=_build("training", TrainConfig,
                         **{k: v for k, v in tr.items() if k not in ("repeats", "hidden")}),
-        projection_iterations=ev["projection_iterations"],
-        depth_curves=ev["depth_curves"],
+        projection_iterations=_count("evaluation", "projection_iterations", ev["projection_iterations"], 1),
+        depth_curves=_count("evaluation", "depth_curves", ev["depth_curves"], 0),
     )
 
 
@@ -198,8 +206,7 @@ def train_emulator(cfg: ExperimentConfig, x_tr, y_tr, x_val, y_val, *labels) -> 
 
     The init and shuffle seeds derive from the master seed and `labels`.
     """
-    layout = MLPLayout(x_tr.shape[1], cfg.hidden, y_tr.shape[1])
-    model = init_mlp(layout, rng.derive_seed(cfg.master_seed, *labels, "init"))
+    model = init_mlp(cfg.layout, rng.derive_seed(cfg.master_seed, *labels, "init"))
     shuffle_seed = rng.derive_seed(cfg.master_seed, *labels, "shuffle")
     return train(model, x_tr, y_tr, x_val, y_val, replace(cfg.training, seed=shuffle_seed))
 

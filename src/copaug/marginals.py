@@ -16,22 +16,16 @@ from scipy.stats import rankdata
 def pseudo_observations(values: np.ndarray) -> np.ndarray:
     """Columnwise rank/(n+1) pseudo-observations, average rank on ties.
 
-    Accepts a 2-d array and returns an array of the same shape with
-    entries strictly inside (0, 1).
+    Accepts a 1-d or 2-d array and returns an array of the same shape
+    with entries strictly inside (0, 1).
     """
     vals = np.asarray(values, dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-        squeeze = True
-    else:
-        squeeze = False
     if not np.all(np.isfinite(vals)):
         raise ValueError("matrix contains non-finite values")
     n = vals.shape[0]
     if n < 2:
         raise ValueError("pseudo-observations need at least 2 rows")
-    u = rankdata(vals, method="average", axis=0) / (n + 1.0)
-    return u[:, 0] if squeeze else u
+    return rankdata(vals, method="average", axis=0) / (n + 1.0)
 
 
 def quantile(table: np.ndarray, U) -> np.ndarray:

@@ -150,8 +150,10 @@ class SynthModel:
     """Serializable generative model: per-column marginals plus a copula.
 
     Constant training columns carry no dependence information and break
-    rank correlations, so the copula covers only the `active` columns;
-    degenerate columns are reproduced by their (constant) quantile map.
+    rank correlations, so the copula covers only the `active` columns,
+    the non-constant rows of the marginal table (at least 2); constant
+    columns are reproduced by their quantile map.  Exactly one of
+    `gaussian` and `vine` is set, as `kind` says.
     """
 
     kind: str
@@ -407,15 +409,20 @@ def simulate_vine(m: VineModel, n: int, seed: int) -> np.ndarray:
 # Synthesis: marginals + copula -> new profiles.
 # ---------------------------------------------------------------------------
 
+def _copula_columns(table: np.ndarray) -> tuple:
+    """The columns a copula covers: the non-constant rows of the sorted marginal table."""
+    return tuple(np.flatnonzero(table[:, -1] > table[:, 0]).tolist())
+
+
 def fit_synth_model(train: ProfileSet, spec: CopulaSpec) -> SynthModel:
     """Fit marginals and the chosen copula on the flattened training inputs."""
     if len(train) < 2:
         raise ValueError(f"an empirical marginal needs at least 2 values, got {len(train)}")
     X = flatten(train, "inputs")
     margs = np.sort(X.values.T, axis=1)
-    active = tuple(np.flatnonzero(margs[:, -1] > margs[:, 0]).tolist())
+    active = _copula_columns(margs)
     if len(active) < 2:
-        return SynthModel(spec.kind, X.columns, margs, active)
+        raise ValueError(f"a copula needs at least 2 non-constant columns, got {len(active)}")
     U = pseudo_observations(X.values[:, active])
     if spec.kind == "gaussian":
         return SynthModel("gaussian", X.columns, margs, active, gaussian=fit_gaussian(U))
@@ -430,9 +437,7 @@ def sample_synth_model(model: SynthModel, n: int, seed: int):
     ascending (marginals are preserved exactly) and counted.
     """
     grid = LevelGrid(model.d // 3)
-    if len(model.active) < 2:
-        U_act = rng.uniforms(seed, (n, len(model.active)))
-    elif model.kind == "gaussian":
+    if model.kind == "gaussian":
         U_act = simulate_gaussian(model.gaussian, n, seed)
     else:
         U_act = simulate_vine(model.vine, n, seed)
@@ -488,9 +493,7 @@ def model_to_dict(model: SynthModel) -> dict:
         "marginals": model.marginals.tolist(),
         "active": list(model.active),
     }
-    if len(model.active) < 2:
-        pass
-    elif model.kind == "gaussian":
+    if model.kind == "gaussian":
         doc["correlation"] = model.gaussian.R.ravel().tolist()  # row-major
     else:
         doc["vine"] = {"matrix": [list(row) for row in model.vine.matrix],
@@ -539,13 +542,10 @@ def model_from_dict(doc: dict) -> SynthModel:
         raise SchemaError("columns: expected T_1..T_k, p_1..p_k, tauc_1..tauc_k for some k >= 1")
     columns = tuple(columns)
     margs = _marginal_table(doc["marginals"], columns)
-    active = doc["active"]
-    if not (isinstance(active, list) and all(type(a) is int and 0 <= a < len(columns) for a in active)
-            and len(set(active)) == len(active)):
-        raise SchemaError(f"active: expected distinct column indices in 0..{len(columns) - 1}")
-    active = tuple(active)
-    if len(active) < 2:
-        return SynthModel(kind, columns, margs, active)
+    active = _copula_columns(margs)
+    if len(active) < 2 or doc["active"] != list(active):
+        raise SchemaError("active: expected distinct column indices equal to the marginal table's "
+                          f"{len(active)} non-constant rows, at least 2 of them")
     da = len(active)
     _require(doc, "correlation" if kind == "gaussian" else "vine")
     if kind == "gaussian":

@@ -423,10 +423,23 @@ def test_unknown_config_key_rejected(tmp_path):
     ({"data": {"n_levels": 0}}, "data: n_full must be >= 1, got 0"),
     ({"copulas": {"catalogue": ["gaussian", "normal"]}}, "copulas: 'normal' is not a valid Family"),
     ({"copulas": {"kinds": ["gaussian", "bogus"]}}, "copulas: kind must be 'gaussian' or 'vine', got 'bogus'"),
+    ({"training": {"hidden": [0]}}, "training: all layer widths must be >= 1, got (18, 0, 7)"),
+    ({"data": {"n_profiles": 0}}, "data: n_profiles must be >= 1, got 0"),
+    ({"evaluation": {"projection_iterations": 0}}, "evaluation: projection_iterations must be >= 1, got 0"),
+    ({"evaluation": {"depth_curves": -1}}, "evaluation: depth_curves must be >= 0, got -1"),
+    ({"training": {"repeats": 0}}, "training: repeats must be >= 1, got 0"),
+    ({"augmentation": {"generation_repeats": 0}}, "augmentation: generation_repeats must be >= 1, got 0"),
 ])
 def test_malformed_config_fails_at_load(tmp_path, capsys, config, message):
+    def merged(base, fault):
+        if not (isinstance(base, dict) and isinstance(fault, dict)):
+            return fault
+        return {**base, **{key: merged(base.get(key), value) for key, value in fault.items()}}
+
+    # Faults go into the desk-size TINY config, so one that loads by mistake
+    # runs a small pipeline instead of the full default experiment.
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(merged(TINY, config)))
     out = tmp_path / "out"
     assert main(["pipeline", "--config", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error:invalid: config: {message}\n"
@@ -436,7 +449,7 @@ def test_malformed_config_fails_at_load(tmp_path, capsys, config, message):
 def test_config_accepts_json_types():
     cfg = make_config({"data": {"path": None}, "copulas": {"truncation": None, "kinds": []},
                        "training": {"learning_rate": 1, "hidden": [4, 3]}})
-    assert cfg.raw["training"]["learning_rate"] == 1 and cfg.hidden == (4, 3)
+    assert cfg.raw["training"]["learning_rate"] == 1 and cfg.layout.hidden == (4, 3)
     assert [spec.truncation for spec in make_config({"copulas": {"truncation": 3}}).copulas] == [3, 3]
 
 

@@ -50,12 +50,12 @@ class TestForward:
         lay = MLPLayout(3, (4,), 2)
         m = MLPModel(lay, [np.zeros((3, 4)), np.zeros((4, 2))],
                      [np.zeros(4), np.zeros(2)], Normalizer(np.zeros(3), np.ones(3)))
-        np.testing.assert_array_equal(forward(m, np.ones(3)), np.zeros(2))
+        np.testing.assert_array_equal(forward(m, np.ones((1, 3))), np.zeros((1, 2)))
 
     def test_affine_single_layer(self):
         m = MLPModel(MLPLayout(1, (), 1), [np.array([[2.0]])], [np.array([1.0])],
                      Normalizer(np.zeros(1), np.ones(1)))
-        assert forward(m, np.array([3.0])) == 7.0
+        assert forward(m, np.array([[3.0]])) == 7.0
 
     def test_elu_branch_values(self):
         np.testing.assert_allclose(elu(np.array([-1.0])), np.expm1(-1.0))
@@ -65,6 +65,11 @@ class TestForward:
         m = init_mlp(MLPLayout(4, (3,), 2), 0)
         with pytest.raises(ValueError, match="features"):
             forward(m, np.ones(5))
+
+    def test_row_vector_rejected(self):
+        m = init_mlp(MLPLayout(4, (3,), 2), 0)
+        with pytest.raises(ValueError, match=r"expected an \(n, 4\) matrix"):
+            forward(m, np.ones(4))
 
 
 class TestHuber:

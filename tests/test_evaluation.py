@@ -19,7 +19,7 @@ class TestProjectionReport:
         x = np.random.default_rng(0).normal(size=(40, 6))
         rep = random_projection_report(x, x, iters=20, seed=3)
         for name in PROJECTION_STATISTICS:
-            s_real, s_synth = rep.pairs(name)
+            s_real, s_synth = rep.stats[name]
             np.testing.assert_array_equal(s_real, s_synth)
 
     def test_row_permutation_invariance(self):
@@ -27,7 +27,7 @@ class TestProjectionReport:
         x = gen.normal(size=(30, 4))
         rep = random_projection_report(x, x[gen.permutation(30)], iters=10, seed=5)
         for name in PROJECTION_STATISTICS:
-            s_real, s_synth = rep.pairs(name)
+            s_real, s_synth = rep.stats[name]
             np.testing.assert_allclose(s_real, s_synth, rtol=1e-12)
 
     def test_column_mismatch(self):
@@ -40,7 +40,7 @@ class TestProjectionReport:
         a = random_projection_report(x, y, iters=7, seed=11)
         b = random_projection_report(x, y, iters=7, seed=11)
         for name in PROJECTION_STATISTICS:
-            np.testing.assert_array_equal(a.pairs(name)[1], b.pairs(name)[1])
+            np.testing.assert_array_equal(a.stats[name][1], b.stats[name][1])
 
     def test_report_file(self, tmp_path):
         x = np.random.default_rng(4).normal(size=(10, 3))

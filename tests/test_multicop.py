@@ -390,6 +390,14 @@ class TestSynthesize:
         assert diag.pressure_resorted > 0
         assert all(np.all(np.diff(p.p) > 0) for p in synth.profiles)
 
+    @pytest.mark.parametrize("kind", ["gaussian", "vine"])
+    def test_one_varying_column_rejected(self, kind):
+        n = 30
+        T = np.column_stack([np.linspace(200.0, 260.0, n), np.full(n, 280.0)])
+        train = ProfileSet(LevelGrid(2), T, np.tile([5e4, 1e5], (n, 1)), np.zeros((n, 2)))
+        with pytest.raises(ValueError, match="^a copula needs at least 2 non-constant columns, got 1$"):
+            fit_synth_model(train, CopulaSpec(kind=kind))
+
     def test_vine_kind_works(self):
         train = generate_surrogate(120, LevelGrid(5), 11)
         synth = synthesize(train, CopulaSpec(kind="vine", truncation=2), 1, 13)
@@ -523,6 +531,9 @@ class TestModelArtifact:
                                        "^correlation: expected a list of numbers"),
         "active-list-entry": ("vine", lambda doc: doc["active"].__setitem__(0, [0]), "^active: expected distinct"),
         "active-object-entry": ("gaussian", lambda doc: doc["active"].__setitem__(1, {}), "^active: expected distinct"),
+        # A constant column in the copula would sample at one value in every profile.
+        "active-names-constant-column": ("gaussian", lambda doc: doc["active"].__setitem__(
+            0, min(set(range(len(doc["columns"]))) - set(doc["active"]))), "^active: expected distinct"),
         "negative-temperature": ("gaussian", lambda doc: doc["marginals"][0].__setitem__(0, -5.0),
                                  r"^marginals: row 0 \(T_1\): T and p must be positive"),
         "zero-pressure": ("vine", lambda doc: doc["marginals"][5].__setitem__(0, 0.0),
