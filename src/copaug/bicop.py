@@ -237,12 +237,12 @@ def _h1_base(family: Family, u, v, theta: float, nu: float | None):
     raise ValueError(f"unknown family {family}")
 
 
-def _bisect_conditioned(func, w, n_iter: int = 64) -> np.ndarray:
-    """Solve func(t) = w for t in (0,1), func monotone increasing in t."""
+def _bisect_conditioned(func, w) -> np.ndarray:
+    """Solve func(t) = w for t in (0,1), func monotone increasing in t, in 64 halvings."""
     w = np.asarray(w, dtype=float)
     lo = np.full(w.shape, EPS)
     hi = np.full(w.shape, 1.0 - EPS)
-    for _ in range(n_iter):
+    for _ in range(64):
         mid = 0.5 * (lo + hi)
         below = func(mid) < w
         lo = np.where(below, mid, lo)
@@ -502,12 +502,11 @@ def tau_to_param(f: Family, tau: float) -> float:
 # Fitting.
 # ---------------------------------------------------------------------------
 
-def _golden_max(fun, lo: float, hi: float, tol: float | None = None) -> tuple[float, float]:
+def _golden_max(fun, lo: float, hi: float) -> tuple[float, float]:
     """Golden-section maximization of fun on [lo, hi]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
-    if tol is None:
-        tol = 1e-6 * max(b - a, 1e-3)
+    tol = 1e-6 * max(b - a, 1e-3)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(c), fun(d)

@@ -15,10 +15,11 @@ from collections import Counter
 from pathlib import Path
 
 from . import rng
-from .dataset import SchemaError, flatten, load_profiles, save_profiles, split_shuffle, write_lines
+from .dataset import SchemaError, flatten, load_profiles, save_profiles, split_shuffle, write_table
 from .emulator import load_mlp, predict_set, save_mlp
 from .evaluation import error_metrics, write_level_quantiles
 from .experiment import (
+    RESULT_COLUMNS,
     ExperimentConfig,
     default_config_dict,
     make_config,
@@ -116,8 +117,7 @@ def cmd_eval(args) -> int:
     em = error_metrics(flatten(test_set, "outputs").values, pred.values)
     case = args.case or "eval"
     out = Path(args.out)
-    write_lines(out, ["case,generation,repeat,mb,mae",
-                      f"{case},-,0,{float(em.mb)!r},{float(em.mae)!r}"])
+    write_table(out, RESULT_COLUMNS, [(case, "-", 0, em.mb, em.mae)])
     quant_path = out.with_name(out.stem + "_levels.csv")
     write_level_quantiles(quant_path, em)
     print(f"{case}: MB={em.mb:.6g} MAE={em.mae:.6g} (rows in {out}, levels in {quant_path})")

@@ -268,6 +268,18 @@ def write_lines(path, lines) -> None:
             os.remove(tmp)
 
 
+def write_table(path, header, rows) -> None:
+    """Write a comma-separated table: the `header` names, then one line per row.
+
+    A float cell, numpy's float64 included, is written as repr(float(x)),
+    which reads back as the same double; any other cell as str(x).
+    """
+    def cell(x) -> str:
+        return repr(float(x)) if isinstance(x, float) else str(x)
+
+    write_lines(path, itertools.chain([",".join(header)], (",".join(map(cell, row)) for row in rows)))
+
+
 def save_profiles(path, data: ProfileSet) -> None:
     """Write a ProfileSet in the wide text format (exact float round trip).
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .dataset import write_lines
+from .dataset import write_table
 
 PROJECTION_STATISTICS = ("mean", "variance", "std", "q10", "q50", "q90")
 
@@ -25,8 +25,6 @@ class ProjectionReport:
     """Per statistic: (iterations,) arrays of real and synthetic values."""
 
     stats: dict
-    iterations: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -83,7 +81,7 @@ def random_projection_report(real, synth, iters: int = 100, seed: int = 0) -> Pr
             acc[name][0].append(s_real[name])
             acc[name][1].append(s_synth[name])
     stats = {name: (np.array(a), np.array(b)) for name, (a, b) in acc.items()}
-    return ProjectionReport(stats, iters, seed)
+    return ProjectionReport(stats)
 
 
 def band_depth(curves) -> np.ndarray:
@@ -151,29 +149,19 @@ def error_metrics(y_true, y_pred) -> ErrorMetrics:
 # ---------------------------------------------------------------------------
 
 def write_projection_report(path, report: ProjectionReport) -> None:
-    lines = ["statistic,iteration,s_real,s_synth"]
-    for name in PROJECTION_STATISTICS:
-        s_real, s_synth = report.stats[name]
-        for it in range(report.iterations):
-            lines.append(f"{name},{it},{s_real[it]!r},{s_synth[it]!r}")
-    write_lines(path, lines)
+    write_table(path, ("statistic", "iteration", "s_real", "s_synth"),
+                ((name, it, a, b) for name in PROJECTION_STATISTICS
+                 for it, (a, b) in enumerate(zip(*report.stats[name]))))
 
 
 def write_depth_report(path, curves, ranking: DepthRanking) -> None:
     """Per level: envelope of the central group around the median curve."""
     a = np.asarray(curves, dtype=float)
     central = a[ranking.groups["central"]]
-    median_curve = a[ranking.median_index]
-    lines = ["level,q_low,q_mid,q_high"]
-    for lev in range(a.shape[1]):
-        lines.append(
-            f"{lev},{central[:, lev].min()!r},{median_curve[lev]!r},{central[:, lev].max()!r}"
-        )
-    write_lines(path, lines)
+    write_table(path, ("level", "q_low", "q_mid", "q_high"),
+                zip(range(a.shape[1]), central.min(axis=0), a[ranking.median_index], central.max(axis=0)))
 
 
 def write_level_quantiles(path, metrics: ErrorMetrics) -> None:
-    lines = ["level,q_low,q_mid,q_high"]
-    for lev, row in enumerate(metrics.level_quantiles):
-        lines.append(f"{lev},{row[0]!r},{row[1]!r},{row[2]!r}")
-    write_lines(path, lines)
+    write_table(path, ("level", "q_low", "q_mid", "q_high"),
+                ((lev, *row) for lev, row in enumerate(metrics.level_quantiles)))

@@ -29,6 +29,7 @@ from .dataset import (
     load_profiles,
     split_shuffle,
     write_lines,
+    write_table,
 )
 from .emulator import MLPLayout, MLPModel, TrainConfig, init_mlp, predict_set, train
 from .evaluation import (
@@ -211,9 +212,12 @@ def train_emulator(cfg: ExperimentConfig, x_tr, y_tr, x_val, y_val, *labels) -> 
     return train(model, x_tr, y_tr, x_val, y_val, replace(cfg.training, seed=shuffle_seed))
 
 
+RESULT_COLUMNS = ("case", "generation", "repeat", "mb", "mae")
+
+
 @dataclass
 class PipelineResult:
-    rows: list = field(default_factory=list)  # (case, generation, repeat, mb, mae)
+    rows: list = field(default_factory=list)  # tuples in RESULT_COLUMNS order
     files: list = field(default_factory=list)
     failures: list = field(default_factory=list)  # (case, reason)
 
@@ -318,23 +322,16 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
 
 
 def _write_results(out_dir: Path, result: PipelineResult) -> None:
-    lines = ["case,generation,repeat,mb,mae"]
-    for case, gen, rep, mb, mae in result.rows:
-        lines.append(f"{case},{gen},{rep},{float(mb)!r},{float(mae)!r}")
     path = out_dir / "results.csv"
-    write_lines(path, lines)
+    write_table(path, RESULT_COLUMNS, result.rows)
     result.files.append(str(path))
 
-    lines = ["case,runs,mb_median,mb_spread,mae_median,mae_spread"]
+    summary = []
     for case in dict.fromkeys(row[0] for row in result.rows):
-        mbs = np.array([r[3] for r in result.rows if r[0] == case])
-        maes = np.array([r[4] for r in result.rows if r[0] == case])
-        lines.append(
-            f"{case},{mbs.size},{float(np.median(mbs))!r},{float(np.ptp(mbs))!r},"
-            f"{float(np.median(maes))!r},{float(np.ptp(maes))!r}"
-        )
+        mbs, maes = np.array([r[3:] for r in result.rows if r[0] == case]).T
+        summary.append((case, mbs.size, np.median(mbs), np.ptp(mbs), np.median(maes), np.ptp(maes)))
     path = out_dir / "summary.csv"
-    write_lines(path, lines)
+    write_table(path, ("case", "runs", "mb_median", "mb_spread", "mae_median", "mae_spread"), summary)
     result.files.append(str(path))
 
 

@@ -11,6 +11,7 @@ fraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -23,12 +24,12 @@ STEFAN_BOLTZMANN = 5.670374419e-8  # W m^-2 K^-4
 class RadiationConstants:
     """Physical constants of the toy model; D and tau_g are overridable."""
 
-    sigma_sb: float = STEFAN_BOLTZMANN
+    sigma_sb: ClassVar[float] = STEFAN_BOLTZMANN
     diffusivity: float = 1.66         # effective slant path factor, 1/cos(53 deg)
     gas_optical_depth: float = 1.7    # total-column gas optical depth
 
     def __post_init__(self):
-        if self.sigma_sb <= 0 or self.diffusivity <= 0 or self.gas_optical_depth < 0:
+        if self.diffusivity <= 0 or self.gas_optical_depth < 0:
             raise ValueError("radiation constants must be positive (tau_g >= 0)")
 
 

@@ -23,6 +23,17 @@ TINY = {
 }
 
 
+def assert_numeric_table(path):
+    """Every cell of a written CSV reads as a float, except the label columns."""
+    header, *rows = (line.split(",") for line in path.read_text().splitlines())
+    assert rows, path
+    for row in rows:
+        assert len(row) == len(header), path
+        for name, cell in zip(header, row):
+            if name not in ("case", "statistic") and not (name == "generation" and cell == "-"):
+                float(cell)
+
+
 @pytest.fixture
 def tiny_config(tmp_path):
     path = tmp_path / "cfg.json"
@@ -147,6 +158,8 @@ class TestSampleRadiateTrainEval:
         lines = metrics.read_text().strip().split("\n")
         assert lines[0] == "case,generation,repeat,mb,mae"
         assert lines[1].startswith("demo,")
+        assert_numeric_table(metrics)
+        assert_numeric_table(tmp_path / "metrics_levels.csv")
 
         # Re-evaluating is deterministic.
         metrics2 = tmp_path / "metrics2.csv"
@@ -272,6 +285,7 @@ class TestPipeline:
         assert "config_hash" in manifest
         for rel in manifest["files"]:
             assert (out / rel).exists()
+            assert_numeric_table(out / rel)
 
     def test_end_to_end_determinism(self, tmp_path):
         cfg = make_config(TINY)

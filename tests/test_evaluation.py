@@ -14,6 +14,16 @@ from copaug.evaluation import (
 )
 
 
+def read_table(path):
+    """The header and the float cells after the first column of a written CSV."""
+    header, *rows = (line.split(",") for line in path.read_text().splitlines())
+    return header, [r[0] for r in rows], np.array([[float(c) for c in r[1:]] for r in rows])
+
+
+def assert_same_bits(got, want):
+    np.testing.assert_array_equal(got.view(np.uint64), np.asarray(want, dtype=float).view(np.uint64))
+
+
 class TestProjectionReport:
     def test_identical_matrices_exact_diagonal(self):
         x = np.random.default_rng(0).normal(size=(40, 6))
@@ -44,12 +54,17 @@ class TestProjectionReport:
 
     def test_report_file(self, tmp_path):
         x = np.random.default_rng(4).normal(size=(10, 3))
-        rep = random_projection_report(x, x, iters=3, seed=1)
+        rep = random_projection_report(x, 2.0 * x[::-1] + 1.0, iters=3, seed=1)
         path = tmp_path / "proj.csv"
         write_projection_report(path, rep)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "statistic,iteration,s_real,s_synth"
         assert len(lines) == 1 + len(PROJECTION_STATISTICS) * 3
+        _, names, values = read_table(path)
+        assert names == [name for name in PROJECTION_STATISTICS for _ in range(3)]
+        assert_same_bits(values[:, 0], np.tile(np.arange(3.0), len(PROJECTION_STATISTICS)))
+        for k, name in enumerate(PROJECTION_STATISTICS):
+            assert_same_bits(values[3 * k:3 * k + 3, 1:].T, rep.stats[name])
 
 
 class TestBandDepth:
@@ -144,6 +159,9 @@ class TestErrorMetrics:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "level,q_low,q_mid,q_high"
         assert len(lines) == 5
+        _, levels, values = read_table(path)
+        assert levels == ["0", "1", "2", "3"]
+        assert_same_bits(values, em.level_quantiles)
 
 
 def test_depth_report_file(tmp_path):
@@ -154,3 +172,8 @@ def test_depth_report_file(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "level,q_low,q_mid,q_high"
     assert len(lines) == 5
+    _, levels, values = read_table(path)
+    assert levels == ["0", "1", "2", "3"]
+    central = curves[ranking.groups["central"]]
+    assert_same_bits(values, np.column_stack([central.min(axis=0), curves[ranking.median_index],
+                                              central.max(axis=0)]))

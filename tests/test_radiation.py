@@ -71,6 +71,11 @@ class TestPlanck:
         with pytest.raises(ValueError):
             planck_flux(-1.0)
 
+    def test_stefan_boltzmann_not_overridable(self):
+        assert RadiationConstants(diffusivity=1.3).sigma_sb == STEFAN_BOLTZMANN
+        with pytest.raises(TypeError):
+            RadiationConstants(sigma_sb=1.0)
+
 
 class TestLayerOptics:
     def test_gas_contribution(self):
