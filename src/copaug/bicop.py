@@ -62,9 +62,7 @@ _FRANK_THETA_CAP = 45.0
 #: Families whose rotations are meaningful (tail-asymmetric ones).
 ROTATABLE = frozenset({Family.CLAYTON, Family.GUMBEL, Family.JOE})
 
-DEFAULT_CATALOGUE = frozenset(
-    {Family.GAUSSIAN, Family.STUDENT_T, Family.CLAYTON, Family.GUMBEL, Family.FRANK, Family.JOE}
-)
+DEFAULT_CATALOGUE = frozenset(Family) - {Family.INDEPENDENCE}
 
 #: Rotation of the argument-swapped copula (see swap_arguments).
 _SWAPPED_ROTATION = {0: 0, 90: 270, 180: 180, 270: 90}

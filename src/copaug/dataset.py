@@ -62,6 +62,25 @@ def json_numbers(value, name: str, shape: tuple | None = None) -> np.ndarray:
     return arr
 
 
+def check_artifact(doc, version: int, *keys, note: str = "") -> None:
+    """Raise SchemaError unless `doc` is an object of format `version` holding every field in `keys`."""
+    for key in ("version", *keys):
+        if not isinstance(doc, dict) or key not in doc:
+            raise SchemaError(f"model artifact is missing the {key} field")
+        if key == "version" and doc["version"] != version:
+            raise SchemaError(f"unsupported model format version {doc['version']!r}{note}")
+
+
+def strictly_increasing(a: np.ndarray) -> np.ndarray:
+    """Raise each entry of `a`, in place, to at least one ulp above its predecessor
+    along the last axis and return `a`; when every row already increases, nothing is written."""
+    if np.all(np.diff(a) > 0):
+        return a
+    for i in range(1, a.shape[-1]):
+        a[..., i] = np.maximum(a[..., i], np.nextafter(a[..., i - 1], np.inf))
+    return a
+
+
 @dataclass(frozen=True)
 class LevelGrid:
     """Vertical grid: n_full full levels, n_full + 1 half levels."""
@@ -272,10 +291,14 @@ def write_table(path, header, rows) -> None:
     """Write a comma-separated table: the `header` names, then one line per row.
 
     A float cell, numpy's float64 included, is written as repr(float(x)),
-    which reads back as the same double; any other cell as str(x).
+    which reads back as the same double; any other cell as str(x).  A cell
+    holding a comma, a double quote or a line break raises ValueError.
     """
     def cell(x) -> str:
-        return repr(float(x)) if isinstance(x, float) else str(x)
+        text = repr(float(x)) if isinstance(x, float) else str(x)
+        if any(c in text for c in ',"\n\r'):
+            raise ValueError(f"table cell {text!r} holds a comma, a double quote or a line break")
+        return text
 
     write_lines(path, itertools.chain([",".join(header)], (",".join(map(cell, row)) for row in rows)))
 
@@ -354,7 +377,7 @@ def generate_surrogate(n: int, grid: LevelGrid, seed: int) -> ProfileSet:
     phi = SURROGATE_AR1
     for k in range(n):
         # Fixed number of draws per profile keeps the stream aligned.
-        u = np.clip(gen.random(nl + 13), 1e-12, 1 - 1e-12)
+        u = rng.uniforms(gen, nl + 13)
         offset = SURROGATE_T_OFFSET * ndtri(u[0])
         eps = ndtri(u[1:nl + 1])
         noise = np.empty(nl)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .dataset import DataMatrix, ProfileSet, SchemaError, flatten, json_numbers, write_lines
+from .dataset import DataMatrix, ProfileSet, SchemaError, check_artifact, flatten, json_numbers, write_lines
 
 MLP_FORMAT_VERSION = 1
 
@@ -34,9 +34,8 @@ class MLPLayout:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        widths = (self.n_inputs, *self.hidden, self.n_outputs)
-        if any(w < 1 for w in widths):
-            raise ValueError(f"all layer widths must be >= 1, got {widths}")
+        if any(w < 1 for w in self.widths):
+            raise ValueError(f"all layer widths must be >= 1, got {self.widths}")
 
     @property
     def widths(self) -> tuple:
@@ -106,14 +105,6 @@ def init_mlp(layout: MLPLayout, seed: int) -> MLPModel:
     return MLPModel(layout, weights, biases, Normalizer(np.zeros(widths[0]), np.ones(widths[0])))
 
 
-def elu(z: np.ndarray) -> np.ndarray:
-    """max(expm1(min(z, 0)), z): exact ELU, since expm1(z) > z for z < 0.
-
-    This argument order keeps -0.0 as -0.0.
-    """
-    return np.maximum(np.expm1(np.minimum(z, 0.0)), z)
-
-
 def _param_views(layout: MLPLayout, flat: np.ndarray):
     """Per-layer weight and bias views of a flat vector laid out W0, b0, W1, b1, ..."""
     weights, biases = [], []
@@ -140,7 +131,7 @@ def _forward_cached(m: MLPModel, x_norm: np.ndarray):
         else:
             zneg = np.minimum(z, 0.0)
             a = np.expm1(zneg)
-            np.maximum(a, z, out=a)  # elu(z)
+            np.maximum(a, z, out=a)  # exact ELU, as expm1(z) > z for z < 0; this order keeps -0.0
             neg.append(zneg)
         act.append(a)
     return neg, act
@@ -155,15 +146,19 @@ def forward(m: MLPModel, x) -> np.ndarray:
     return act[-1]
 
 
-def huber_loss(pred, target, delta: float = 1.0) -> float:
+def _mean_huber(r: np.ndarray, delta: float) -> float:
+    """Mean over all elements of the Huber penalty of the residual `r`."""
+    ar = np.abs(r)
+    return float(np.where(ar <= delta, 0.5 * r * r, delta * (ar - 0.5 * delta)).mean())
+
+
+def huber_loss(pred, target, delta: float = TrainConfig.huber_delta) -> float:
     """Mean over all elements of the Huber penalty."""
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch {pred.shape} vs {target.shape}")
-    r = np.abs(pred - target)
-    per = np.where(r <= delta, 0.5 * r * r, delta * (r - 0.5 * delta))
-    return float(per.mean())
+    return _mean_huber(pred - target, delta)
 
 
 def loss_and_grads(m: MLPModel, x_norm: np.ndarray, y: np.ndarray, delta: float, out=None):
@@ -179,8 +174,7 @@ def loss_and_grads(m: MLPModel, x_norm: np.ndarray, y: np.ndarray, delta: float,
     r = act[-1]
     r -= y
     count = r.size
-    ar = np.abs(r)
-    loss = float(np.where(ar <= delta, 0.5 * r * r, delta * (ar - 0.5 * delta)).mean())
+    loss = _mean_huber(r, delta)
     # dLoss/dpred: r inside the quadratic zone, delta*sign(r) outside.
     delta_k = np.clip(r, -delta, delta, out=r)
     delta_k /= count
@@ -315,13 +309,8 @@ def load_mlp(path) -> MLPModel:
     """Read a model artifact; a malformed one raises SchemaError naming the field."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or "version" not in doc:
-        raise SchemaError("model artifact is missing the version field")
-    if doc["version"] != MLP_FORMAT_VERSION:
-        raise SchemaError(f"unsupported model format version {doc['version']!r}")
-    for key in ("layout", "normalizer", "weights", "biases", "history", "best_epoch"):
-        if key not in doc:
-            raise SchemaError(f"model artifact is missing the {key} field")
+    check_artifact(doc, MLP_FORMAT_VERSION,
+                   "layout", "normalizer", "weights", "biases", "history", "best_epoch")
     try:
         lay = doc["layout"]
         if not all(type(w) is int for w in (lay["n_inputs"], *lay["hidden"], lay["n_outputs"])):

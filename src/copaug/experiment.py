@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,29 +44,26 @@ from .evaluation import (
 from .multicop import CopulaSpec, fit_synth_model, sample_synth_model
 from .radiation import RadiationConstants, radiate_set
 
+
+def _field_defaults(stage) -> dict:
+    """The default of each field of the stage type `stage`, bar the seed the pipeline derives."""
+    return {f.name: f.default for f in fields(stage) if f.name != "seed"}
+
+
+# A setting that a stage type holds takes the type's default, so a caller that
+# builds the type directly gets the same value.
 _DEFAULTS = {
     "master_seed": 1,
     "data": {"path": None, "n_profiles": 25000, "n_levels": 137},
-    "split": {"train": 0.4, "val": 0.2, "test": 0.4},
-    "radiation": {"diffusivity": 1.66, "gas_optical_depth": 1.7},
+    "split": _field_defaults(SplitSpec),
+    "radiation": _field_defaults(RadiationConstants),
     "copulas": {
         "kinds": ["gaussian", "vine"],
-        "catalogue": ["gaussian", "student", "clayton", "gumbel", "frank", "joe"],
-        "truncation": None,
+        "catalogue": [f.value for f in Family if f in CopulaSpec.catalogue],
+        "truncation": CopulaSpec.truncation,
     },
     "augmentation": {"factors": [1, 5, 10], "generation_repeats": 10},
-    "training": {
-        "repeats": 10,
-        "hidden": [512, 512, 512],
-        "epochs": 1000,
-        "patience": 25,
-        "batch_size": 256,
-        "learning_rate": 1e-3,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "adam_eps": 1e-8,
-        "huber_delta": 1.0,
-    },
+    "training": {"repeats": 10, "hidden": list(MLPLayout.hidden), **_field_defaults(TrainConfig)},
     "evaluation": {"projection_iterations": 100, "depth_curves": 90},
 }
 
@@ -336,8 +333,22 @@ def _write_results(out_dir: Path, result: PipelineResult) -> None:
 
 
 def _write_manifest(cfg: ExperimentConfig, out_dir: Path, result: PipelineResult) -> None:
+    """Write manifest.json, first deleting each plain file name the previous
+    manifest lists that this run did not write; an unreadable one deletes none."""
+    path = out_dir / "manifest.json"
     manifest = {
         "config_hash": cfg.config_hash(),
         "files": sorted(str(Path(f).relative_to(out_dir)) for f in result.files),
     }
-    write_lines(out_dir / "manifest.json", [json.dumps(manifest, indent=2, sort_keys=True)])
+    keep = {*manifest["files"], "..", path.name}
+    try:  # an entry that is not a string fails `keep` or `Path` with TypeError
+        listed = json.loads(path.read_text(encoding="utf-8"))["files"]
+        stale = [name for name in listed if name not in keep and Path(name).name == name
+                 and (out_dir / name).is_file()] if type(listed) is list else []
+    except (OSError, ValueError, TypeError, KeyError):
+        stale = []
+    for name in stale:
+        (out_dir / name).unlink()
+    if stale:
+        print(f"removed {len(stale)} file(s) an earlier run left: {', '.join(stale)}", file=sys.stderr)
+    write_lines(path, [json.dumps(manifest, indent=2, sort_keys=True)])

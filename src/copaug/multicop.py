@@ -37,7 +37,8 @@ from .bicop import (
     kendall_tau,
     swap_arguments,
 )
-from .dataset import LevelGrid, ProfileSet, SchemaError, flatten, json_numbers, write_lines
+from .dataset import (LevelGrid, ProfileSet, SchemaError, check_artifact, flatten, json_numbers,
+                      strictly_increasing, write_lines)
 from .marginals import pseudo_observations, quantile
 
 MODEL_FORMAT_VERSION = 2
@@ -445,10 +446,7 @@ def sample_synth_model(model: SynthModel, n: int, seed: int):
     U[:, list(model.active)] = U_act
     T, p, tau_c = np.hsplit(quantile(model.marginals, U), 3)
     resort = np.any(np.diff(p, axis=1) <= 0, axis=1)
-    q = np.sort(p[resort], axis=1)
-    for i in range(1, q.shape[1]):
-        q[:, i] = np.maximum(q[:, i], np.nextafter(q[:, i - 1], np.inf))
-    p[resort] = q
+    p[resort] = strictly_increasing(np.sort(p[resort], axis=1))
     diag = SynthesisDiagnostics(pressure_resorted=int(np.count_nonzero(resort)))
     return ProfileSet(grid, T, p, tau_c), diag
 
@@ -502,12 +500,6 @@ def model_to_dict(model: SynthModel) -> dict:
     return doc
 
 
-def _require(doc: dict, *keys) -> None:
-    for key in keys:
-        if key not in doc:
-            raise SchemaError(f"model artifact is missing the {key} field")
-
-
 def _marginal_table(rows, columns: tuple) -> np.ndarray:
     """The (d, n) table of sorted samples, n >= 2, finite and within the
     profile invariants (T and p positive, tau_c nonnegative); else SchemaError."""
@@ -527,12 +519,8 @@ def _marginal_table(rows, columns: tuple) -> np.ndarray:
 
 def model_from_dict(doc: dict) -> SynthModel:
     """Decode a model artifact; a malformed one raises SchemaError naming the field."""
-    if not isinstance(doc, dict) or "version" not in doc:
-        raise SchemaError("model artifact is missing the version field")
-    if doc["version"] != MODEL_FORMAT_VERSION:
-        raise SchemaError(f"unsupported model format version {doc['version']!r}: "
-                          f"this build reads version {MODEL_FORMAT_VERSION}; refit the model")
-    _require(doc, "kind", "columns", "marginals", "active")
+    check_artifact(doc, MODEL_FORMAT_VERSION, "kind", "columns", "marginals", "active",
+                   note=f": this build reads version {MODEL_FORMAT_VERSION}; refit the model")
     kind = doc["kind"]
     if kind not in ("gaussian", "vine"):
         raise SchemaError(f"kind: expected 'gaussian' or 'vine', got {kind!r}")
@@ -547,7 +535,7 @@ def model_from_dict(doc: dict) -> SynthModel:
         raise SchemaError("active: expected distinct column indices equal to the marginal table's "
                           f"{len(active)} non-constant rows, at least 2 of them")
     da = len(active)
-    _require(doc, "correlation" if kind == "gaussian" else "vine")
+    check_artifact(doc, MODEL_FORMAT_VERSION, "correlation" if kind == "gaussian" else "vine")
     if kind == "gaussian":
         R = json_numbers(doc["correlation"], "correlation")
         if R.size != da * da:

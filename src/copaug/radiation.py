@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .dataset import Profile, ProfileSet
+from .dataset import Profile, ProfileSet, strictly_increasing
 
 STEFAN_BOLTZMANN = 5.670374419e-8  # W m^-2 K^-4
 
@@ -60,11 +60,8 @@ def half_level_pressures(p_full) -> np.ndarray:
     p_half[..., 0] = 0.0
     p_half[..., 1:n] = 0.5 * (p_full[..., :-1] + p_full[..., 1:])
     p_half[..., n] = p_full[..., -1] + (p_full[..., -1] - p_half[..., n - 1])
-    # Full levels one ulp apart can collapse a midpoint onto its neighbour;
-    # keep the output strictly increasing regardless.
-    for i in range(1, n + 1):
-        p_half[..., i] = np.maximum(p_half[..., i], np.nextafter(p_half[..., i - 1], np.inf))
-    return p_half
+    # Full levels one ulp apart can collapse a midpoint onto its neighbour.
+    return strictly_increasing(p_half)
 
 
 def sigma_layers(p_half) -> SigmaLayers:
@@ -114,7 +111,7 @@ def _downwelling(T, p, tau_c, consts: RadiationConstants) -> np.ndarray:
     """
     layers = sigma_layers(half_level_pressures(p))
     eps = layer_emissivity(layer_optical_depth(tau_c, layers.delta_sigma, consts), consts)
-    B = consts.sigma_sb * T ** 4
+    B = planck_flux(T)
     L = np.zeros((T.shape[0], T.shape[1] + 1))
     for i in range(T.shape[1]):
         L[:, i + 1] = L[:, i] * (1.0 - eps[:, i]) + B[:, i] * eps[:, i]

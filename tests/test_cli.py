@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from copaug.cli import main
-from copaug.dataset import LevelGrid, generate_surrogate, load_profiles
+from copaug.dataset import LevelGrid, generate_surrogate, load_profiles, save_profiles
 from copaug.emulator import MLPLayout, init_mlp, save_mlp
 from copaug.experiment import make_config, run_pipeline
 from copaug.multicop import CopulaSpec, fit_synth_model, load_model, save_model
+from copaug.radiation import radiate_set
 
 TINY = {
     "master_seed": 11,
@@ -177,6 +178,18 @@ class TestSampleRadiateTrainEval:
                      "--case", "pin", "--out", str(mlp)]) == 0
         assert hashlib.sha256(mlp.read_bytes()).hexdigest() == (
             "848d9135654e617b0359de7741b4f7f67ee814d5a73791006e37fcdcbcb8a23b")
+
+    def test_eval_rejects_case_label_that_breaks_the_table(self, tiny_config, tmp_path, capsys):
+        test = tmp_path / "test.csv"
+        save_profiles(test, radiate_set(generate_surrogate(20, LevelGrid(6), 3)))
+        mlp = tmp_path / "mlp.json"
+        save_mlp(mlp, init_mlp(MLPLayout(18, (8,), 7), 1))
+        metrics = tmp_path / "metrics.csv"
+        code = main(["eval", "--config", str(tiny_config), "--model", str(mlp), "--test", str(test),
+                     "--case", "demo,x", "--out", str(metrics)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:invalid: table cell 'demo,x'")
+        assert not metrics.exists()
 
     def test_missing_file_io_error(self, tiny_config, tmp_path, capsys):
         code = main(["radiate", "--config", str(tiny_config), "--input",
@@ -361,6 +374,28 @@ class TestPipeline:
         assert (out / "results.csv").read_bytes() == before
         assert not list(out.rglob("*.tmp"))
 
+    def test_rerun_removes_stale_reports(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_pipeline(make_config(TINY), out)
+        run_pipeline(make_config(dict(TINY, augmentation={"factors": [2], "generation_repeats": 2})), out)
+        assert not list(out.glob("*gaussian-1x*"))
+        listed = json.loads((out / "manifest.json").read_text())["files"]
+        assert "projection_gaussian-2x.csv" in listed
+        assert sorted(p.name for p in out.iterdir()) == sorted([*listed, "manifest.json"])
+        assert "projection_gaussian-1x.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("manifest", ['{"files": "r"}', '{"files": ["../x.csv", "sub/x.csv", "sub"]}',
+                                          '{"files": ["x.csv", 3]}', '{"files": ["x.csv"', '["x.csv"]'])
+    def test_rerun_keeps_files_a_bad_manifest_names(self, tmp_path, manifest):
+        out = tmp_path / "run"
+        (out / "sub").mkdir(parents=True)
+        kept = [tmp_path / "x.csv", out / "r", out / "x.csv", out / "sub" / "x.csv"]
+        for path in kept:
+            path.write_text("keep\n")
+        (out / "manifest.json").write_text(manifest)
+        run_pipeline(make_config(TINY), out)
+        assert all(path.exists() for path in kept)
+
     def test_synthetic_sets_not_written(self, tmp_path):
         out = tmp_path / "run"
         run_pipeline(make_config(TINY), out)
@@ -458,6 +493,16 @@ def test_malformed_config_fails_at_load(tmp_path, capsys, config, message):
     assert main(["pipeline", "--config", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error:invalid: config: {message}\n"
     assert not out.exists()
+
+
+def test_show_config_and_default_hash_match_recorded_sha256(capsys):
+    # Recorded when each stage default moved into its stage type; a changed
+    # default, key or key order changes these.
+    assert main(["show-config"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == (
+        "b94b2f96b919f2d8ac087761d59f82e5c86caa9accc096cc02c5858657c5e82f")
+    assert make_config({}).config_hash() == (
+        "e96b81ac7b9f4ef366947309534d05c35b3fd2b4afe4a905773e429e82de7653")
 
 
 def test_config_accepts_json_types():

@@ -14,6 +14,7 @@ from copaug.dataset import (
     load_profiles,
     save_profiles,
     split_shuffle,
+    strictly_increasing,
 )
 
 
@@ -233,6 +234,29 @@ def test_full_scale_file_round_trip(tmp_path):
     loaded = load_profiles(path, grid)
     assert len(loaded) == 25_000
     np.testing.assert_array_equal(loaded.profiles[12_345].T, data.profiles[12_345].T)
+
+
+class TestStrictlyIncreasing:
+    def test_repairs_ties_and_collapsed_values(self):
+        one_ulp = np.nextafter(1.0, np.inf)
+        a = np.array([[0.0, 1.0, 1.0, 1.0, 5.0], [0.0, 1.0, one_ulp, one_ulp, 2.0]])
+        out = strictly_increasing(a)
+        assert out is a
+        ulps = np.nextafter(np.nextafter(1.0, np.inf), np.inf)
+        np.testing.assert_array_equal(a, [[0.0, 1.0, one_ulp, ulps, 5.0],
+                                          [0.0, 1.0, one_ulp, ulps, 2.0]])
+        assert np.all(np.diff(a) > 0)
+
+    def test_increasing_rows_unchanged(self):
+        a = np.array([[0.0, 1.0, np.nextafter(1.0, np.inf), 3.0], [-2.0, -1.0, 0.0, 7.5]])
+        before = a.copy()
+        assert strictly_increasing(a) is a
+        np.testing.assert_array_equal(a, before)
+
+    def test_only_the_offending_row_changes(self):
+        a = np.array([[1.0, 2.0, 3.0], [1.0, 1.0, 3.0]])
+        strictly_increasing(a)
+        np.testing.assert_array_equal(a, [[1.0, 2.0, 3.0], [1.0, np.nextafter(1.0, np.inf), 3.0]])
 
 
 class TestSurrogate:

@@ -12,7 +12,6 @@ from copaug.emulator import (
     MLPModel,
     Normalizer,
     TrainConfig,
-    elu,
     forward,
     huber_loss,
     init_mlp,
@@ -58,8 +57,10 @@ class TestForward:
         assert forward(m, np.array([[3.0]])) == 7.0
 
     def test_elu_branch_values(self):
-        np.testing.assert_allclose(elu(np.array([-1.0])), np.expm1(-1.0))
-        np.testing.assert_array_equal(elu(np.array([2.5])), [2.5])
+        # 1-1-1 identity network: the output is ELU of the input.
+        m = MLPModel(MLPLayout(1, (1,), 1), [np.ones((1, 1)), np.ones((1, 1))],
+                     [np.zeros(1), np.zeros(1)], Normalizer(np.zeros(1), np.ones(1)))
+        np.testing.assert_array_equal(forward(m, np.array([[-1.0], [2.5]])), [[np.expm1(-1.0)], [2.5]])
 
     def test_width_mismatch(self):
         m = init_mlp(MLPLayout(4, (3,), 2), 0)
