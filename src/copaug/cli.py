@@ -15,7 +15,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import rng
-from .dataset import SchemaError, flatten, load_profiles, save_profiles, split_shuffle, write_table
+from .dataset import SchemaError, flatten, load_profiles, read_json, save_profiles, split_shuffle, write_table
 from .emulator import load_mlp, predict_set, save_mlp
 from .evaluation import error_metrics, write_level_quantiles
 from .experiment import (
@@ -35,8 +35,10 @@ def _config_from_args(args) -> ExperimentConfig:
     """The --config document with --seed as its master seed, built once."""
     doc = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        try:
+            doc = read_json(args.config)
+        except SchemaError as exc:
+            raise ValueError(f"config: {exc}") from None
     if args.seed is not None and isinstance(doc, dict):
         doc = dict(doc, master_seed=args.seed)
     return make_config(doc)

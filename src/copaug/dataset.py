@@ -12,6 +12,7 @@ desk-scale stand-in data with realistic cross-level dependence.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import os
 from dataclasses import dataclass
@@ -60,6 +61,15 @@ def json_numbers(value, name: str, shape: tuple | None = None) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise SchemaError(f"{name}: values must be finite")
     return arr
+
+
+def read_json(path):
+    """The JSON document in the file at `path`; text that does not parse raises SchemaError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise SchemaError(f"{path}: {exc}") from None
 
 
 def check_artifact(doc, version: int, *keys, note: str = "") -> None:
@@ -370,28 +380,26 @@ def generate_surrogate(n: int, grid: LevelGrid, seed: int) -> ProfileSet:
     nl = grid.n_full
     sigma = surrogate_sigma_grid(nl)
     t_base = SURROGATE_T_TOP + (SURROGATE_T_SURFACE - SURROGATE_T_TOP) * sigma
-    gen = rng.stream(seed)
     lo = int(np.searchsorted(sigma, SURROGATE_CLOUD_SIGMA_LO))
     hi = max(int(np.searchsorted(sigma, SURROGATE_CLOUD_SIGMA_HI)), lo + 1)
-    T, p, tau_c = np.empty((n, nl)), np.empty((n, nl)), np.zeros((n, nl))
+    u = rng.uniforms(seed, (n, nl + 13))  # row k: profile k's draws
     phi = SURROGATE_AR1
-    for k in range(n):
-        # Fixed number of draws per profile keeps the stream aligned.
-        u = rng.uniforms(gen, nl + 13)
-        offset = SURROGATE_T_OFFSET * ndtri(u[0])
-        eps = ndtri(u[1:nl + 1])
-        noise = np.empty(nl)
-        noise[0] = eps[0]
-        for i in range(1, nl):
-            noise[i] = phi * noise[i - 1] + math.sqrt(1 - phi * phi) * eps[i]
-        T[k] = t_base + offset + SURROGATE_T_NOISE * noise
-        p0 = SURROGATE_P0_MEAN + SURROGATE_P0_SPREAD * (2 * u[nl + 1] - 1)
-        p[k] = sigma * p0
-        if u[nl + 2] < SURROGATE_CLOUD_FRACTION:
-            n_blocks = 1 + int(u[nl + 3] * 3)
-            for b in range(n_blocks):
-                start = lo + int(u[nl + 4 + 3 * b] * max(hi - lo, 1))
-                length = 1 + int(u[nl + 5 + 3 * b] * 4)
-                mag = math.exp(SURROGATE_CLOUD_LOGMEAN + SURROGATE_CLOUD_LOGSTD * ndtri(u[nl + 6 + 3 * b]))
-                tau_c[k, start:min(start + length, nl)] += mag
+    eps = ndtri(u[:, 1:nl + 1])
+    noise = np.empty((n, nl))
+    noise[:, 0] = eps[:, 0]
+    for i in range(1, nl):
+        noise[:, i] = phi * noise[:, i - 1] + math.sqrt(1 - phi * phi) * eps[:, i]
+    T = t_base + SURROGATE_T_OFFSET * ndtri(u[:, :1]) + SURROGATE_T_NOISE * noise
+    p = sigma * (SURROGATE_P0_MEAN + SURROGATE_P0_SPREAD * (2 * u[:, nl + 1:nl + 2] - 1))
+    tau_c = np.zeros((n, nl))
+    cloudy = u[:, nl + 2] < SURROGATE_CLOUD_FRACTION
+    n_blocks = 1 + (u[:, nl + 3] * 3).astype(int)
+    levels = np.arange(nl)
+    for b in range(3):
+        rows = cloudy & (n_blocks > b)
+        start = lo + (u[rows, nl + 4 + 3 * b] * max(hi - lo, 1)).astype(int)
+        stop = start + 1 + (u[rows, nl + 5 + 3 * b] * 4).astype(int)
+        z = SURROGATE_CLOUD_LOGMEAN + SURROGATE_CLOUD_LOGSTD * ndtri(u[rows, nl + 6 + 3 * b])
+        mag = np.array([math.exp(x) for x in z])  # np.exp is not shown to round as math.exp does
+        tau_c[rows] += mag[:, None] * ((levels >= start[:, None]) & (levels < stop[:, None]))
     return ProfileSet(grid, T, p, tau_c)

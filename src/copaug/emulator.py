@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .dataset import DataMatrix, ProfileSet, SchemaError, check_artifact, flatten, json_numbers, write_lines
+from .dataset import (DataMatrix, ProfileSet, SchemaError, check_artifact, flatten, json_numbers, read_json,
+                      write_lines)
 
 MLP_FORMAT_VERSION = 1
 
@@ -307,8 +308,7 @@ def save_mlp(path, m: MLPModel) -> None:
 
 def load_mlp(path) -> MLPModel:
     """Read a model artifact; a malformed one raises SchemaError naming the field."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     check_artifact(doc, MLP_FORMAT_VERSION,
                    "layout", "normalizer", "weights", "biases", "history", "best_epoch")
     try:

@@ -47,15 +47,9 @@ class ErrorMetrics:
     level_quantiles: np.ndarray  # (n_levels, 3): q10, q50, q90 of the error
 
 
-def _summaries(p: np.ndarray) -> dict:
-    return {
-        "mean": float(p.mean()),
-        "variance": float(p.var(ddof=1)),
-        "std": float(p.std(ddof=1)),
-        "q10": float(np.quantile(p, 0.10)),
-        "q50": float(np.quantile(p, 0.50)),
-        "q90": float(np.quantile(p, 0.90)),
-    }
+def _summaries(p: np.ndarray) -> list:
+    """The PROJECTION_STATISTICS of the projection `p`, in order."""
+    return [p.mean(), p.var(ddof=1), p.std(ddof=1), *np.quantile(p, (0.10, 0.50, 0.90))]
 
 
 def random_projection_report(real, synth, iters: int = 100, seed: int = 0) -> ProjectionReport:
@@ -71,17 +65,9 @@ def random_projection_report(real, synth, iters: int = 100, seed: int = 0) -> Pr
         raise ValueError(f"column counts differ: {real.shape[1]} vs {synth.shape[1]}")
     if iters < 1:
         raise ValueError("iteration count must be >= 1")
-    gen = rng.stream(seed)
-    acc = {name: ([], []) for name in PROJECTION_STATISTICS}
-    for _ in range(iters):
-        w = rng.normals(gen, real.shape[1])
-        s_real = _summaries(real @ w)
-        s_synth = _summaries(synth @ w)
-        for name in PROJECTION_STATISTICS:
-            acc[name][0].append(s_real[name])
-            acc[name][1].append(s_synth[name])
-    stats = {name: (np.array(a), np.array(b)) for name, (a, b) in acc.items()}
-    return ProjectionReport(stats)
+    W = rng.normals(seed, (iters, real.shape[1]))  # row i: iteration i's direction
+    s = np.array([[_summaries(x @ w) for x in (real, synth)] for w in W])  # (iters, 2, statistics)
+    return ProjectionReport({name: (s[:, 0, k], s[:, 1, k]) for k, name in enumerate(PROJECTION_STATISTICS)})
 
 
 def band_depth(curves) -> np.ndarray:

@@ -9,6 +9,7 @@ case's random streams.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -72,7 +73,8 @@ _DEFAULTS = {
 class ExperimentConfig:
     """The experiment's settings, each stage's built and checked once by `make_config`.
 
-    `raw` is the merged JSON document that `config_hash` digests.
+    `raw` is the merged JSON document that `config_hash` digests, a copy that
+    shares no list or object with the defaults or the caller's overrides.
     """
 
     raw: dict
@@ -155,7 +157,7 @@ def make_config(overrides: dict | None = None) -> ExperimentConfig:
     section>: ...`.  The truncation level and the augmentation factors
     are checked by the cases that use them.
     """
-    raw = _merged(_DEFAULTS, {} if overrides is None else overrides)
+    raw = copy.deepcopy(_merged(_DEFAULTS, {} if overrides is None else overrides))
     data, cop, aug, tr, ev = (raw[k] for k in ("data", "copulas", "augmentation", "training", "evaluation"))
     seed = raw["master_seed"]
     grid = _build("data", LevelGrid, data["n_levels"])

@@ -38,7 +38,7 @@ from .bicop import (
     swap_arguments,
 )
 from .dataset import (LevelGrid, ProfileSet, SchemaError, check_artifact, flatten, json_numbers,
-                      strictly_increasing, write_lines)
+                      read_json, strictly_increasing, write_lines)
 from .marginals import pseudo_observations, quantile
 
 MODEL_FORMAT_VERSION = 2
@@ -437,6 +437,8 @@ def sample_synth_model(model: SynthModel, n: int, seed: int):
     non-monotone pressure columns of individual profiles are re-sorted
     ascending (marginals are preserved exactly) and counted.
     """
+    if n < 1:
+        raise ValueError(f"sample count must be >= 1, got {n}")
     grid = LevelGrid(model.d // 3)
     if model.kind == "gaussian":
         U_act = simulate_gaussian(model.gaussian, n, seed)
@@ -570,5 +572,4 @@ def save_model(path, model: SynthModel) -> None:
 
 
 def load_model(path) -> SynthModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    return model_from_dict(read_json(path))

@@ -25,15 +25,14 @@ def stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
 
 
-def uniforms(seed_or_gen, shape) -> np.ndarray:
-    """Uniform draws on the open interval (0, 1), deterministic per seed."""
-    gen = seed_or_gen if isinstance(seed_or_gen, np.random.Generator) else stream(seed_or_gen)
-    return np.clip(gen.random(shape), _UNIT_LO, _UNIT_HI)
+def uniforms(seed: int, shape) -> np.ndarray:
+    """Uniform draws on the open interval (0, 1), filling `shape` in C order from the seed's stream."""
+    return np.clip(stream(seed).random(shape), _UNIT_LO, _UNIT_HI)
 
 
-def normals(seed_or_gen, shape) -> np.ndarray:
+def normals(seed: int, shape) -> np.ndarray:
     """Standard normal draws via inverse CDF (fixed draw count, no rejection)."""
-    return ndtri(uniforms(seed_or_gen, shape))
+    return ndtri(uniforms(seed, shape))
 
 
 def permutation(n: int, seed_or_gen) -> np.ndarray:

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from copaug import experiment
 from copaug.cli import main
 from copaug.dataset import LevelGrid, generate_surrogate, load_profiles, save_profiles
 from copaug.emulator import MLPLayout, init_mlp, save_mlp
@@ -265,6 +267,37 @@ class TestSampleRadiateTrainEval:
         assert capsys.readouterr().err.startswith("error:schema: columns: expected T_1..T_k")
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("count", [-1, 0])
+    def test_sample_count_below_one_rejected(self, tiny_config, tmp_path, capsys, count):
+        model, out = tmp_path / "model.json", tmp_path / "s.csv"
+        main(["fit", "--config", str(tiny_config), "--kind", "gaussian", "--out", str(model)])
+        code = main(["sample", "--config", str(tiny_config), "--model", str(model),
+                     "--count", str(count), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error:invalid: sample count must be >= 1, got {count}\n"
+        assert not out.exists()
+
+    def test_truncated_model_names_the_file(self, tiny_config, tmp_path, capsys):
+        model, out = tmp_path / "model.json", tmp_path / "s.csv"
+        main(["fit", "--config", str(tiny_config), "--kind", "gaussian", "--out", str(model)])
+        model.write_text(model.read_text()[:200])
+        code = main(["sample", "--config", str(tiny_config), "--model", str(model),
+                     "--count", "5", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error:schema: {model}: ")
+        assert not out.exists()
+
+    def test_truncated_mlp_names_the_file(self, tiny_config, tmp_path, capsys):
+        test, mlp, out = tmp_path / "test.csv", tmp_path / "mlp.json", tmp_path / "m.csv"
+        save_profiles(test, radiate_set(generate_surrogate(20, LevelGrid(6), 3)))
+        save_mlp(mlp, init_mlp(MLPLayout(18, (8,), 7), 1))
+        mlp.write_text(mlp.read_text()[:100])
+        code = main(["eval", "--config", str(tiny_config), "--model", str(mlp), "--test", str(test),
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error:schema: {mlp}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "mlp.json", "test.csv"]
+
     def test_malformed_mlp_schema_error(self, tiny_config, tmp_path, capsys):
         mlp = tmp_path / "mlp.json"
         save_mlp(mlp, init_mlp(MLPLayout(18, (8,), 7), 1))
@@ -503,6 +536,31 @@ def test_show_config_and_default_hash_match_recorded_sha256(capsys):
         "b94b2f96b919f2d8ac087761d59f82e5c86caa9accc096cc02c5858657c5e82f")
     assert make_config({}).config_hash() == (
         "e96b81ac7b9f4ef366947309534d05c35b3fd2b4afe4a905773e429e82de7653")
+
+
+def test_truncated_config_names_the_file(tiny_config, tmp_path, capsys):
+    tiny_config.write_text(tiny_config.read_text()[:40])
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(tiny_config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error:invalid: config: {tiny_config}: ")
+    assert not out.exists()
+
+
+def test_config_shares_nothing_with_the_defaults(monkeypatch):
+    # A copy, so that a shared list edited here cannot leak into later tests.
+    monkeypatch.setattr(experiment, "_DEFAULTS", copy.deepcopy(experiment._DEFAULTS))
+    make_config({}).raw["augmentation"]["factors"].append(99)
+    again = make_config({})
+    assert again.factors == (1, 5, 10)
+    assert again.config_hash() == "e96b81ac7b9f4ef366947309534d05c35b3fd2b4afe4a905773e429e82de7653"
+
+
+def test_config_shares_nothing_with_the_overrides():
+    doc = {"augmentation": {"factors": [2]}}
+    cfg = make_config(doc)
+    digest = cfg.config_hash()
+    doc["augmentation"]["factors"].append(3)
+    assert cfg.raw["augmentation"]["factors"] == [2] and cfg.config_hash() == digest
 
 
 def test_config_accepts_json_types():

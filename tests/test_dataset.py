@@ -1,8 +1,12 @@
+import hashlib
+import math
 import os
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
+from copaug import dataset as ds, rng
 from copaug.dataset import (
     LevelGrid,
     Profile,
@@ -259,7 +263,40 @@ class TestStrictlyIncreasing:
         np.testing.assert_array_equal(a, [[1.0, 2.0, 3.0], [1.0, np.nextafter(1.0, np.inf), 3.0]])
 
 
+def reference_surrogate(n, grid, seed):
+    """The per-profile generator: profile k takes the next n_full + 13 uniforms of one stream."""
+    nl, phi = grid.n_full, ds.SURROGATE_AR1
+    sigma = ds.surrogate_sigma_grid(nl)
+    t_base = ds.SURROGATE_T_TOP + (ds.SURROGATE_T_SURFACE - ds.SURROGATE_T_TOP) * sigma
+    lo = int(np.searchsorted(sigma, ds.SURROGATE_CLOUD_SIGMA_LO))
+    hi = max(int(np.searchsorted(sigma, ds.SURROGATE_CLOUD_SIGMA_HI)), lo + 1)
+    gen = rng.stream(seed)
+    T, p, tau_c = np.empty((n, nl)), np.empty((n, nl)), np.zeros((n, nl))
+    for k in range(n):
+        u = np.clip(gen.random(nl + 13), rng._UNIT_LO, rng._UNIT_HI)
+        eps = ndtri(u[1:nl + 1])
+        noise = np.empty(nl)
+        noise[0] = eps[0]
+        for i in range(1, nl):
+            noise[i] = phi * noise[i - 1] + math.sqrt(1 - phi * phi) * eps[i]
+        T[k] = t_base + ds.SURROGATE_T_OFFSET * ndtri(u[0]) + ds.SURROGATE_T_NOISE * noise
+        p[k] = sigma * (ds.SURROGATE_P0_MEAN + ds.SURROGATE_P0_SPREAD * (2 * u[nl + 1] - 1))
+        if u[nl + 2] < ds.SURROGATE_CLOUD_FRACTION:
+            for b in range(1 + int(u[nl + 3] * 3)):
+                start = lo + int(u[nl + 4 + 3 * b] * max(hi - lo, 1))
+                length = 1 + int(u[nl + 5 + 3 * b] * 4)
+                z = ds.SURROGATE_CLOUD_LOGMEAN + ds.SURROGATE_CLOUD_LOGSTD * ndtri(u[nl + 6 + 3 * b])
+                tau_c[k, start:min(start + length, nl)] += math.exp(z)
+    return T, p, tau_c
+
+
 class TestSurrogate:
+    @pytest.mark.parametrize("n_levels, n, seed", [(1, 300, 0), (2, 50, 9), (7, 400, 2**63 + 5), (30, 200, 3)])
+    def test_matches_the_per_profile_reference(self, n_levels, n, seed):
+        s = generate_surrogate(n, LevelGrid(n_levels), seed)
+        for got, want in zip((s.T, s.p, s.tau_c), reference_surrogate(n, LevelGrid(n_levels), seed)):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_invariants_hold(self):
         for seed in (0, 1, 99):
             s = generate_surrogate(20, LevelGrid(12), seed)
@@ -286,3 +323,26 @@ class TestSurrogate:
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError):
             generate_surrogate(0, LevelGrid(5), 1)
+
+    @pytest.mark.parametrize("n_levels, n, seed, digests", [
+        (1, 200, 5, ("04c9d2bc812735da2b0fdfbce8961e20e4bed928ac46332910c9434d44b0a4dc",
+                     "ccf6a80532e49eb4808c6b6b3b0524c5a12f7f14b9d5f4ff32aa476d3baaf721",
+                     "6a502855057ac216f7bfeb9e97b5a89b4ca1ad96f945fa08434a103d9e5ca014")),
+        (20, 300, 7, ("289feaf6edfc48fd040925ae611ceea94fc90fc41338084b00bbd529115b0a4d",
+                      "b4d532915e51c79247ff19df745d3801e535f60ba5d62cd2193b8393df0a9325",
+                      "6379839483368925991f64171892712a9e27aa20ad74fe9884cfbeb4542f2731")),
+        (137, 60, 11, ("a98c5cf87a21c41d5bdd8c3cf5ffdbaafe08f425d46af569867a9f81aee552c2",
+                      "03b019dae4316066347e3011f9e4c5ffe5bd0519be5d25cc0fef1dda34f03e3f",
+                      "15b3ad3d5da1a63be059bd4f482f43939d6adf960394bbc4515e37f679fed22c")),
+    ])
+    def test_matches_recorded_sha256(self, n_levels, n, seed, digests):
+        # Recorded when each profile drew its own uniforms in a Python loop;
+        # the one-matrix draw must give the same bits.
+        s = generate_surrogate(n, LevelGrid(n_levels), seed)
+        assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (s.T, s.p, s.tau_c)) == digests
+
+    def test_rows_do_not_depend_on_the_profile_count(self):
+        a = generate_surrogate(100, LevelGrid(20), 4)
+        b = generate_surrogate(40, LevelGrid(20), 4)
+        for q in ("T", "p", "tau_c"):
+            np.testing.assert_array_equal(getattr(a, q)[:40], getattr(b, q))

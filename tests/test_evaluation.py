@@ -1,7 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtri
 
+from copaug import rng
 from copaug.evaluation import (
     PROJECTION_STATISTICS,
     band_depth,
@@ -24,7 +28,26 @@ def assert_same_bits(got, want):
     np.testing.assert_array_equal(got.view(np.uint64), np.asarray(want, dtype=float).view(np.uint64))
 
 
+def reference_projection(real, synth, iters, seed):
+    """Iteration i takes the next d normals of one stream as its direction; (iters, 2, statistics)."""
+    gen = rng.stream(seed)
+    stats = []
+    for _ in range(iters):
+        w = ndtri(np.clip(gen.random(real.shape[1]), rng._UNIT_LO, rng._UNIT_HI))
+        stats.append([[p.mean(), p.var(ddof=1), p.std(ddof=1), *(np.quantile(p, q) for q in (0.1, 0.5, 0.9))]
+                      for p in (real @ w, synth @ w)])
+    return np.array(stats)
+
+
 class TestProjectionReport:
+    @pytest.mark.parametrize("n_real, n_synth, d, iters", [(30, 45, 1, 9), (120, 80, 17, 30), (64, 300, 140, 5)])
+    def test_matches_the_per_iteration_reference(self, n_real, n_synth, d, iters):
+        gen = np.random.default_rng(d)
+        real, synth = gen.normal(size=(n_real, d)), 3.0 * gen.normal(size=(n_synth, d)) + 1.0
+        rep = random_projection_report(real, synth, iters, seed=d + 1)
+        got = np.array([[rep.stats[name][side] for name in PROJECTION_STATISTICS] for side in (0, 1)])
+        assert_same_bits(got, reference_projection(real, synth, iters, d + 1).transpose(1, 2, 0))
+
     def test_identical_matrices_exact_diagonal(self):
         x = np.random.default_rng(0).normal(size=(40, 6))
         rep = random_projection_report(x, x, iters=20, seed=3)
@@ -51,6 +74,18 @@ class TestProjectionReport:
         b = random_projection_report(x, y, iters=7, seed=11)
         for name in PROJECTION_STATISTICS:
             np.testing.assert_array_equal(a.stats[name][1], b.stats[name][1])
+
+    @pytest.mark.parametrize("n_real, n_synth, d, iters, seed, digest", [
+        (200, 150, 33, 25, 9, "6c373344d50ee0e4897eb9b6ab541652ac9047d26499dc756164c9101e58062b"),
+        (40, 60, 3, 7, 2, "53c2bc33225f279bfb6984389ccff9da6837e0b7edfb2359174c2dcad9c8b9ce"),
+    ])
+    def test_stats_match_recorded_sha256(self, n_real, n_synth, d, iters, seed, digest):
+        # Recorded when each iteration drew its own direction from one generator.
+        gen = np.random.default_rng(d)
+        rep = random_projection_report(gen.normal(size=(n_real, d)), gen.normal(size=(n_synth, d)),
+                                       iters, seed)
+        stats = b"".join(a.tobytes() for name in PROJECTION_STATISTICS for a in rep.stats[name])
+        assert hashlib.sha256(stats).hexdigest() == digest
 
     def test_report_file(self, tmp_path):
         x = np.random.default_rng(4).normal(size=(10, 3))
