@@ -243,19 +243,22 @@ def load_profiles(path, grid: LevelGrid) -> ProfileSet:
     raise SchemaError naming the offending row; rows are counted from 0
     over the non-blank lines after the header.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header:
-            raise SchemaError(f"{path}: empty file")
-        names = header.split(",")
-        expected = grid.input_labels()
-        with_flux = expected + grid.output_labels()
-        if names not in (expected, with_flux):
-            raise SchemaError(
-                f"{path}: header mismatch, expected {len(expected)} or {len(with_flux)} "
-                f"columns for n_full={grid.n_full}, got {len(names)}"
-            )
-        lines = [line for line in fh if not line.isspace()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            lines = [line for line in fh if not line.isspace()]
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+    if not header:
+        raise SchemaError(f"{path}: empty file")
+    names = header.split(",")
+    expected = grid.input_labels()
+    with_flux = expected + grid.output_labels()
+    if names not in (expected, with_flux):
+        raise SchemaError(
+            f"{path}: header mismatch, expected {len(expected)} or {len(with_flux)} "
+            f"columns for n_full={grid.n_full}, got {len(names)}"
+        )
     try:
         vals = (np.loadtxt(lines, delimiter=",", comments=None, ndmin=2) if lines
                 else np.empty((0, len(names))))

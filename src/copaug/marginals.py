@@ -12,6 +12,10 @@ from __future__ import annotations
 import numpy as np
 from scipy.stats import rankdata
 
+# Columns per block of quantile's kernel: 16 rows of a 10,000-sample table
+# (1.3 MB) stay in cache while their values are gathered.
+_BLOCK = 16
+
 
 def pseudo_observations(values: np.ndarray) -> np.ndarray:
     """Columnwise rank/(n+1) pseudo-observations, average rank on ties.
@@ -31,8 +35,11 @@ def pseudo_observations(values: np.ndarray) -> np.ndarray:
 def quantile(table: np.ndarray, U) -> np.ndarray:
     """Map column j of the (rows, d) matrix U through row j of the (d, n) table.
 
-    Linear between (k/(n+1), z_(k)), clamped to [z_(1), z_(n)]; every
-    column shares the one probability grid.
+    Linear between (k/(n+1), z_(k)), clamped to [z_(1), z_(n)]: bit for
+    bit np.interp(U[:, j], grid, table[j]) for every j, -0.0 and its NaN
+    fallback included.  Every column shares the one grid, so a value's
+    bracket is index arithmetic instead of a binary search, and the work
+    runs in blocks of _BLOCK columns whose table rows stay in cache.
     """
     U = np.asarray(U, dtype=float)
     d, n = table.shape
@@ -40,8 +47,57 @@ def quantile(table: np.ndarray, U) -> np.ndarray:
         raise ValueError(f"quantile argument must have {d} columns, got shape {U.shape}")
     if not np.all((U > 0.0) & (U < 1.0)):
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
+    table = np.ascontiguousarray(table, dtype=float)
     probs = np.arange(1, n + 1) / (n + 1.0)
-    Z = np.empty_like(U)
-    for j in range(d):
-        Z[:, j] = np.interp(U[:, j], probs, table[j])
+    Z = np.empty(U.shape)
+    # np.interp maps every u to v on a row whose entries all have v's bits:
+    # a grid point or an end returns an entry, and a blend (v - v)/gap *
+    # (u - x) + v is v + 0.0, which differs from v only for v = -0.0.  A
+    # one-entry row returns its entry everywhere.
+    bits = table.view(np.uint64)
+    flat = (n == 1) | (np.all(bits == bits[:, :1], axis=1)
+                       & ((table[:, 0] + 0.0).view(np.uint64) == bits[:, 0]))
+    Z[:, flat] = table[flat, 0]
+    cols = np.flatnonzero(~flat)
+    with np.errstate(over="ignore", invalid="ignore"):  # np.interp does not warn
+        for start in range(0, cols.size, _BLOCK):
+            c = cols[start:start + _BLOCK]
+            if c[-1] - c[0] == c.size - 1:  # a run of columns: views, not copies
+                c = slice(c[0], c[-1] + 1)
+            Z[:, c] = _interp_block(table[c], U[:, c], probs)
     return Z
+
+
+def _interp_block(fp: np.ndarray, u: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """np.interp(u[:, i], probs, fp[i]) for each column i of u, n >= 2.
+
+    j = floor(u (n+1)) - 1 is np.interp's bracket, probs[j] <= u <
+    probs[j+1], up to one step near a grid point, and the exact
+    comparisons against probs settle those.  As np.interp does for many
+    values, each row's segment slopes are computed once.
+    """
+    b, n = fp.shape
+    u = np.ascontiguousarray(u)  # one strided read of U instead of one per use
+    j = (u * (n + 1.0)).astype(np.intp) - 1
+    np.clip(j, 0, n - 2, out=j)
+    xl, xh = probs[j], probs[j + 1]
+    off = (u < xl) | (u >= xh)
+    if off.any():
+        jo, uo = j[off], u[off]
+        jo -= uo < probs[jo]
+        jo += uo >= probs[jo + 1]
+        np.clip(jo, 0, n - 2, out=jo)
+        j[off], xl[off], xh[off] = jo, probs[jo], probs[jo + 1]
+    slopes = np.empty((b, n))  # the last column is never read
+    np.divide(fp[:, 1:] - fp[:, :-1], probs[1:] - probs[:-1], out=slopes[:, :-1])
+    j += np.arange(0, b * n, n)
+    lo, slope = fp.ravel()[j], slopes.ravel()[j]
+    z = slope * (u - xl) + lo
+    nan = np.isnan(z)
+    if nan.any():  # np.interp's second try, from the right end of the bracket
+        lo_n, hi_n = lo[nan], fp.ravel()[j[nan] + 1]
+        z_n = slope[nan] * (u[nan] - xh[nan]) + hi_n
+        z[nan] = np.where(np.isnan(z_n) & (lo_n == hi_n), lo_n, z_n)
+    np.copyto(z, lo, where=u <= xl)  # a grid point, or below the first
+    np.copyto(z, fp[:, -1], where=u >= probs[-1])  # the last grid point, or above it
+    return z

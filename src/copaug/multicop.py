@@ -92,14 +92,14 @@ class VineModel:
 
     def __post_init__(self):
         M, d, k = self.matrix, len(self.matrix), len(self.copulas)
-        if d < 2 or {len(row) for row in M} != {d} or not all(type(x) is int for row in M for x in row):
+        if d < 2 or {len(row) for row in M} != {d} or set(map(type, itertools.chain(*M))) != {int}:
             raise ValueError(f"vine.matrix: expected a square integer matrix of size >= 2, got {d} rows")
-        own = [M[d - 1 - j][j] for j in range(d)]
+        cols = tuple(zip(*M))
+        own = [col[d - 1 - j] for j, col in enumerate(cols)]
         if sorted(own) != list(range(d)):
             raise ValueError(f"vine.matrix: the antidiagonal must hold each of 0..{d - 1} once")
-        for j in range(d):
-            if (sorted(M[t][j] for t in range(d - 1 - j)) != sorted(own[j + 1:])
-                    or any(M[t][j] != -1 for t in range(d - j, d))):
+        for j, col in enumerate(cols):
+            if sorted(col[:d - 1 - j]) != sorted(own[j + 1:]) or col[d - j:] != (-1,) * j:
                 raise ValueError(f"vine.matrix: column {j} must hold the variables of the columns "
                                  "right of it above the antidiagonal and -1 below it")
         _edge_sources(M, d - 1)  # the proximity condition
@@ -357,18 +357,24 @@ def _edge_sources(M, k: int) -> list:
 
     sources[t][j] = (c, own): column c's own variable given M[0..t-1][c] if
     own, else the partner of column c's tree-t edge given the rest of that
-    edge.  No such c breaks the proximity condition: ValueError.
+    edge.  No such c breaks the proximity condition: ValueError.  A set of
+    variables is an integer bitmask, so each tree costs O(d).
     """
     d = len(M)
+    own = [M[d - 1 - c][c] for c in range(d)]
+    given = [0] * d  # given[c]: bitmask of M[0..t-1][c]
     sources = []
     for t in range(k):
-        edge_at = {frozenset(M[s][c] for s in range(t)) | {M[d - 1 - c][c]}: c for c in range(d - t)}
+        edge_at = {g | 1 << v: c for c, (g, v) in enumerate(zip(given[:d - t], own))}
+        partner, previous = M[t], M[t - 1]
         row = []
         for j in range(d - 1 - t):
-            c = edge_at.get(frozenset(M[s][j] for s in range(t + 1)))
-            if c is None or M[t][j] not in (M[d - 1 - c][c], M[t - 1][c]):
+            v = partner[j]
+            given[j] |= 1 << v
+            c = edge_at.get(given[j])
+            if c is None or v not in (own[c], previous[c]):
                 raise ValueError(f"vine.matrix: column {j}, tree {t + 1} breaks the proximity condition")
-            row.append((c, M[t][j] == M[d - 1 - c][c]))
+            row.append((c, v == own[c]))
         sources.append(row)
     return sources
 

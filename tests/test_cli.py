@@ -199,6 +199,16 @@ class TestSampleRadiateTrainEval:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:io:")
 
+    def test_non_utf8_profile_file_names_the_file(self, tiny_config, tmp_path, capsys):
+        data, out = tmp_path / "data.csv", tmp_path / "x.csv"
+        main(["gen-data", "--config", str(tiny_config), "--out", str(data)])
+        data.write_bytes(data.read_text().encode("utf-16"))  # starts ff fe
+        code = main(["radiate", "--config", str(tiny_config), "--input", str(data), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error:schema: {data}: 'utf-8' codec can't decode byte 0xff in position 0")
+        assert not out.exists()
+
     def test_unradiated_train_file_rejected(self, tiny_config, tmp_path, capsys):
         data = tmp_path / "data.csv"
         main(["gen-data", "--config", str(tiny_config), "--out", str(data)])

@@ -87,22 +87,33 @@ class TestPseudoObservations:
 def tables_and_uniforms(draw):
     """A sorted (d, n) table with ties and constant rows, and a (rows, d) U
     drawn from the grid points k/(n+1), one ulp either side of them, the
-    extreme doubles inside (0, 1) and arbitrary values."""
-    d = draw(st.integers(1, 4))
+    extreme doubles inside (0, 1) and arbitrary values.  d reaches past two
+    of quantile's column blocks, so each table row is a copy of one of up
+    to four drawn rows or of a constant -0.0 row, and each U column a copy
+    of one of four drawn columns."""
+    d = draw(st.integers(1, 40))
     n = draw(st.integers(2, 25))
     value = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e6, 1e6))
-    table = np.sort(np.array(draw(st.lists(st.lists(value, min_size=n, max_size=n),
-                                           min_size=d, max_size=d))), axis=1)
-    for j in draw(st.sets(st.integers(0, d - 1))):
-        table[j] = table[j, 0]
+    rows = np.sort(np.array(draw(st.lists(st.lists(value, min_size=n, max_size=n),
+                                          min_size=1, max_size=4))), axis=1)
+    for j in draw(st.sets(st.integers(0, len(rows) - 1))):
+        rows[j] = rows[j, 0]
+    rows = np.vstack([rows, np.full(n, -0.0)])
+    table = rows[draw(st.lists(st.integers(0, len(rows) - 1), min_size=d, max_size=d))]
     probs = np.arange(1, n + 1) / (n + 1.0)
     points = np.concatenate([probs, np.nextafter(probs, 0.0), np.nextafter(probs, 1.0),
                              [np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)]])
     u = st.one_of(st.sampled_from(points.tolist()),
                   st.floats(min_value=np.nextafter(0.0, 1.0), max_value=np.nextafter(1.0, 0.0)))
-    rows = draw(st.integers(1, 12))
-    U = np.array(draw(st.lists(st.lists(u, min_size=d, max_size=d), min_size=rows, max_size=rows)))
-    return table, U
+    n_rows = draw(st.integers(1, 12))
+    U = np.array(draw(st.lists(st.lists(u, min_size=4, max_size=4), min_size=n_rows, max_size=n_rows)))
+    return table, U[:, draw(st.lists(st.integers(0, 3), min_size=d, max_size=d))]
+
+
+def desk_table():
+    """The sorted marginal table of 1,000 surrogate profiles at 20 levels:
+    60 columns, the constant ones among them."""
+    return np.sort(flatten(generate_surrogate(1000, LevelGrid(20), 7)).values.T, axis=1)
 
 
 class TestCdfQuantile:
@@ -132,6 +143,45 @@ class TestCdfQuantile:
     @given(tables_and_uniforms())
     def test_quantile_bitwise_matches_interp(self, case):
         table, U = case
+        got = quantile(table, U)
+        assert np.array_equal(got.view(np.uint64), interp_reference(table, U).view(np.uint64))
+
+    def test_quantile_bitwise_matches_interp_at_desk_shape(self):
+        table = desk_table()
+        assert np.count_nonzero(table[:, -1] == table[:, 0]) > 0
+        probs = np.arange(1, 1001) / 1001.0
+        U = rng.uniforms(11, (10_000, 60))
+        U[:3002] = np.concatenate([probs, np.nextafter(probs, 0.0), np.nextafter(probs, 1.0),
+                                   [1e-10, 1.0 - 1e-10]])[:, None]
+        got = quantile(table, U)
+        assert np.array_equal(got.view(np.uint64), interp_reference(table, U).view(np.uint64))
+
+    def test_quantile_returns_each_sample_at_its_grid_point(self):
+        # For some k, fl(k/(n+1)) * (n+1) rounds below k, so the bracket
+        # estimate lands one segment low; the sample must come back exactly.
+        for n in range(2, 200):
+            table = np.sort(rng.normals(n, (3, n)), axis=1)
+            probs = np.arange(1, n + 1) / (n + 1.0)
+            got = quantile(table, np.repeat(probs[:, None], 3, axis=1))
+            assert np.array_equal(got.T.view(np.uint64), table.view(np.uint64)), n
+
+    def test_quantile_special_rows_match_interp(self):
+        # np.interp retries a NaN blend from the bracket's right end, then
+        # falls back to a tied value; inf - inf in a slope or a blend takes
+        # those paths.
+        # A row of zeros returns -0.0 only at a grid point holding one.
+        table = np.array([[-np.inf, -np.inf, 5.0], [1.0, 2.0, np.inf], [-np.inf, 0.0, np.inf],
+                          [-1e308, 1e308, 1e308], [np.inf] * 3, [0.0, -0.0, 0.0], [-0.0] * 3])
+        probs = np.arange(1, 4) / 4.0
+        U = np.concatenate([probs, np.nextafter(probs, 0.0), np.nextafter(probs, 1.0),
+                            rng.uniforms(2, 20)])[:, None].repeat(len(table), axis=1)
+        got = quantile(table, U)
+        assert np.array_equal(got.view(np.uint64), interp_reference(table, U).view(np.uint64))
+
+    def test_quantile_of_a_column_slice(self):
+        table = desk_table()
+        U = rng.uniforms(4, (500, 90))[:, 10:70]
+        assert not U.flags.c_contiguous
         got = quantile(table, U)
         assert np.array_equal(got.view(np.uint64), interp_reference(table, U).view(np.uint64))
 
