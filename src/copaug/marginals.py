@@ -47,29 +47,20 @@ def quantile(table: np.ndarray, U) -> np.ndarray:
         raise ValueError(f"quantile argument must have {d} columns, got shape {U.shape}")
     if not np.all((U > 0.0) & (U < 1.0)):
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
+    if n < 2:
+        raise ValueError(f"quantile table needs at least 2 samples per row, got {n}")
     table = np.ascontiguousarray(table, dtype=float)
     probs = np.arange(1, n + 1) / (n + 1.0)
     Z = np.empty(U.shape)
-    # np.interp maps every u to v on a row whose entries all have v's bits:
-    # a grid point or an end returns an entry, and a blend (v - v)/gap *
-    # (u - x) + v is v + 0.0, which differs from v only for v = -0.0.  A
-    # one-entry row returns its entry everywhere.
-    bits = table.view(np.uint64)
-    flat = (n == 1) | (np.all(bits == bits[:, :1], axis=1)
-                       & ((table[:, 0] + 0.0).view(np.uint64) == bits[:, 0]))
-    Z[:, flat] = table[flat, 0]
-    cols = np.flatnonzero(~flat)
     with np.errstate(over="ignore", invalid="ignore"):  # np.interp does not warn
-        for start in range(0, cols.size, _BLOCK):
-            c = cols[start:start + _BLOCK]
-            if c[-1] - c[0] == c.size - 1:  # a run of columns: views, not copies
-                c = slice(c[0], c[-1] + 1)
+        for start in range(0, d, _BLOCK):
+            c = slice(start, start + _BLOCK)
             Z[:, c] = _interp_block(table[c], U[:, c], probs)
     return Z
 
 
 def _interp_block(fp: np.ndarray, u: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """np.interp(u[:, i], probs, fp[i]) for each column i of u, n >= 2.
+    """np.interp(u[:, i], probs, fp[i]) for each column i of u.
 
     j = floor(u (n+1)) - 1 is np.interp's bracket, probs[j] <= u <
     probs[j+1], up to one step near a grid point, and the exact

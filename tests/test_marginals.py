@@ -138,6 +138,8 @@ class TestCdfQuantile:
                 quantile(self.table, [[bad]])
         with pytest.raises(ValueError, match="1 columns"):
             quantile(self.table, [[0.5, 0.5]])
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            quantile(np.array([[1.0]]), [[0.5]])
 
     @settings(max_examples=200, deadline=None)
     @given(tables_and_uniforms())
