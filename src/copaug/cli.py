@@ -15,7 +15,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import rng
-from .dataset import SchemaError, flatten, load_profiles, read_json, save_profiles, split_shuffle, write_table
+from .dataset import SchemaError, load_profiles, read_json, save_profiles, split_shuffle, write_table
 from .emulator import load_mlp, predict_set, save_mlp
 from .evaluation import error_metrics, write_level_quantiles
 from .experiment import (
@@ -99,8 +99,7 @@ def cmd_train(args) -> int:
     val_set = load_profiles(args.val, cfg.grid)
     if train_set.fluxes is None or val_set.fluxes is None:
         raise ValueError("training and validation files must carry flux columns (run radiate first)")
-    model = train_emulator(cfg, flatten(train_set, "inputs").values, flatten(train_set, "outputs").values,
-                           flatten(val_set, "inputs").values, flatten(val_set, "outputs").values,
+    model = train_emulator(cfg, train_set.inputs, train_set.fluxes, val_set.inputs, val_set.fluxes,
                            "train-cmd", args.case or "-")
     save_mlp(args.out, model)
     best = min(model.history["val"])
@@ -116,7 +115,7 @@ def cmd_eval(args) -> int:
     if test_set.fluxes is None:
         raise ValueError("test file must carry flux columns (run radiate first)")
     pred = predict_set(model, test_set)
-    em = error_metrics(flatten(test_set, "outputs").values, pred.values)
+    em = error_metrics(test_set.fluxes, pred.values)
     case = args.case or "eval"
     out = Path(args.out)
     write_table(out, RESULT_COLUMNS, [(case, "-", 0, em.mb, em.mae)])

@@ -1,12 +1,12 @@
-"""Atmospheric profile data model: ingestion, splitting, flattening.
+"""Atmospheric profile data model: ingestion, splitting, input matrices.
 
 A profile is a vertical column of dry-bulb temperature T [K], pressure p
 [Pa] and cloud layer optical depth tau_c [-] on a fixed grid of full
 levels, index 1 at the top of the atmosphere and index n_full at the
-surface.  A ProfileSet stores many profiles as one (n_profiles, n_full)
-array per quantity; it converts to and from flat sample-by-feature
-matrices for the statistical models, and a surrogate generator provides
-desk-scale stand-in data with realistic cross-level dependence.
+surface.  A ProfileSet stores many profiles as the one (n_profiles,
+3 n_full) input matrix that the statistical models and the emulator read,
+with per-quantity column views; a surrogate generator provides desk-scale
+stand-in data with realistic cross-level dependence.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
@@ -77,7 +77,7 @@ def check_artifact(doc, version: int, *keys, note: str = "") -> None:
     for key in ("version", *keys):
         if not isinstance(doc, dict) or key not in doc:
             raise SchemaError(f"model artifact is missing the {key} field")
-        if key == "version" and doc["version"] != version:
+        if key == "version" and (type(doc["version"]) is not int or doc["version"] != version):
             raise SchemaError(f"unsupported model format version {doc['version']!r}{note}")
 
 
@@ -151,26 +151,29 @@ class Profile:
 
 @dataclass(frozen=True)
 class ProfileSet:
-    """Ordered profiles sharing one grid, stored as columns.
+    """Ordered profiles sharing one grid, stored as one input matrix.
 
-    T, p and tau_c are C-contiguous (n_profiles, n_full) arrays, row k
-    being profile k.  fluxes, when present, is an (n_profiles, n_half)
-    array of downwelling longwave flux per half level.
+    inputs is the C-contiguous (n_profiles, 3 n_full) matrix with columns
+    T_1..T_n, p_1..p_n, tauc_1..tauc_n, row k being profile k; T, p and
+    tau_c are its (n_profiles, n_full) column-slice views.  fluxes, when
+    present, is an (n_profiles, n_half) array of downwelling longwave flux
+    per half level.
     """
 
     grid: LevelGrid
-    T: np.ndarray
-    p: np.ndarray
-    tau_c: np.ndarray
+    inputs: np.ndarray
     fluxes: np.ndarray | None = None
+    T: np.ndarray = field(init=False, repr=False)
+    p: np.ndarray = field(init=False, repr=False)
+    tau_c: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("T", "p", "tau_c"):
-            object.__setattr__(self, name, np.ascontiguousarray(getattr(self, name), dtype=float))
-        shapes = (self.T.shape, self.p.shape, self.tau_c.shape)
-        if len(shapes[0]) != 2 or any(shape != (shapes[0][0], self.grid.n_full) for shape in shapes):
-            raise ValueError(f"T, p and tau_c must have shape (n, {self.grid.n_full}), got "
-                             + ", ".join(map(str, shapes)))
+        n = self.grid.n_full
+        object.__setattr__(self, "inputs", np.ascontiguousarray(self.inputs, dtype=float))
+        if self.inputs.ndim != 2 or self.inputs.shape[1] != 3 * n:
+            raise ValueError(f"inputs must have shape (n, {3 * n}), got {self.inputs.shape}")
+        for k, name in enumerate(("T", "p", "tau_c")):
+            object.__setattr__(self, name, self.inputs[:, k * n:(k + 1) * n])
         bad = _first_invalid_row(self.T, self.p, self.tau_c)
         if bad is not None:
             raise ValueError(f"row {bad[0]}: {bad[1]}")
@@ -181,7 +184,7 @@ class ProfileSet:
                                  f"got {self.fluxes.shape}")
 
     def __len__(self) -> int:
-        return self.T.shape[0]
+        return self.inputs.shape[0]
 
     @property
     def profiles(self) -> tuple:
@@ -191,10 +194,10 @@ class ProfileSet:
     def subset(self, indices) -> "ProfileSet":
         indices = np.asarray(indices, dtype=int)
         fluxes = self.fluxes[indices] if self.fluxes is not None else None
-        return ProfileSet(self.grid, self.T[indices], self.p[indices], self.tau_c[indices], fluxes)
+        return ProfileSet(self.grid, self.inputs[indices], fluxes)
 
     def with_fluxes(self, fluxes: np.ndarray) -> "ProfileSet":
-        return ProfileSet(self.grid, self.T, self.p, self.tau_c, fluxes)
+        return ProfileSet(self.grid, self.inputs, fluxes)
 
 
 @dataclass(frozen=True)
@@ -212,10 +215,6 @@ class DataMatrix:
             raise ValueError("DataMatrix values must be 2-dimensional")
         if values.shape[1] != len(self.columns):
             raise ValueError(f"{values.shape[1]} columns but {len(self.columns)} labels")
-
-    @property
-    def n_cols(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -277,8 +276,7 @@ def load_profiles(path, grid: LevelGrid) -> ProfileSet:
         raise SchemaError(f"{path}: {exc}") from None
     n = grid.n_full
     try:
-        return ProfileSet(grid, vals[:, :n], vals[:, n:2 * n], vals[:, 2 * n:3 * n],
-                          vals[:, 3 * n:] if names == with_flux else None)
+        return ProfileSet(grid, vals[:, :3 * n], vals[:, 3 * n:] if names == with_flux else None)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
 
@@ -321,12 +319,11 @@ def save_profiles(path, data: ProfileSet) -> None:
 
     Rows are formatted as they are written, never as one whole-file string.
     """
-    labels = data.grid.input_labels()
-    blocks = [data.T, data.p, data.tau_c]
+    labels, table = data.grid.input_labels(), data.inputs
     if data.fluxes is not None:
         labels = labels + data.grid.output_labels()
-        blocks.append(data.fluxes)
-    rows = (",".join(map(repr, row.tolist())) for row in np.hstack(blocks))
+        table = np.hstack([table, data.fluxes])
+    rows = (",".join(map(repr, row.tolist())) for row in table)
     write_lines(path, itertools.chain([",".join(labels)], rows))
 
 
@@ -351,17 +348,19 @@ def split_shuffle(data: ProfileSet, spec: SplitSpec):
 
 
 def flatten(data: ProfileSet, which: str = "inputs") -> DataMatrix:
-    """Reshape a ProfileSet into a samples-by-features matrix.
+    """A ProfileSet's samples-by-features matrix, labelled; its values are
+    the set's own array, not a copy.
 
-    Input columns are quantity-major: T_1..T_n, p_1..p_n, tauc_1..tauc_n.
-    Output columns are the half-level fluxes L_0..L_n.
+    Input columns are quantity-major: T_1..T_n, p_1..p_n, tauc_1..tauc_n
+    (data.inputs).  Output columns are the half-level fluxes L_0..L_n
+    (data.fluxes).
     """
     if which == "inputs":
-        return DataMatrix(np.hstack([data.T, data.p, data.tau_c]), data.grid.input_labels())
+        return DataMatrix(data.inputs, data.grid.input_labels())
     if which == "outputs":
         if data.fluxes is None:
             raise ValueError("ProfileSet has no fluxes to flatten")
-        return DataMatrix(np.array(data.fluxes), data.grid.output_labels())
+        return DataMatrix(data.fluxes, data.grid.output_labels())
     raise ValueError(f"which must be 'inputs' or 'outputs', got {which!r}")
 
 
@@ -392,9 +391,10 @@ def generate_surrogate(n: int, grid: LevelGrid, seed: int) -> ProfileSet:
     noise[:, 0] = eps[:, 0]
     for i in range(1, nl):
         noise[:, i] = phi * noise[:, i - 1] + math.sqrt(1 - phi * phi) * eps[:, i]
-    T = t_base + SURROGATE_T_OFFSET * ndtri(u[:, :1]) + SURROGATE_T_NOISE * noise
-    p = sigma * (SURROGATE_P0_MEAN + SURROGATE_P0_SPREAD * (2 * u[:, nl + 1:nl + 2] - 1))
-    tau_c = np.zeros((n, nl))
+    inputs = np.zeros((n, 3 * nl))
+    T, p, tau_c = np.hsplit(inputs, 3)
+    T[:] = t_base + SURROGATE_T_OFFSET * ndtri(u[:, :1]) + SURROGATE_T_NOISE * noise
+    p[:] = sigma * (SURROGATE_P0_MEAN + SURROGATE_P0_SPREAD * (2 * u[:, nl + 1:nl + 2] - 1))
     cloudy = u[:, nl + 2] < SURROGATE_CLOUD_FRACTION
     n_blocks = 1 + (u[:, nl + 3] * 3).astype(int)
     levels = np.arange(nl)
@@ -405,4 +405,4 @@ def generate_surrogate(n: int, grid: LevelGrid, seed: int) -> ProfileSet:
         z = SURROGATE_CLOUD_LOGMEAN + SURROGATE_CLOUD_LOGSTD * ndtri(u[rows, nl + 6 + 3 * b])
         mag = np.array([math.exp(x) for x in z])  # np.exp is not shown to round as math.exp does
         tau_c[rows] += mag[:, None] * ((levels >= start[:, None]) & (levels < stop[:, None]))
-    return ProfileSet(grid, T, p, tau_c)
+    return ProfileSet(grid, inputs)

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .dataset import (DataMatrix, ProfileSet, SchemaError, check_artifact, flatten, json_numbers, read_json,
-                      write_lines)
+from .dataset import DataMatrix, ProfileSet, SchemaError, check_artifact, json_numbers, read_json, write_lines
 
 MLP_FORMAT_VERSION = 1
 
@@ -279,13 +278,11 @@ def train(m: MLPModel, train_x, train_y, val_x, val_y, cfg: TrainConfig = TrainC
 
 
 def predict_set(m: MLPModel, profiles: ProfileSet) -> DataMatrix:
-    """Flatten, normalize, forward; returns the flux matrix (n_half wide)."""
-    x = flatten(profiles, "inputs")
-    if x.n_cols != m.layout.n_inputs:
-        raise ValueError(
-            f"profile grid provides {x.n_cols} features but the model expects {m.layout.n_inputs}"
-        )
-    return DataMatrix(forward(m, x.values), profiles.grid.output_labels())
+    """Forward the set's input matrix; returns the flux matrix (n_half wide)."""
+    if profiles.inputs.shape[1] != m.layout.n_inputs:
+        raise ValueError(f"profile grid provides {profiles.inputs.shape[1]} features "
+                         f"but the model expects {m.layout.n_inputs}")
+    return DataMatrix(forward(m, profiles.inputs), profiles.grid.output_labels())
 
 
 # ---------------------------------------------------------------------------

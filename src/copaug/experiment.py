@@ -25,7 +25,6 @@ from .dataset import (
     LevelGrid,
     ProfileSet,
     SplitSpec,
-    flatten,
     generate_surrogate,
     load_profiles,
     split_shuffle,
@@ -260,11 +259,8 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
     val_rad = radiate_set(val_set, cfg.radiation)
     test_rad = radiate_set(test_set, cfg.radiation)
 
-    x_tr = flatten(train_rad, "inputs").values
-    y_tr = flatten(train_rad, "outputs").values
-    x_val = flatten(val_rad, "inputs").values
-    y_val = flatten(val_rad, "outputs").values
-    y_test = flatten(test_rad, "outputs").values
+    x_tr, y_tr = train_rad.inputs, train_rad.fluxes
+    x_val, y_val, y_test = val_rad.inputs, val_rad.fluxes, test_rad.fluxes
 
     def run_case(case: str, factor: int = 0, synth_model=None):
         """Train and score every generation's repeats; factor 0 is the baseline."""
@@ -275,9 +271,9 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
                 gen_seed = rng.derive_seed(cfg.master_seed, case, f"gen{gen}")
                 synth, _ = sample_synth_model(synth_model, factor * len(x_tr), gen_seed)
                 synth_rad = radiate_set(synth, cfg.radiation)
-                x_syn = flatten(synth_rad, "inputs").values
+                x_syn = synth_rad.inputs
                 x = np.vstack([x_tr, x_syn])
-                y = np.vstack([y_tr, flatten(synth_rad, "outputs").values])
+                y = np.vstack([y_tr, synth_rad.fluxes])
                 if gen == 0:
                     report = random_projection_report(
                         x_tr, x_syn, cfg.projection_iterations,

@@ -10,8 +10,9 @@ vine is an R-vine matrix; simulation inverts the Rosenblatt transform
 along its columns.
 
 A SynthModel ties marginals and copula together: fit_synth_model fits
-both on a flattened training set, and sample_synth_model simulates, maps
-the columns back through the marginal quantiles and rebuilds profiles.
+both on a training set's input matrix, and sample_synth_model simulates
+and maps the columns back through the marginal quantiles into the input
+matrix of new profiles.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .bicop import (
     kendall_tau,
     swap_arguments,
 )
-from .dataset import (LevelGrid, ProfileSet, SchemaError, check_artifact, flatten, json_numbers,
-                      read_json, strictly_increasing, write_lines)
+from .dataset import (LevelGrid, ProfileSet, SchemaError, check_artifact, json_numbers, read_json,
+                      strictly_increasing, write_lines)
 from .marginals import pseudo_observations, quantile
 
 MODEL_FORMAT_VERSION = 2
@@ -422,26 +423,27 @@ def _copula_columns(table: np.ndarray) -> tuple:
 
 
 def fit_synth_model(train: ProfileSet, spec: CopulaSpec) -> SynthModel:
-    """Fit marginals and the chosen copula on the flattened training inputs."""
+    """Fit marginals and the chosen copula on the training set's input matrix."""
     if len(train) < 2:
         raise ValueError(f"an empirical marginal needs at least 2 values, got {len(train)}")
-    X = flatten(train, "inputs")
-    margs = np.sort(X.values.T, axis=1)
+    margs = np.sort(train.inputs.T, axis=1)
     active = _copula_columns(margs)
     if len(active) < 2:
         raise ValueError(f"a copula needs at least 2 non-constant columns, got {len(active)}")
-    U = pseudo_observations(X.values[:, active])
+    U = pseudo_observations(train.inputs[:, active])
+    columns = tuple(train.grid.input_labels())
     if spec.kind == "gaussian":
-        return SynthModel("gaussian", X.columns, margs, active, gaussian=fit_gaussian(U))
-    return SynthModel("vine", X.columns, margs, active, vine=fit_vine(U, spec))
+        return SynthModel("gaussian", columns, margs, active, gaussian=fit_gaussian(U))
+    return SynthModel("vine", columns, margs, active, vine=fit_vine(U, spec))
 
 
 def sample_synth_model(model: SynthModel, n: int, seed: int):
     """Simulate n profiles; returns (ProfileSet, SynthesisDiagnostics).
 
-    Each simulated uniform column maps through its marginal quantile;
-    non-monotone pressure columns of individual profiles are re-sorted
-    ascending (marginals are preserved exactly) and counted.
+    Each simulated uniform column maps through its marginal quantile into
+    the set's input matrix; non-monotone pressure columns of individual
+    profiles are re-sorted ascending in place (marginals are preserved
+    exactly) and counted.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
@@ -452,11 +454,12 @@ def sample_synth_model(model: SynthModel, n: int, seed: int):
         U_act = simulate_vine(model.vine, n, seed)
     U = np.full((n, model.d), 0.5)
     U[:, list(model.active)] = U_act
-    T, p, tau_c = np.hsplit(quantile(model.marginals, U), 3)
+    inputs = quantile(model.marginals, U)
+    p = inputs[:, grid.n_full:2 * grid.n_full]
     resort = np.any(np.diff(p, axis=1) <= 0, axis=1)
     p[resort] = strictly_increasing(np.sort(p[resort], axis=1))
     diag = SynthesisDiagnostics(pressure_resorted=int(np.count_nonzero(resort)))
-    return ProfileSet(grid, T, p, tau_c), diag
+    return ProfileSet(grid, inputs), diag
 
 
 # ---------------------------------------------------------------------------

@@ -124,5 +124,5 @@ def downwelling_longwave(profile: Profile, consts: RadiationConstants = Radiatio
 
 
 def radiate_set(s: ProfileSet, consts: RadiationConstants = RadiationConstants()) -> ProfileSet:
-    """Attach downwelling flux profiles to every profile in the set."""
+    """Attach downwelling flux profiles to every profile in the set; the result holds `s.inputs` itself."""
     return s.with_fluxes(_downwelling(s.T, s.p, s.tau_c, consts))

@@ -31,7 +31,7 @@ def make_set(n, n_full=3, seed=0):
         p += np.arange(n_full)  # guard against ties
         tau = np.abs(gen.random(n_full)) * (gen.random(n_full) < 0.3)
         profs.append(Profile(T, p, tau))
-    return ProfileSet(LevelGrid(n_full), *(np.array([getattr(pr, q) for pr in profs]) for q in ("T", "p", "tau_c")))
+    return ProfileSet(LevelGrid(n_full), np.array([np.concatenate([pr.T, pr.p, pr.tau_c]) for pr in profs]))
 
 
 class TestProfileInvariants:
@@ -50,7 +50,7 @@ class TestProfileInvariants:
     def test_fluxes_shape_checked(self):
         s = make_set(2)
         with pytest.raises(ValueError, match="fluxes"):
-            ProfileSet(s.grid, s.T, s.p, s.tau_c, np.zeros((2, 3)))
+            ProfileSet(s.grid, s.inputs, np.zeros((2, 3)))
 
 
 class TestColumnarProfileSet:
@@ -59,7 +59,7 @@ class TestColumnarProfileSet:
         p = s.p.copy()
         p[3, 2] = p[3, 1]
         with pytest.raises(ValueError, match="^row 3: pressure"):
-            ProfileSet(s.grid, s.T, p, s.tau_c)
+            ProfileSet(s.grid, np.hstack([s.T, p, s.tau_c]))
 
     def test_first_bad_row_and_its_first_failed_check(self):
         s = make_set(5)
@@ -68,14 +68,23 @@ class TestColumnarProfileSet:
         tau[2, 1] = -1.0
         T[2, 2] = np.nan
         with pytest.raises(ValueError, match="^row 2: profile contains non-finite"):
-            ProfileSet(s.grid, T, s.p, tau)
+            ProfileSet(s.grid, np.hstack([T, s.p, tau]))
 
     def test_shape_checked(self):
         s = make_set(3, n_full=3)
         with pytest.raises(ValueError, match="shape"):
-            ProfileSet(LevelGrid(4), s.T, s.p, s.tau_c)
+            ProfileSet(LevelGrid(4), s.inputs)
         with pytest.raises(ValueError, match="shape"):
-            ProfileSet(s.grid, s.T, s.p[:2], s.tau_c)
+            ProfileSet(s.grid, s.inputs[:, :8])
+        with pytest.raises(ValueError, match="shape"):
+            ProfileSet(s.grid, s.inputs[0])
+
+    def test_quantities_are_views_of_inputs(self):
+        s = make_set(4, n_full=3)
+        assert s.inputs.shape == (4, 9) and s.inputs.flags.c_contiguous
+        for k, name in enumerate(("T", "p", "tau_c")):
+            assert np.shares_memory(getattr(s, name), s.inputs)
+            np.testing.assert_array_equal(getattr(s, name), s.inputs[:, 3 * k:3 * k + 3])
 
     def test_profiles_are_row_views(self):
         s = make_set(4, n_full=3)
@@ -186,7 +195,7 @@ class TestSplitShuffle:
     def test_paper_scale_sizes(self):
         # 25 000 single-level profiles keep the check cheap.
         profs = tuple(Profile([250.0], [1e5], [0.0]) for _ in range(25000))
-        data = ProfileSet(LevelGrid(1), *(np.array([getattr(pr, q) for pr in profs]) for q in ("T", "p", "tau_c")))
+        data = ProfileSet(LevelGrid(1), np.array([np.concatenate([pr.T, pr.p, pr.tau_c]) for pr in profs]))
         tr, va, te = split_shuffle(data, SplitSpec(0.4, 0.2, 0.4, seed=3))
         assert (len(tr), len(va), len(te)) == (10000, 5000, 10000)
 
@@ -215,6 +224,11 @@ class TestSplitShuffle:
 
 
 class TestFlatten:
+    def test_values_are_the_stored_arrays(self):
+        s = make_set(3, n_full=3).with_fluxes(np.arange(12, dtype=float).reshape(3, 4))
+        assert flatten(s, "inputs").values is s.inputs
+        assert flatten(s, "outputs").values is s.fluxes
+
     def test_shape_and_order(self):
         s = make_set(2, n_full=3)
         m = flatten(s, "inputs")

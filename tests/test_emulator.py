@@ -342,6 +342,8 @@ class TestMlpArtifact:
                      r"normalizer.std: expected a list of numbers", id="std-bool"),
         pytest.param(lambda d: d["layout"].__setitem__("hidden", ["3"]), "layout", id="hidden-string"),
         pytest.param(lambda d: d.__setitem__("version", 2), "version 2", id="version"),
+        pytest.param(lambda d: d.__setitem__("version", True), "version True", id="version-true"),
+        pytest.param(lambda d: d.__setitem__("version", 1.0), "version 1.0", id="version-float"),
     ])
     def test_malformed_artifact_names_field(self, tmp_path, edit, field):
         path, doc = self._saved_doc(tmp_path)

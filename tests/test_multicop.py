@@ -376,7 +376,8 @@ class TestSynthesize:
         synth = synthesize(train, CopulaSpec(kind="gaussian"), 1, 77)
         assert all(np.all(p.tau_c >= 0.0) for p in synth.profiles)
 
-    def test_pressure_resort_counted(self):
+    @staticmethod
+    def overlapping_pressures():
         # Weakly dependent overlapping pressure columns force occasional
         # inversions that synthesis must repair.
         gen = np.random.default_rng(0)
@@ -384,17 +385,27 @@ class TestSynthesize:
         for _ in range(150):
             p = np.sort(gen.uniform(1e4, 1e5, 4))
             profs.append(Profile(200 + 50 * gen.random(4), p, np.zeros(4)))
-        train = ProfileSet(LevelGrid(4), *(np.array([getattr(pr, q) for pr in profs]) for q in ("T", "p", "tau_c")))
+        return ProfileSet(LevelGrid(4), np.array([np.concatenate([pr.T, pr.p, pr.tau_c]) for pr in profs]))
+
+    def test_pressure_resort_counted(self):
+        train = self.overlapping_pressures()
         model = fit_synth_model(train, CopulaSpec(kind="gaussian"))
         synth, diag = sample_synth_model(model, 400, 3)
         assert diag.pressure_resorted > 0
         assert all(np.all(np.diff(p.p) > 0) for p in synth.profiles)
 
+    def test_resorted_pressures_are_in_inputs(self):
+        model = fit_synth_model(self.overlapping_pressures(), CopulaSpec(kind="gaussian"))
+        synth, diag = sample_synth_model(model, 400, 3)
+        assert diag.pressure_resorted > 0
+        assert np.shares_memory(synth.p, synth.inputs)
+        assert np.all(np.diff(synth.inputs[:, 4:8], axis=1) > 0)
+
     @pytest.mark.parametrize("kind", ["gaussian", "vine"])
     def test_one_varying_column_rejected(self, kind):
         n = 30
         T = np.column_stack([np.linspace(200.0, 260.0, n), np.full(n, 280.0)])
-        train = ProfileSet(LevelGrid(2), T, np.tile([5e4, 1e5], (n, 1)), np.zeros((n, 2)))
+        train = ProfileSet(LevelGrid(2), np.hstack([T, np.tile([5e4, 1e5], (n, 1)), np.zeros((n, 2))]))
         with pytest.raises(ValueError, match="^a copula needs at least 2 non-constant columns, got 1$"):
             fit_synth_model(train, CopulaSpec(kind=kind))
 
@@ -538,6 +549,9 @@ class TestModelArtifact:
                                  r"^marginals: row 0 \(T_1\): T and p must be positive"),
         "zero-pressure": ("vine", lambda doc: doc["marginals"][5].__setitem__(0, 0.0),
                           r"^marginals: row 5 \(p_1\): T and p must be positive"),
+        "version-true": ("gaussian", lambda doc: doc.update(version=True),
+                         "^unsupported model format version True"),
+        "version-float": ("vine", lambda doc: doc.update(version=2.0), "^unsupported model format version 2.0"),
         "negative-tauc": ("gaussian", lambda doc: doc["marginals"][10].__setitem__(0, -1e-3),
                           r"^marginals: row 10 \(tauc_1\): T and p must be positive, tauc nonnegative"),
     }

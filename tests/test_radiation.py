@@ -192,6 +192,10 @@ class TestRadiateSet:
         assert out.fluxes.shape == (12, 10)
         assert np.all(np.isfinite(out.fluxes)) and np.all(out.fluxes >= 0.0)
 
+    def test_shares_the_input_matrix(self):
+        s = generate_surrogate(5, LevelGrid(4), 2)
+        assert radiate_set(s).inputs is s.inputs
+
     def test_permutation_equivariance(self):
         s = generate_surrogate(8, LevelGrid(7), 3)
         out = radiate_set(s)
@@ -247,7 +251,7 @@ class TestRadiateSetBitIdentity:
             for j in range(1, n_full):
                 if k == 0 or gen.random() < 0.5:
                     p[k, j] = np.nextafter(p[k, j - 1], np.inf)
-        s = ProfileSet(LevelGrid(n_full), T, p, tau_c)
+        s = ProfileSet(LevelGrid(n_full), np.hstack([T, p, tau_c]))
         try:
             expected = reference_fluxes(s.T, s.p, s.tau_c, consts)
         except ValueError:
@@ -268,6 +272,6 @@ class TestRadiateSetBitIdentity:
         for _ in range(3):
             p = np.append(p, np.nextafter(p[-1], np.inf))
         assert len(set((0.5 * (p[:-1] + p[1:])).tolist())) < 3
-        s = ProfileSet(LevelGrid(4), np.full((1, 4), 250.0), p[None], np.zeros((1, 4)))
+        s = ProfileSet(LevelGrid(4), np.hstack([np.full((1, 4), 250.0), p[None], np.zeros((1, 4))]))
         expected = reference_fluxes(s.T, s.p, s.tau_c, RadiationConstants())
         np.testing.assert_array_equal(radiate_set(s).fluxes.view(np.uint64), expected.view(np.uint64))
