@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
@@ -125,6 +126,40 @@ def _check_unit(*args) -> None:
             raise ValueError("copula arguments must be finite and strictly inside (0, 1)")
 
 
+class PseudoObs:
+    """One pseudo-observation vector x and its per-vector transforms.
+
+    Each is computed on first use and kept: the argsort, dense ranks and tie
+    count that all taus of x share, and the Student-t scores stdtrit(nu, x).
+    kendall_tau, fit_pair and h_func take one wherever they take an array.
+    """
+
+    def __init__(self, x):
+        self.x = np.asarray(x, dtype=float)
+        self._scores = {}
+
+    @cached_property
+    def ranks(self) -> tuple:  # argsort, run starts in sorted order, dense ranks, tied pairs
+        order = np.argsort(self.x)
+        starts = _run_starts(self.x[order])
+        rank = np.empty(self.x.size, dtype=np.intp)
+        rank[order] = np.cumsum(starts) - 1
+        return order, starts, rank, _tied_pairs(starts)
+
+    @cached_property
+    def clipped(self) -> bool:  # whether _clip leaves x as it is
+        return bool(np.all((self.x >= EPS) & (self.x <= 1.0 - EPS)))
+
+    def scores(self, df: float) -> np.ndarray:
+        if df not in self._scores:
+            self._scores[df] = stdtrit(df, self.x)
+        return self._scores[df]
+
+
+def _wrap(x) -> PseudoObs:
+    return x if isinstance(x, PseudoObs) else PseudoObs(x)
+
+
 # ---------------------------------------------------------------------------
 # Unrotated building blocks.  h1(u, v) = P(U <= u | V = v).
 # ---------------------------------------------------------------------------
@@ -154,7 +189,7 @@ def _loglik(family: Family, u, v, nu: float | None):
         return gaussian
     if family is Family.STUDENT_T:
         df = float(nu)
-        x, y = stdtrit(df, u), stdtrit(df, v)
+        x, y = _wrap(u).scores(df), _wrap(v).scores(df)
         const = float(gammaln((df + 2.0) / 2.0) + gammaln(df / 2.0) - 2.0 * gammaln((df + 1.0) / 2.0))
         log_marg = -((df + 1.0) / 2.0) * (np.log1p(x * x / df) + np.log1p(y * y / df))
         xx_yy, xy = x * x + y * y, x * y
@@ -210,7 +245,7 @@ def _h1_base(family: Family, u, v, theta: float, nu: float | None):
         return ndtr((ndtri(u) - r * ndtri(v)) / math.sqrt(1.0 - r * r))
     if family is Family.STUDENT_T:
         r, df = theta, float(nu)
-        x, y = stdtrit(df, u), stdtrit(df, v)
+        x, y = _wrap(u).scores(df), _wrap(v).scores(df)
         scale = np.sqrt((df + y * y) * (1.0 - r * r) / (df + 1.0))
         return stdtr(df + 1.0, (x - r * y) / scale)
     if family is Family.CLAYTON:
@@ -317,9 +352,11 @@ def _direction_one(c: PairCopula, direction: int, base, x, z):
 
 
 def h_func(c: PairCopula, u, v, direction: int = 1) -> np.ndarray:
-    """Conditional CDF h; see module docstring for the direction convention."""
-    _check_unit(u, v)
-    u, v = _clip(u), _clip(v)
+    """Conditional CDF h (see the module docstring); a Student-t copula reuses
+    the scores of a PseudoObs argument that _clip leaves as it is."""
+    u, v = _wrap(u), _wrap(v)
+    _check_unit(u.x, v.x)
+    u, v = (w if c.family is Family.STUDENT_T and w.clipped else _clip(w.x) for w in (u, v))
     if direction == 2:
         u, v = v, u
     return _direction_one(c, direction, _h1_base, u, v)
@@ -386,24 +423,18 @@ def kendall_tau(u, v) -> float:
     v's ranks; the tie counts and the tau-b formula are those of
     scipy.stats.kendalltau, so the two agree to the last bit.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.ndim != 1:
+    u, v = _wrap(u), _wrap(v)
+    if u.x.shape != v.x.shape or u.x.ndim != 1:
         raise ValueError("kendall_tau expects two equal-length vectors")
-    n = u.shape[0]
+    n = u.x.shape[0]
     if n < 2:
         raise ValueError("kendall_tau needs at least 2 observations")
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+    if not (np.isfinite(u.x).all() and np.isfinite(v.x).all()):
         raise ValueError("kendall_tau needs finite observations")
-    by_v = np.argsort(v)
-    v_starts = _run_starts(v[by_v])
-    v_rank = np.empty(n, dtype=np.intp)
-    v_rank[by_v] = np.cumsum(v_starts) - 1
-    order = np.argsort(u)
-    u_starts = _run_starts(u[order])
-    if not u_starts.all():
-        order = np.lexsort((v_rank, u))  # u's ties in v order: no inversions among them
-    u_ties, v_ties = _tied_pairs(u_starts), _tied_pairs(v_starts)
+    order, u_starts, _, u_ties = u.ranks
+    _, v_starts, v_rank, v_ties = v.ranks
+    if u_ties:
+        order = np.lexsort((v_rank, u.x))  # u's ties in v order: no inversions among them
     r = v_rank[order]
     joint_ties = _tied_pairs(u_starts | _run_starts(r))
     total = n * (n - 1) // 2
@@ -541,14 +572,14 @@ def _fit_family(f: Family, tau_hat: float, u, v) -> list[PairCopula]:
     rotations = ((0, 180) if tau_hat > 0 else (90, 270)) if f in ROTATABLE else (0,)
     fits = []
     for rotation in rotations:
-        ur, vr = _rotate_args(rotation, u, v)
+        ur, vr = (u, v) if f is Family.STUDENT_T else _rotate_args(rotation, u.x, v.x)
         best = None
         for nu in STUDENT_NU_GRID if f is Family.STUDENT_T else (None,):
             logpdf = _loglik(f, ur, vr, nu)
 
             def loglik_of(theta: float) -> float:
-                ll = float(np.sum(logpdf(theta)))
-                return ll if np.isfinite(ll) else -1e300
+                ll = float(logpdf(theta).sum())
+                return ll if math.isfinite(ll) else -1e300
 
             theta, ll = _golden_max(loglik_of, th_lo, th_hi)
             if best is None or ll > best.loglik:
@@ -569,15 +600,14 @@ def fit_pair(u, v, catalogue=DEFAULT_CATALOGUE, *, tau: float | None = None) -> 
     admissible for the sign of tau and the lowest-AIC candidate wins.  A
     caller that already holds kendall_tau(u, v) passes it as `tau`.
     """
-    u = np.asarray(u, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    if u.shape != v.shape:
+    u, v = (x if isinstance(x, PseudoObs) else PseudoObs(np.ravel(x)) for x in (u, v))
+    if u.x.shape != v.x.shape:
         raise ValueError("u and v must have equal length")
-    n = u.shape[0]
+    n = u.x.shape[0]
     if n < 10:
         raise ValueError("need at least 10 paired observations")
-    _check_unit(u, v)
-    if np.ptp(u) == 0.0 or np.ptp(v) == 0.0:
+    _check_unit(u.x, v.x)
+    if np.ptp(u.x) == 0.0 or np.ptp(v.x) == 0.0:
         raise ValueError("degenerate (constant) pseudo-observation column")
     tau_hat = kendall_tau(u, v) if tau is None else tau
     if abs(tau_hat) < tau_independence_threshold(n):

@@ -11,6 +11,7 @@ stand-in data with realistic cross-level dependence.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
@@ -177,11 +178,16 @@ class ProfileSet:
         bad = _first_invalid_row(self.T, self.p, self.tau_c)
         if bad is not None:
             raise ValueError(f"row {bad[0]}: {bad[1]}")
-        if self.fluxes is not None:
-            object.__setattr__(self, "fluxes", np.asarray(self.fluxes, dtype=float))
-            if self.fluxes.shape != (len(self), self.grid.n_half):
+        self._set_fluxes(self.fluxes)
+
+    def _set_fluxes(self, fluxes) -> "ProfileSet":
+        if fluxes is not None:
+            fluxes = np.asarray(fluxes, dtype=float)
+            if fluxes.shape != (len(self), self.grid.n_half):
                 raise ValueError(f"fluxes must have shape {(len(self), self.grid.n_half)}, "
-                                 f"got {self.fluxes.shape}")
+                                 f"got {fluxes.shape}")
+        object.__setattr__(self, "fluxes", fluxes)
+        return self
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -197,7 +203,8 @@ class ProfileSet:
         return ProfileSet(self.grid, self.inputs[indices], fluxes)
 
     def with_fluxes(self, fluxes: np.ndarray) -> "ProfileSet":
-        return ProfileSet(self.grid, self.inputs, fluxes)
+        """This set with new fluxes; its inputs were validated when it was built."""
+        return copy.copy(self)._set_fluxes(fluxes)
 
 
 @dataclass(frozen=True)

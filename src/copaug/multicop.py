@@ -32,6 +32,7 @@ from .bicop import (
     INDEPENDENCE,
     Family,
     PairCopula,
+    PseudoObs,
     fit_pair,
     h_func,
     h_inv,
@@ -295,6 +296,8 @@ def fit_vine(u, spec: CopulaSpec = CopulaSpec(kind="vine")) -> VineModel:
     for level in range(1, d):
         fitted = level <= trunc
         pairs = itertools.combinations(range(d), 2) if level == 1 else _proximity_pairs(nodes)
+        shared = {}  # one PseudoObs per distinct node vector of this tree (comonotone columns repeat them)
+        hdata = [{v: shared.setdefault(x.tobytes(), PseudoObs(x)) for v, x in h.items()} for h in hdata]
         candidates = []
         for x, y in pairs:
             e, f = nodes[x], nodes[y]

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -10,6 +12,8 @@ from copaug.bicop import (
     INDEPENDENCE,
     Family,
     PairCopula,
+    PseudoObs,
+    STUDENT_NU_GRID,
     fit_pair,
     h_func,
     h_inv,
@@ -288,6 +292,65 @@ class TestKendallTau:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             kendall_tau(np.array([0.1, np.nan, 0.3]), np.array([0.2, 0.5, 0.9]))
+
+
+class TestPseudoObs:
+    @staticmethod
+    def vectors(n):
+        draws = rng.uniforms(n + 1, (n, 2))
+        x = draws[:, 0]
+        return {
+            "tie-free": x,
+            "noisy": x + 0.5 * draws[:, 1],
+            "tied": np.floor(3 * x),
+            "tied-too": np.floor(2 * (x + draws[:, 1])),
+            "constant": np.full(n, 0.25),
+            "increasing": 2 * x + 1,
+            "decreasing": -x,
+        }
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 250])
+    def test_shared_ranks_give_the_plain_array_tau_bit_for_bit(self, n):
+        # One PseudoObs per vector, each ranked once and used in both roles
+        # against every partner: ties in u, in v and in both, a constant
+        # vector and exactly monotone pairs.
+        plain = self.vectors(n)
+        wrapped = {name: PseudoObs(x) for name, x in plain.items()}
+        for a, b in itertools.product(plain, repeat=2):
+            tau = kendall_tau(wrapped[a], wrapped[b])
+            assert tau == kendall_tau(plain[a].copy(), plain[b].copy()), (a, b)
+            reference = scipy_kendalltau(plain[a], plain[b]).statistic
+            assert tau == (0.0 if np.isnan(reference) else reference), (a, b)
+        assert kendall_tau(wrapped["tie-free"], wrapped["increasing"]) == 1.0
+        assert kendall_tau(wrapped["decreasing"], wrapped["tie-free"]) == -1.0
+        assert kendall_tau(wrapped["constant"], wrapped["tied"]) == 0.0
+
+    def test_ties_reach_both_roles(self):
+        u, v = PseudoObs([0.1, 0.1, 0.2, 0.3]), PseudoObs([0.5, 0.4, 0.4, 0.6])
+        assert u.ranks[3] == 1 and v.ranks[3] == 1
+        np.testing.assert_array_equal(v.ranks[2], [1, 0, 0, 2])
+        assert kendall_tau(u, v) == kendall_tau(u.x, v.x) == scipy_kendalltau(u.x, v.x).statistic
+
+    @pytest.mark.parametrize("direction", [1, 2])
+    def test_h_func_reuses_student_scores_only_when_clipping_is_a_no_op(self, direction):
+        c = PairCopula(Family.STUDENT_T, 0, 0.6, 4.0)
+        draws = rng.uniforms(6, (300, 2))
+        u, v = draws[:, 0].copy(), draws[:, 1]
+        u[0] = 1e-12  # below the clip floor: its scores must come from the clipped values
+        wrapped_u, wrapped_v = PseudoObs(u), PseudoObs(v)
+        expected = h_func(c, u, v, direction)
+        np.testing.assert_array_equal(h_func(c, wrapped_u, wrapped_v, direction), expected)
+        assert not wrapped_u.clipped and wrapped_v.clipped
+        assert 4.0 not in wrapped_u._scores and 4.0 in wrapped_v._scores
+        for other in CASES:
+            np.testing.assert_array_equal(h_func(other, wrapped_u, wrapped_v, direction),
+                                          h_func(other, u, v, direction))
+
+    def test_fit_pair_on_pseudo_obs_is_bit_identical(self):
+        s = sample_pair(PairCopula(Family.STUDENT_T, 0, 0.5, 6.0), 400, 13)
+        u, v = PseudoObs(s[:, 0]), PseudoObs(s[:, 1])
+        assert fit_pair(u, v) == fit_pair(s[:, 0], s[:, 1])
+        assert sorted(u._scores) == list(STUDENT_NU_GRID)  # one stdtrit per nu, kept
 
 
 class TestTauConversions:

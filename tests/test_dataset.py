@@ -51,6 +51,22 @@ class TestProfileInvariants:
         s = make_set(2)
         with pytest.raises(ValueError, match="fluxes"):
             ProfileSet(s.grid, s.inputs, np.zeros((2, 3)))
+        for wrong in (np.zeros((2, 3)), np.zeros((3, 4)), np.zeros(8)):
+            with pytest.raises(ValueError, match="fluxes"):
+                s.with_fluxes(wrong)
+        assert s.fluxes is None  # the failed calls left the set as it was
+
+    def test_with_fluxes_keeps_the_set_and_checks_only_the_fluxes(self, monkeypatch):
+        s = make_set(3)
+        scans = []
+        real = ds._first_invalid_row
+        monkeypatch.setattr(ds, "_first_invalid_row", lambda *a: scans.append(1) or real(*a))
+        out = s.with_fluxes([[1, 2, 3, 4]] * 3)
+        assert not scans
+        assert out.inputs is s.inputs and out.T is s.T and s.fluxes is None
+        assert out.fluxes.dtype == float and out.fluxes.shape == (3, 4)
+        out.subset([0, 2])
+        assert len(scans) == 1  # subset still validates
 
 
 class TestColumnarProfileSet:

@@ -1,5 +1,6 @@
 import json
 from collections import namedtuple
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from copaug import bicop, multicop, rng
 from copaug.bicop import Family, PairCopula, h_func, h_inv, kendall_tau
 from copaug.dataset import SchemaError
 from copaug.dataset import LevelGrid, Profile, ProfileSet, flatten, generate_surrogate
+from copaug.marginals import pseudo_observations
 from copaug.multicop import (
     CopulaSpec,
     fit_gaussian,
@@ -345,6 +347,75 @@ class TestTruncatedVine:
         assert len(calls["h_inv"]) <= d * k
         assert Family.INDEPENDENCE not in calls["h_inv"]
         assert len(calls["h_inv"]) == sum(f is not Family.INDEPENDENCE for f in fitted)
+
+
+def student_umatrix(d, n, seed):
+    """Pseudo-observations of a 4-dof multivariate t with AR(1) correlation 0.7."""
+    z = rng.normals(seed, (n, d + 4))
+    L = np.linalg.cholesky(0.7 ** np.abs(np.subtract.outer(range(d), range(d))))
+    t = (z[:, :d] @ L.T) / np.sqrt((z[:, d:] ** 2).mean(axis=1, keepdims=True))
+    return pseudo_observations(t)
+
+
+class TestVineFitTraffic:
+    def test_each_distinct_node_vector_ranked_and_scored_once_per_tree(self, monkeypatch):
+        # Columns 0 and 1 are equal (comonotone), so tree 1 holds two equal node vectors.
+        u = student_umatrix(7, 300, 1)
+        u = np.column_stack([u[:, :1], u])
+        spec = CopulaSpec(kind="vine", truncation=3)
+        expected = fit_vine(u, spec)
+        events = []
+        real_tau, real_stdtrit = multicop.kendall_tau, bicop.stdtrit
+
+        class CountingObs(bicop.PseudoObs):
+            def __init__(self, x):
+                super().__init__(x)
+                events.append(("made", self))
+
+            @cached_property
+            def ranks(self):
+                events.append(("ranked", self))
+                return bicop.PseudoObs.ranks.func(self)
+
+        def counting_tau(a, b):
+            events.append(("tau", a, b))
+            return real_tau(a, b)
+
+        def counting_stdtrit(df, x):
+            events.append(("stdtrit", x, df))
+            return real_stdtrit(df, x)
+
+        monkeypatch.setattr(multicop, "PseudoObs", CountingObs)
+        monkeypatch.setattr(multicop, "kendall_tau", counting_tau)
+        monkeypatch.setattr(bicop, "stdtrit", counting_stdtrit)
+        assert fit_vine(u, spec) == expected
+        assert any(e.copula.family is Family.STUDENT_T for e in expected.trees[0])  # h_func reads scores
+        # Each tree wraps its node vectors first, so a run of "made" events starts a tree.
+        trees, kind = [], None
+        for event in events:
+            if event[0] == "made" and kind != "made":
+                trees.append([])
+            trees[-1].append(event)
+            kind = event[0]
+        assert len(trees) == 3
+        distinct, scores = [], []
+        for tree in trees:
+            owner = {id(e[1].x): e[1] for e in tree if e[0] == "made"}
+            used = {id(obs): obs for e in tree if e[0] == "tau" for obs in e[1:]}
+            ranked = [e[1] for e in tree if e[0] == "ranked"]
+            scored = [(e[1], e[2]) for e in tree if e[0] == "stdtrit"]
+            # Every tau takes this tree's wrappers, one per distinct vector, each ranked once.
+            assert all(id(obs.x) in owner for obs in used.values())
+            assert len({obs.x.tobytes() for obs in used.values()}) == len(used)
+            assert sorted(map(id, ranked)) == sorted(used)
+            # stdtrit runs on this tree's wrapped vectors only, once per distinct (vector, nu).
+            assert all(id(x) in owner for x, _ in scored)
+            keys = [(x.tobytes(), df) for x, df in scored]
+            assert len(set(keys)) == len(keys)
+            distinct.append(len(used))
+            scores.append(len(keys))
+        assert distinct[0] == 7  # eight columns, two of them equal
+        assert scores[0] == 7 * len(bicop.STUDENT_NU_GRID)  # every tree-1 vector takes a Student-t fit
 
 
 def synthesize(train, spec, factor, seed):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from copaug import dataset
 from copaug.dataset import LevelGrid, Profile, ProfileSet, generate_surrogate
 from copaug.radiation import (
     RadiationConstants,
@@ -195,6 +196,14 @@ class TestRadiateSet:
     def test_shares_the_input_matrix(self):
         s = generate_surrogate(5, LevelGrid(4), 2)
         assert radiate_set(s).inputs is s.inputs
+
+    def test_does_not_rescan_the_inputs(self, monkeypatch):
+        s = generate_surrogate(5, LevelGrid(4), 2)
+        scans = []
+        real = dataset._first_invalid_row
+        monkeypatch.setattr(dataset, "_first_invalid_row", lambda *a: scans.append(1) or real(*a))
+        assert radiate_set(s).fluxes.shape == (5, 5)
+        assert not scans
 
     def test_permutation_equivariance(self):
         s = generate_surrogate(8, LevelGrid(7), 3)
