@@ -6,10 +6,10 @@ validation loss with best-weights restoration.  Everything is seeded and
 deterministic: weight init and batch shuffling draw from the package's
 Philox streams.
 
-During training all weights and biases live in one flat float64 vector,
-layer by layer (W0, b0, W1, b1, ...), and the per-layer arrays are
-reshaped views of it; the gradient vector has the same layout, so one
-Adam step updates every parameter.
+A model's weights and biases live in one flat float64 vector, layer by
+layer (W0, b0, W1, b1, ...), and the per-layer arrays are reshaped views
+of it; the gradient vector has the same layout, so one Adam step updates
+every parameter.
 """
 
 from __future__ import annotations
@@ -82,27 +82,31 @@ class TrainConfig:
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MLPModel:
     layout: MLPLayout
-    weights: list
-    biases: list
+    params: np.ndarray  # W0, b0, W1, b1, ... flattened; weights and biases are views of it
     normalizer: Normalizer
     history: dict = field(default_factory=lambda: {"train": [], "val": []})
     best_epoch: int = -1
+    weights: list = field(init=False, repr=False)
+    biases: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", np.ascontiguousarray(self.params, dtype=np.float64))
+        weights, biases = _param_views(self.layout, self.params)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "biases", biases)
 
 
 def init_mlp(layout: MLPLayout, seed: int) -> MLPModel:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases."""
     gen = rng.stream(seed)
-    weights, biases = [], []
     widths = layout.widths
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        scale = 1.0 / np.sqrt(fan_in)
-        w = (2.0 * gen.random((fan_in, fan_out)) - 1.0) * scale
-        weights.append(w)
-        biases.append(np.zeros(fan_out))
-    return MLPModel(layout, weights, biases, Normalizer(np.zeros(widths[0]), np.ones(widths[0])))
+    params = np.zeros(sum(a * b + b for a, b in zip(widths[:-1], widths[1:])))
+    for w in _param_views(layout, params)[0]:
+        w[...] = (2.0 * gen.random(w.shape) - 1.0) * (1.0 / np.sqrt(w.shape[0]))
+    return MLPModel(layout, params, Normalizer(np.zeros(widths[0]), np.ones(widths[0])))
 
 
 def _param_views(layout: MLPLayout, flat: np.ndarray):
@@ -115,6 +119,8 @@ def _param_views(layout: MLPLayout, flat: np.ndarray):
         weights.append(flat[pos:end].reshape(fan_in, fan_out))
         biases.append(flat[end:end + fan_out])
         pos = end + fan_out
+    if flat.shape != (pos,):
+        raise ValueError(f"expected a vector of {pos} parameters, got shape {flat.shape}")
     return weights, biases
 
 
@@ -166,8 +172,8 @@ def loss_and_grads(m: MLPModel, x_norm: np.ndarray, y: np.ndarray, delta: float,
 
     `x_norm` is the network's input, already normalized: `m.normalizer`
     is not applied here, so callers pass `m.normalizer.apply(x)`.  The
-    gradients are written into `out`, a flat vector in the training
-    parameter layout (allocated when None), and returned as per-layer
+    gradients are written into `out`, a flat vector in the layout of
+    `m.params` (allocated when None), and returned as per-layer
     views of it: (loss, grads_w, grads_b).
     """
     neg, act = _forward_cached(m, x_norm)
@@ -179,7 +185,7 @@ def loss_and_grads(m: MLPModel, x_norm: np.ndarray, y: np.ndarray, delta: float,
     delta_k = np.clip(r, -delta, delta, out=r)
     delta_k /= count
     if out is None:
-        out = np.empty(sum(p.size for p in m.weights + m.biases))
+        out = np.empty_like(m.params)
     grads_w, grads_b = _param_views(m.layout, out)
     for k in range(len(m.weights) - 1, -1, -1):
         np.matmul(act[k].T, delta_k, out=grads_w[k])
@@ -192,34 +198,34 @@ def loss_and_grads(m: MLPModel, x_norm: np.ndarray, y: np.ndarray, delta: float,
 
 
 class AdamState:
-    """First/second moment accumulators for one parameter list."""
+    """First/second moment accumulators for one parameter vector."""
 
-    def __init__(self, params):
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
-        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+    def __init__(self, params: np.ndarray):
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._scratch = (np.empty_like(params), np.empty_like(params))
         self.t = 0
 
-    def step(self, params, grads, cfg: TrainConfig):
-        """p -= lr * (m / corr1) / (sqrt(v / corr2) + eps), in scratch buffers."""
+    def step(self, params: np.ndarray, grads: np.ndarray, cfg: TrainConfig):
+        """params -= lr * (m / corr1) / (sqrt(v / corr2) + eps), in scratch buffers."""
         self.t += 1
         b1, b2 = cfg.beta1, cfg.beta2
         corr1 = 1.0 - b1 ** self.t
         corr2 = 1.0 - b2 ** self.t
-        for p, g, mm, vv, (num, den) in zip(params, grads, self.m, self.v, self._scratch):
-            mm *= b1
-            mm += np.multiply(g, 1.0 - b1, out=num)
-            vv *= b2
-            np.multiply(g, 1.0 - b2, out=num)
-            num *= g
-            vv += num
-            np.divide(vv, corr2, out=den)
-            np.sqrt(den, out=den)
-            den += cfg.adam_eps
-            np.divide(mm, corr1, out=num)
-            num *= cfg.learning_rate
-            num /= den
-            p -= num
+        mm, vv, (num, den) = self.m, self.v, self._scratch
+        mm *= b1
+        mm += np.multiply(grads, 1.0 - b1, out=num)
+        vv *= b2
+        np.multiply(grads, 1.0 - b2, out=num)
+        num *= grads
+        vv += num
+        np.divide(vv, corr2, out=den)
+        np.sqrt(den, out=den)
+        den += cfg.adam_eps
+        np.divide(mm, corr1, out=num)
+        num *= cfg.learning_rate
+        num /= den
+        params -= num
 
 
 def train(m: MLPModel, train_x, train_y, val_x, val_y, cfg: TrainConfig = TrainConfig()) -> MLPModel:
@@ -238,17 +244,16 @@ def train(m: MLPModel, train_x, train_y, val_x, val_y, cfg: TrainConfig = TrainC
     if tx.shape[1] != m.layout.n_inputs or ty.shape[1] != m.layout.n_outputs:
         raise ValueError("data widths do not match the model layout")
 
-    flat = np.concatenate([p.ravel() for layer in zip(m.weights, m.biases) for p in layer],
-                          dtype=np.float64)
-    model = MLPModel(m.layout, *_param_views(m.layout, flat), Normalizer.from_data(tx))
+    flat = m.params.copy()
+    model = MLPModel(m.layout, flat, Normalizer.from_data(tx))  # views of flat, which Adam steps
     txn = model.normalizer.apply(tx)
 
     gen = rng.stream(cfg.seed)
-    adam = AdamState([flat])
+    adam = AdamState(flat)
     grad = np.empty_like(flat)
     n = tx.shape[0]
     best_val = np.inf
-    best_flat = None
+    best_flat, best_epoch = flat, -1  # the last weights, should no epoch improve
     streak = 0
     for epoch in range(cfg.epochs):
         order = rng.permutation(n, gen)
@@ -258,23 +263,20 @@ def train(m: MLPModel, train_x, train_y, val_x, val_y, cfg: TrainConfig = TrainC
             loss, _, _ = loss_and_grads(model, txn[idx], ty[idx], cfg.huber_delta, out=grad)
             if not math.isfinite(loss):
                 raise ValueError(f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}")
-            adam.step([flat], [grad], cfg)
+            adam.step(flat, grad, cfg)
             epoch_loss += loss * idx.shape[0]
         val_loss = huber_loss(forward(model, vx), vy, cfg.huber_delta)
         model.history["train"].append(epoch_loss / n)
         model.history["val"].append(val_loss)
         if val_loss < best_val:
             best_val = val_loss
-            best_flat = flat.copy()
-            model.best_epoch = epoch
+            best_flat, best_epoch = flat.copy(), epoch
             streak = 0
         else:
             streak += 1
             if streak >= cfg.patience:
                 break
-    if best_flat is not None:
-        model.weights, model.biases = _param_views(model.layout, best_flat)
-    return model
+    return MLPModel(m.layout, best_flat, model.normalizer, model.history, best_epoch)
 
 
 def predict_set(m: MLPModel, profiles: ProfileSet) -> DataMatrix:
@@ -332,5 +334,5 @@ def load_mlp(path) -> MLPModel:
     std = json_numbers(norm["std"], "normalizer.std", (layout.n_inputs,))
     if not np.all(std > 0.0):
         raise SchemaError("normalizer.std: values must be positive")
-    return MLPModel(layout, weights, biases, Normalizer(mean, std), doc["history"],
-                    doc["best_epoch"])
+    params = np.concatenate([p.ravel() for layer in zip(weights, biases) for p in layer])
+    return MLPModel(layout, params, Normalizer(mean, std), doc["history"], doc["best_epoch"])

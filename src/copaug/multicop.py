@@ -160,7 +160,6 @@ class SynthModel:
     """
 
     kind: str
-    columns: tuple
     marginals: np.ndarray  # (d, n): row j is column j's sorted training sample
     active: tuple  # column indices covered by the copula
     gaussian: GaussianCopulaModel | None = None
@@ -168,7 +167,7 @@ class SynthModel:
 
     @property
     def d(self) -> int:
-        return len(self.columns)
+        return self.marginals.shape[0]
 
 
 @dataclass
@@ -434,10 +433,9 @@ def fit_synth_model(train: ProfileSet, spec: CopulaSpec) -> SynthModel:
     if len(active) < 2:
         raise ValueError(f"a copula needs at least 2 non-constant columns, got {len(active)}")
     U = pseudo_observations(train.inputs[:, active])
-    columns = tuple(train.grid.input_labels())
     if spec.kind == "gaussian":
-        return SynthModel("gaussian", columns, margs, active, gaussian=fit_gaussian(U))
-    return SynthModel("vine", columns, margs, active, vine=fit_vine(U, spec))
+        return SynthModel("gaussian", margs, active, gaussian=fit_gaussian(U))
+    return SynthModel("vine", margs, active, vine=fit_vine(U, spec))
 
 
 def sample_synth_model(model: SynthModel, n: int, seed: int):
@@ -501,7 +499,7 @@ def model_to_dict(model: SynthModel) -> dict:
         "version": MODEL_FORMAT_VERSION,
         "kind": model.kind,
         "d": model.d,
-        "columns": list(model.columns),
+        "columns": LevelGrid(model.d // 3).input_labels(),
         "marginals": model.marginals.tolist(),
         "active": list(model.active),
     }
@@ -514,7 +512,7 @@ def model_to_dict(model: SynthModel) -> dict:
     return doc
 
 
-def _marginal_table(rows, columns: tuple) -> np.ndarray:
+def _marginal_table(rows, columns: list) -> np.ndarray:
     """The (d, n) table of sorted samples, n >= 2, finite and within the
     profile invariants (T and p positive, tau_c nonnegative); else SchemaError."""
     d = len(columns)
@@ -542,7 +540,6 @@ def model_from_dict(doc: dict) -> SynthModel:
     k = len(columns) // 3 if isinstance(columns, list) else 0
     if k < 1 or columns != LevelGrid(k).input_labels():
         raise SchemaError("columns: expected T_1..T_k, p_1..p_k, tauc_1..tauc_k for some k >= 1")
-    columns = tuple(columns)
     margs = _marginal_table(doc["marginals"], columns)
     active = _copula_columns(margs)
     if len(active) < 2 or doc["active"] != list(active):
@@ -561,7 +558,7 @@ def model_from_dict(doc: dict) -> SynthModel:
             L = np.linalg.cholesky(R)
         except np.linalg.LinAlgError:
             raise SchemaError("correlation: matrix is not positive-definite") from None
-        return SynthModel("gaussian", columns, margs, active, gaussian=GaussianCopulaModel(R, L))
+        return SynthModel("gaussian", margs, active, gaussian=GaussianCopulaModel(R, L))
     vine = doc["vine"]
     if not (isinstance(vine, dict) and "matrix" in vine and "copulas" in vine):
         raise SchemaError("vine: expected an object with matrix and copulas")
@@ -576,7 +573,7 @@ def model_from_dict(doc: dict) -> SynthModel:
         vine = VineModel(tuple(map(tuple, matrix)), copulas)
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
-    return SynthModel("vine", columns, margs, active, vine=vine)
+    return SynthModel("vine", margs, active, vine=vine)
 
 
 def save_model(path, model: SynthModel) -> None:

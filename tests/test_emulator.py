@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -47,19 +48,17 @@ class TestInit:
 class TestForward:
     def test_zero_network(self):
         lay = MLPLayout(3, (4,), 2)
-        m = MLPModel(lay, [np.zeros((3, 4)), np.zeros((4, 2))],
-                     [np.zeros(4), np.zeros(2)], Normalizer(np.zeros(3), np.ones(3)))
+        m = MLPModel(lay, np.zeros(3 * 4 + 4 + 4 * 2 + 2), Normalizer(np.zeros(3), np.ones(3)))
         np.testing.assert_array_equal(forward(m, np.ones((1, 3))), np.zeros((1, 2)))
 
     def test_affine_single_layer(self):
-        m = MLPModel(MLPLayout(1, (), 1), [np.array([[2.0]])], [np.array([1.0])],
-                     Normalizer(np.zeros(1), np.ones(1)))
+        m = MLPModel(MLPLayout(1, (), 1), np.array([2.0, 1.0]), Normalizer(np.zeros(1), np.ones(1)))
         assert forward(m, np.array([[3.0]])) == 7.0
 
     def test_elu_branch_values(self):
         # 1-1-1 identity network: the output is ELU of the input.
-        m = MLPModel(MLPLayout(1, (1,), 1), [np.ones((1, 1)), np.ones((1, 1))],
-                     [np.zeros(1), np.zeros(1)], Normalizer(np.zeros(1), np.ones(1)))
+        m = MLPModel(MLPLayout(1, (1,), 1), np.array([1.0, 0.0, 1.0, 0.0]),
+                     Normalizer(np.zeros(1), np.ones(1)))
         np.testing.assert_array_equal(forward(m, np.array([[-1.0], [2.5]])), [[np.expm1(-1.0)], [2.5]])
 
     def test_width_mismatch(self):
@@ -140,10 +139,10 @@ class TestGradients:
 
     def test_adam_zero_gradient_is_noop(self):
         m = init_mlp(MLPLayout(3, (4,), 2), 1)
-        before = [w.copy() for w in m.weights]
-        state = AdamState(m.weights)
-        state.step(m.weights, [np.zeros_like(w) for w in m.weights], TrainConfig())
-        assert all(np.array_equal(a, b) for a, b in zip(before, m.weights))
+        before = m.params.copy()
+        state = AdamState(m.params)
+        state.step(m.params, np.zeros_like(m.params), TrainConfig())
+        assert m.params.tobytes() == before.tobytes()
 
 
 class TestTraining:
@@ -269,6 +268,42 @@ class TestTraining:
             TrainConfig(epochs=10, patience=25)
 
 
+class TestParams:
+    LAYOUT = MLPLayout(3, (5, 4), 2)
+    N_PARAMS = 3 * 5 + 5 + 5 * 4 + 4 + 4 * 2 + 2
+
+    def _model(self, source, tmp_path):
+        m = init_mlp(self.LAYOUT, 4)
+        if source == "init":
+            return m
+        x = np.random.default_rng(9).normal(size=(20, 3))
+        m = train(m, x, x[:, :2], x, x[:, :2], TrainConfig(epochs=3, patience=3, batch_size=8, seed=3))
+        if source == "train":
+            return m
+        save_mlp(tmp_path / "mlp.json", m)
+        return load_mlp(tmp_path / "mlp.json")
+
+    @pytest.mark.parametrize("source", ["init", "train", "load"])
+    def test_weights_and_biases_are_views_of_params(self, source, tmp_path):
+        m = self._model(source, tmp_path)
+        assert m.params.shape == (self.N_PARAMS,) and m.params.dtype == np.float64
+        assert m.params.flags.c_contiguous
+        assert all(np.shares_memory(p, m.params) for p in m.weights + m.biases)
+        layers = np.concatenate([p.ravel() for pair in zip(m.weights, m.biases) for p in pair])
+        assert layers.tobytes() == m.params.tobytes()
+        assert [w.shape for w in m.weights] == [(3, 5), (5, 4), (4, 2)]
+
+    @pytest.mark.parametrize("shape", [(N_PARAMS - 1,), (N_PARAMS + 1,), (N_PARAMS, 1)])
+    def test_wrong_length_rejected(self, shape):
+        with pytest.raises(ValueError):
+            MLPModel(self.LAYOUT, np.zeros(shape), Normalizer(np.zeros(3), np.ones(3)))
+
+    def test_frozen(self):
+        m = init_mlp(self.LAYOUT, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.params = np.zeros(self.N_PARAMS)
+
+
 class TestPredictSet:
     def test_output_width_paper_grid(self):
         s = radiate_set(generate_surrogate(3, LevelGrid(137), 1))
@@ -302,8 +337,9 @@ class TestMlpArtifact:
         path = tmp_path / "mlp.json"
         save_mlp(path, m)
         m2 = load_mlp(path)
-        np.testing.assert_array_equal(forward(m, x), forward(m2, x))
-        assert m2.history == m.history
+        assert forward(m2, x).tobytes() == forward(m, x).tobytes()
+        assert m2.params.tobytes() == m.params.tobytes()
+        assert (m2.history, m2.best_epoch) == (m.history, m.best_epoch)
 
     def test_version_required(self, tmp_path):
         path = tmp_path / "bad.json"
