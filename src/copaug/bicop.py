@@ -436,7 +436,8 @@ def kendall_tau(u, v) -> float:
     if u_ties:
         order = np.lexsort((v_rank, u.x))  # u's ties in v order: no inversions among them
     r = v_rank[order]
-    joint_ties = _tied_pairs(u_starts | _run_starts(r))
+    # Pairs tied in both; with no ties in u or in v every run has length 1.
+    joint_ties = _tied_pairs(u_starts | _run_starts(r)) if u_ties and v_ties else 0
     total = n * (n - 1) // 2
     if u_ties == total or v_ties == total:
         return 0.0  # a constant vector

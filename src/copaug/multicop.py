@@ -282,7 +282,9 @@ def fit_vine(u, spec: CopulaSpec = CopulaSpec(kind="vine")) -> VineModel:
     Ties break toward the lowest conditioned index pair.  Trees past the
     truncation level do not change the density, so they only complete the
     structure: a spanning tree of the proximity graph picked by node index,
-    with independence copulas.
+    with independence copulas.  Within a tree, edges that join the same
+    ordered pair of node vectors share one tau, one pair fit and its
+    h-functions.
     """
     u = _check_umatrix(u)
     n, d = u.shape
@@ -297,29 +299,39 @@ def fit_vine(u, spec: CopulaSpec = CopulaSpec(kind="vine")) -> VineModel:
         pairs = itertools.combinations(range(d), 2) if level == 1 else _proximity_pairs(nodes)
         shared = {}  # one PseudoObs per distinct node vector of this tree (comonotone columns repeat them)
         hdata = [{v: shared.setdefault(x.tobytes(), PseudoObs(x)) for v, x in h.items()} for h in hdata]
-        candidates = []
+        # taus and fits are keyed by the ordered pair of wrappers: kendall_tau(v, u) may differ from
+        # kendall_tau(u, v) in the last bit, and fit_pair's rotations follow the argument order.
+        candidates, taus = [], {}
         for x, y in pairs:
             e, f = nodes[x], nodes[y]
             (a,) = e.constraint - f.constraint
             (b,) = f.constraint - e.constraint
-            tau = kendall_tau(hdata[x][a], hdata[y][b]) if fitted else 0.0
+            tau = 0.0
+            if fitted:
+                key = hdata[x][a], hdata[y][b]
+                if key not in taus:
+                    taus[key] = kendall_tau(*key)
+                tau = taus[key]
             tiebreak = (min(a, b), max(a, b), x, y) if fitted else (x, y)
             candidates.append((abs(tau), tiebreak, x, y, (x, y, a, b, tau)))
         chosen = _kruskal_max(len(nodes), candidates)
         chosen.sort(key=lambda c: (min(c[2], c[3]), max(c[2], c[3])))
-        new_nodes, new_hdata = [], []
+        new_nodes, new_hdata, fits = [], [], {}  # fits: (copula, h1, h2)
         for x, y, a, b, tau in chosen:
             node = _Node((x, y), (a, b), nodes[x].constraint | nodes[y].constraint)
             if fitted:
-                za, zb = hdata[x][a], hdata[y][b]
-                try:
-                    node.copula = fit_pair(za, zb, spec.catalogue, tau=tau)
-                except ValueError as exc:
-                    raise ValueError(f"tree {level} edge ({a},{b}): {exc}") from None
+                key = za, zb = hdata[x][a], hdata[y][b]
+                if key not in fits:
+                    try:
+                        cop = fit_pair(za, zb, spec.catalogue, tau=tau)
+                    except ValueError as exc:
+                        raise ValueError(f"tree {level} edge ({a},{b}): {exc}") from None
+                    fits[key] = ((cop, h_func(cop, za, zb, direction=1), h_func(cop, za, zb, direction=2))
+                                 if level < trunc else (cop, None, None))
+                node.copula, h1, h2 = fits[key]
                 node.tau = tau
                 if level < trunc:
-                    new_hdata.append({a: h_func(node.copula, za, zb, direction=1),
-                                      b: h_func(node.copula, za, zb, direction=2)})
+                    new_hdata.append({a: h1, b: h2})
             new_nodes.append(node)
         levels.append(new_nodes)
         nodes, hdata = new_nodes, new_hdata

@@ -417,6 +417,87 @@ class TestVineFitTraffic:
         assert distinct[0] == 7  # eight columns, two of them equal
         assert scores[0] == 7 * len(bicop.STUDENT_NU_GRID)  # every tree-1 vector takes a Student-t fit
 
+    @staticmethod
+    def three_equal_columns():
+        u = student_umatrix(7, 300, 1)
+        return np.column_stack([u[:, :1], u[:, :1], u])
+
+    def test_each_distinct_wrapper_pair_takes_one_tau_one_fit_and_one_pair_of_h_per_tree(self, monkeypatch):
+        # Columns 0, 1 and 2 are equal, so edges repeat ordered pairs of node vectors in every tree.
+        u, trunc = self.three_equal_columns(), 3
+        spec = CopulaSpec(kind="vine", truncation=trunc)
+        expected = fit_vine(u, spec)
+        real_tau, real_fit, real_h = multicop.kendall_tau, multicop.fit_pair, multicop.h_func
+        real_kruskal, real_proximity = multicop._kruskal_max, multicop._proximity_pairs
+        levels, taus_so_far, node_lists = [], [], []
+
+        def tau(a, b):
+            taus_so_far.append((a.x.tobytes(), b.x.tobytes()))
+            return real_tau(a, b)
+
+        def fit(a, b, *args, **kwargs):
+            levels[-1]["fit"].append((a.x.tobytes(), b.x.tobytes()))
+            return real_fit(a, b, *args, **kwargs)
+
+        def h(c, a, b, direction):
+            levels[-1]["h"].append((a.x.tobytes(), b.x.tobytes()))
+            return real_h(c, a, b, direction=direction)
+
+        def kruskal(n, edges):  # ends the candidate loop of a tree
+            levels.append({"tau": taus_so_far[:], "candidates": [e[4] for e in edges], "fit": [], "h": []})
+            taus_so_far.clear()
+            return real_kruskal(n, edges)
+
+        def proximity(nodes):  # the previous tree's edges, in the order of their node vectors
+            node_lists.append([(*node.pieces, *node.cond) for node in nodes])
+            return real_proximity(nodes)
+
+        for name, f in [("kendall_tau", tau), ("fit_pair", fit), ("h_func", h),
+                        ("_kruskal_max", kruskal), ("_proximity_pairs", proximity)]:
+            monkeypatch.setattr(multicop, name, f)
+        assert fit_vine(u, spec) == expected
+        # A parent-style fit alongside: every edge computes its own tau, fit and h-functions
+        # from plain arrays, and its h-functions are the next tree's node vectors.
+        vectors = [{i: u[:, i]} for i in range(u.shape[1])]
+        for t, level, chosen in zip(range(trunc), levels, node_lists):
+            def distinct_pairs(edges):
+                return sorted({(vectors[x][a].tobytes(), vectors[y][b].tobytes()) for x, y, a, b, *_ in edges})
+
+            candidates = level["candidates"]
+            assert sorted(level["tau"]) == distinct_pairs(candidates)
+            taus = {(x, y): tau for x, y, a, b, tau in candidates}
+            assert all(taus[x, y] == real_tau(vectors[x][a], vectors[y][b]) for x, y, a, b, _ in candidates)
+            keys = distinct_pairs(chosen)
+            assert sorted(level["fit"]) == keys
+            assert sorted(level["h"]) == (sorted(keys * 2) if t + 1 < trunc else [])
+            fitted, next_vectors = {}, []
+            for x, y, a, b in chosen:
+                c = real_fit(vectors[x][a], vectors[y][b], spec.catalogue, tau=taus[x, y])
+                fitted[min(a, b), max(a, b)] = (c if a < b else bicop.swap_arguments(c)), taus[x, y]
+                next_vectors.append({a: real_h(c, vectors[x][a], vectors[y][b], direction=1),
+                                     b: real_h(c, vectors[x][a], vectors[y][b], direction=2)})
+            assert fitted == {e.cond: (e.copula, e.tau_hat) for e in expected.trees[t]}
+            if t == 0:  # the data do repeat pairs: among the candidates and among the chosen edges
+                assert len(level["tau"]) < len(candidates) and len(keys) < len(chosen)
+            vectors = next_vectors
+
+    def test_a_repeated_pair_that_fails_names_its_first_edge(self, monkeypatch):
+        u = self.three_equal_columns()
+        real_fit, calls = multicop.fit_pair, []
+
+        def fit(a, b, *args, **kwargs):
+            calls.append((a, b))
+            if a is b:  # a column paired with an equal one: twice among tree 1's chosen edges
+                raise ValueError("refused")
+            return real_fit(a, b, *args, **kwargs)
+
+        first = min(e.cond for e in fit_vine(u, CopulaSpec(kind="vine", truncation=2)).trees[0]
+                    if set(e.cond) <= {0, 1, 2})
+        monkeypatch.setattr(multicop, "fit_pair", fit)
+        with pytest.raises(ValueError, match=rf"^tree 1 edge \({first[0]},{first[1]}\): refused$"):
+            fit_vine(u, CopulaSpec(kind="vine", truncation=2))
+        assert calls[-1][0] is calls[-1][1] and all(a is not b for a, b in calls[:-1])
+
 
 def synthesize(train, spec, factor, seed):
     synth, _ = sample_synth_model(fit_synth_model(train, spec), factor * len(train), seed)
