@@ -12,11 +12,12 @@ Conventions
   argument given the second, direction=2 the reverse.
 * h_inv(c, w, z, direction) inverts the conditioned argument; z is the
   value of the conditioning variable.
-* Rotations transform density arguments as 90: (u,v)->(v,1-u),
-  180: (u,v)->(1-u,1-v), 270: (u,v)->(1-v,u), so 90/270 capture negative
-  dependence for Clayton, Gumbel and Joe.
-* All evaluations clamp arguments into [1e-10, 1 - 1e-10]; exact 0 or 1
-  is rejected at the public surface.
+* Rotations follow one reflection rule: 90 and 180 reflect the first
+  argument (x -> 1-x), 180 and 270 the second; 90/270 capture negative
+  dependence for Clayton, Gumbel and Joe.  h_func and h_inv reflect their
+  result too where the rule reflects the conditioned argument.
+* Arguments must lie strictly inside (0, 1); evaluations clamp them into
+  [1e-10, 1 - 1e-10].
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ class PseudoObs:
 
     Each is computed on first use and kept: the argsort, dense ranks and tie
     count that all taus of x share, and the Student-t scores stdtrit(nu, x).
-    kendall_tau, fit_pair and h_func take one wherever they take an array.
+    Every function here that takes pseudo-observation arrays takes one too.
     """
 
     def __init__(self, x):
@@ -160,6 +161,14 @@ def _wrap(x) -> PseudoObs:
     return x if isinstance(x, PseudoObs) else PseudoObs(x)
 
 
+def _unit_args(c: PairCopula, *args) -> list:
+    """pair_pdf/h_func/h_inv arguments, checked and clipped; a Student-t copula
+    keeps a PseudoObs that _clip leaves as it is, so its scores are reused."""
+    args = [_wrap(x) for x in args]
+    _check_unit(*(x.x for x in args))
+    return [x if c.family is Family.STUDENT_T and x.clipped else _clip(x.x) for x in args]
+
+
 # ---------------------------------------------------------------------------
 # Unrotated building blocks.  h1(u, v) = P(U <= u | V = v).
 # ---------------------------------------------------------------------------
@@ -170,12 +179,18 @@ def _frank_denom(t: float, u, v):
     return np.exp(-t * u) * np.expm1(-t * v) + np.exp(-t * v) * np.expm1(-t * (1.0 - v))
 
 
-def _loglik(family: Family, u, v, nu: float | None):
-    """theta -> per-observation log-density of the unrotated family at (u, v).
+def _loglik(family: Family, rotation: int, u, v, nu: float | None):
+    """theta -> per-observation log-density of the rotated family at (u, v).
 
     Everything that does not depend on theta is computed once, here, so a
-    fitter evaluating many thetas on one sample pays for it once.
+    fitter evaluating many thetas on one sample pays for it once.  Rotations
+    90 and 270 are evaluated in the equal form swap_arguments(c) at (v, u):
+    the Gumbel log-density is exchangeable but not to the last bit, and its
+    recorded fits sum in that order.
     """
+    if rotation in (90, 270):
+        rotation, u, v = _SWAPPED_ROTATION[rotation], v, u
+    u, v = _reflect(rotation, u, v)
     if family is Family.INDEPENDENCE:
         zeros = np.zeros(np.broadcast(u, v).shape)
         return lambda theta: zeros
@@ -289,28 +304,23 @@ def _h1_inv_base(family: Family, w, v, theta: float, nu: float | None):
         return np.broadcast_to(np.asarray(w, dtype=float), np.broadcast(w, v).shape).copy()
     if family is Family.GAUSSIAN:
         r = theta
-        x = ndtri(w) * math.sqrt(1.0 - r * r) + r * ndtri(v)
-        return _clip(ndtr(x))
+        return ndtr(ndtri(w) * math.sqrt(1.0 - r * r) + r * ndtri(v))
     if family is Family.STUDENT_T:
         r, df = theta, float(nu)
-        y = stdtrit(df, v)
+        y = _wrap(v).scores(df)
         scale = np.sqrt((df + y * y) * (1.0 - r * r) / (df + 1.0))
-        x = stdtrit(df + 1.0, w) * scale + r * y
-        return _clip(stdtr(df, x))
+        return stdtr(df, _wrap(w).scores(df + 1.0) * scale + r * y)
     if family is Family.CLAYTON:
         t = theta
         with np.errstate(over="ignore"):
-            u = v * (w ** (-t / (1.0 + t)) - 1.0 + v ** t) ** (-1.0 / t)
-        return _clip(u)
+            return v * (w ** (-t / (1.0 + t)) - 1.0 + v ** t) ** (-1.0 / t)
     if family is Family.FRANK:
         t = theta
         # u = v - log(num/den)/t with num and den free of cancellation.
         num = 1.0 + w * np.expm1(-t * (1.0 - v))
         den = w + (1.0 - w) * np.exp(-t * v)
-        return _clip(v - np.log(num / den) / t)
+        return v - np.log(num / den) / t
     # Gumbel and Joe have no closed-form inverse: bracketed bisection.
-    w = np.asarray(w, dtype=float)
-    v = np.asarray(v, dtype=float)
     return _bisect_conditioned(lambda t_: _h1_base(family, t_, v, theta, nu), w)
 
 
@@ -318,21 +328,14 @@ def _h1_inv_base(family: Family, w, v, theta: float, nu: float | None):
 # Rotation dispatch.
 # ---------------------------------------------------------------------------
 
-def _rotate_args(rotation: int, u, v):
-    if rotation == 0:
-        return u, v
-    if rotation == 90:
-        return v, 1.0 - u
-    if rotation == 180:
-        return 1.0 - u, 1.0 - v
-    return 1.0 - v, u
+def _reflect(rotation: int, x, z) -> tuple:
+    """The reflection rule: 90 and 180 reflect x, 180 and 270 reflect z."""
+    return (1.0 - x if rotation in (90, 180) else x), (1.0 - z if rotation in (180, 270) else z)
 
 
 def pair_pdf(c: PairCopula, u, v) -> np.ndarray:
     """Copula density at (u, v), rotation applied."""
-    _check_unit(u, v)
-    ur, vr = _rotate_args(c.rotation, _clip(u), _clip(v))
-    return np.exp(_loglik(c.family, ur, vr, c.nu)(c.theta))
+    return np.exp(_loglik(c.family, c.rotation, *_unit_args(c, u, v), c.nu)(c.theta))
 
 
 def _direction_one(c: PairCopula, direction: int, base, x, z):
@@ -340,23 +343,20 @@ def _direction_one(c: PairCopula, direction: int, base, x, z):
 
     Every catalogue family is exchangeable, so direction 2 of c is direction
     1 of the copula of the swapped pair (V, U): c with rotations 90 and 270
-    exchanged.  Rotations 90 and 180 reflect the conditioned argument x and
-    the result; 180 and 270 reflect the conditioning argument z.
+    exchanged.  The reflection rule maps the conditioned argument x and the
+    conditioning argument z to the unrotated family's; where it reflects x,
+    the result is reflected back.
     """
     if direction not in (1, 2):
         raise ValueError("direction must be 1 or 2")
     rot = c.rotation if direction == 1 else _SWAPPED_ROTATION[c.rotation]
-    flip_x, flip_z = rot in (90, 180), rot in (180, 270)
-    out = base(c.family, 1.0 - x if flip_x else x, 1.0 - z if flip_z else z, c.theta, c.nu)
-    return _clip(1.0 - out if flip_x else out)
+    out = base(c.family, *_reflect(rot, x, z), c.theta, c.nu)
+    return _clip(1.0 - out if rot in (90, 180) else out)
 
 
 def h_func(c: PairCopula, u, v, direction: int = 1) -> np.ndarray:
-    """Conditional CDF h (see the module docstring); a Student-t copula reuses
-    the scores of a PseudoObs argument that _clip leaves as it is."""
-    u, v = _wrap(u), _wrap(v)
-    _check_unit(u.x, v.x)
-    u, v = (w if c.family is Family.STUDENT_T and w.clipped else _clip(w.x) for w in (u, v))
+    """Conditional CDF h (see the module docstring)."""
+    u, v = _unit_args(c, u, v)
     if direction == 2:
         u, v = v, u
     return _direction_one(c, direction, _h1_base, u, v)
@@ -364,8 +364,7 @@ def h_func(c: PairCopula, u, v, direction: int = 1) -> np.ndarray:
 
 def h_inv(c: PairCopula, w, z, direction: int = 1) -> np.ndarray:
     """Invert the conditioned argument of h given conditioning value z."""
-    _check_unit(w, z)
-    return _direction_one(c, direction, _h1_inv_base, _clip(w), _clip(z))
+    return _direction_one(c, direction, _h1_inv_base, *_unit_args(c, w, z))
 
 
 def swap_arguments(c: PairCopula) -> PairCopula:
@@ -572,11 +571,11 @@ def _fit_family(f: Family, tau_hat: float, u, v) -> list[PairCopula]:
     th_lo, th_hi = tau_to_param(f, lo_tau), tau_to_param(f, hi_tau)
     rotations = ((0, 180) if tau_hat > 0 else (90, 270)) if f in ROTATABLE else (0,)
     fits = []
+    x, y = (u, v) if f is Family.STUDENT_T else (u.x, v.x)
     for rotation in rotations:
-        ur, vr = (u, v) if f is Family.STUDENT_T else _rotate_args(rotation, u.x, v.x)
         best = None
         for nu in STUDENT_NU_GRID if f is Family.STUDENT_T else (None,):
-            logpdf = _loglik(f, ur, vr, nu)
+            logpdf = _loglik(f, rotation, x, y, nu)
 
             def loglik_of(theta: float) -> float:
                 ll = float(logpdf(theta).sum())

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 from pathlib import Path
 
 from . import rng
@@ -27,7 +26,7 @@ from .experiment import (
     run_pipeline,
     train_emulator,
 )
-from .multicop import CopulaSpec, fit_synth_model, load_model, sample_synth_model, save_model
+from .multicop import CopulaSpec, family_counts, fit_synth_model, load_model, sample_synth_model, save_model
 from .radiation import radiate_set
 
 
@@ -61,13 +60,9 @@ def cmd_fit(args) -> int:
     model = fit_synth_model(train_set, CopulaSpec(args.kind, cfg.catalogue, cfg.truncation))
     save_model(args.out, model)
     if model.kind == "vine":
-        vine = model.vine
-        # Trees past the truncation level hold independence copulas only.
-        families = Counter(cop.family.value for row in vine.copulas for cop, _ in row)
-        families["independence"] += vine.d * (vine.d - 1) // 2 - sum(map(len, vine.copulas))
-        hist = ", ".join(f"{k}={v}" for k, v in sorted(families.items()) if v)
+        hist = ", ".join(f"{k}={v}" for k, v in family_counts(model.vine).items())
         print(f"wrote {args.out}: vine on {model.d} features ({len(model.active)} active), "
-              f"truncation {vine.truncation}, edges: {hist}")
+              f"truncation {model.vine.truncation}, edges: {hist}")
     else:
         print(f"wrote {args.out}: gaussian copula on {model.d} features ({len(model.active)} active)")
     return 0

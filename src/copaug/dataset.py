@@ -209,19 +209,11 @@ class ProfileSet:
 
 @dataclass(frozen=True)
 class DataMatrix:
-    """Samples-by-features matrix with per-column quantity/level labels."""
+    """Samples-by-features matrix with per-column quantity/level labels; it
+    holds arrays that ProfileSet or the emulator's forward pass checked."""
 
     values: np.ndarray
     columns: tuple
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "columns", tuple(self.columns))
-        if values.ndim != 2:
-            raise ValueError("DataMatrix values must be 2-dimensional")
-        if values.shape[1] != len(self.columns):
-            raise ValueError(f"{values.shape[1]} columns but {len(self.columns)} labels")
 
 
 @dataclass(frozen=True)
@@ -363,11 +355,11 @@ def flatten(data: ProfileSet, which: str = "inputs") -> DataMatrix:
     (data.fluxes).
     """
     if which == "inputs":
-        return DataMatrix(data.inputs, data.grid.input_labels())
+        return DataMatrix(data.inputs, tuple(data.grid.input_labels()))
     if which == "outputs":
         if data.fluxes is None:
             raise ValueError("ProfileSet has no fluxes to flatten")
-        return DataMatrix(data.fluxes, data.grid.output_labels())
+        return DataMatrix(data.fluxes, tuple(data.grid.output_labels()))
     raise ValueError(f"which must be 'inputs' or 'outputs', got {which!r}")
 
 

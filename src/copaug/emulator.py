@@ -284,7 +284,7 @@ def predict_set(m: MLPModel, profiles: ProfileSet) -> DataMatrix:
     if profiles.inputs.shape[1] != m.layout.n_inputs:
         raise ValueError(f"profile grid provides {profiles.inputs.shape[1]} features "
                          f"but the model expects {m.layout.n_inputs}")
-    return DataMatrix(forward(m, profiles.inputs), profiles.grid.output_labels())
+    return DataMatrix(forward(m, profiles.inputs), tuple(profiles.grid.output_labels()))
 
 
 # ---------------------------------------------------------------------------

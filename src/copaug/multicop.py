@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -365,6 +366,14 @@ def _encode(levels: list, trunc: int) -> VineModel:
         M[d - 1 - j][j] = x
     M[0][d - 1] = M[0][d - 2]
     return VineModel(tuple(map(tuple, M)), tuple(map(tuple, copulas)))
+
+
+def family_counts(m: VineModel) -> dict:
+    """Edges per family name, sorted, over all d(d-1)/2 edges: those past the
+    truncation level are independence edges, counted without building them."""
+    counts = Counter(cop.family.value for row in m.copulas for cop, _ in row)
+    counts[Family.INDEPENDENCE.value] += m.d * (m.d - 1) // 2 - sum(map(len, m.copulas))
+    return {name: n for name, n in sorted(counts.items()) if n}
 
 
 def _edge_sources(M, k: int) -> list:

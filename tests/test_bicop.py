@@ -6,7 +6,7 @@ from scipy.special import ndtri
 from scipy.stats import kendalltau as scipy_kendalltau
 from scipy.stats import multivariate_normal
 
-from copaug import rng
+from copaug import bicop, rng
 from copaug.bicop import (
     DEFAULT_CATALOGUE,
     INDEPENDENCE,
@@ -255,6 +255,20 @@ def test_direction_fold_is_bit_identical(c, direction):
 
 
 @pytest.mark.parametrize("c", ALL_ROTATIONS, ids=case_id)
+def test_h_func_derivative_is_the_density(c):
+    # h_func(c, u, v, 1) = P(U <= u | V = v) is the integral of the density in u
+    # (and h_func(c, u, v, 2) in v), so density and h-functions rotate alike.
+    u = np.array([0.15, 0.3, 0.5, 0.7, 0.85, 0.4])
+    v = np.array([0.6, 0.2, 0.5, 0.75, 0.35, 0.9])
+    step = 1e-5
+    pdf = pair_pdf(c, u, v)
+    d_u = (h_func(c, u + step, v, 1) - h_func(c, u - step, v, 1)) / (2 * step)
+    d_v = (h_func(c, u, v + step, 2) - h_func(c, u, v - step, 2)) / (2 * step)
+    np.testing.assert_allclose(d_u, pdf, rtol=1e-6)
+    np.testing.assert_allclose(d_v, pdf, rtol=1e-6)
+
+
+@pytest.mark.parametrize("c", ALL_ROTATIONS, ids=case_id)
 def test_swap_arguments_is_the_reversed_pair(c):
     draws = rng.uniforms(5, (200, 2))
     a, b = draws[:, 0], draws[:, 1]
@@ -332,7 +346,7 @@ class TestPseudoObs:
         assert kendall_tau(u, v) == kendall_tau(u.x, v.x) == scipy_kendalltau(u.x, v.x).statistic
 
     @pytest.mark.parametrize("direction", [1, 2])
-    def test_h_func_reuses_student_scores_only_when_clipping_is_a_no_op(self, direction):
+    def test_h_func_reuses_student_scores_only_when_clipping_is_a_no_op(self, direction, monkeypatch):
         c = PairCopula(Family.STUDENT_T, 0, 0.6, 4.0)
         draws = rng.uniforms(6, (300, 2))
         u, v = draws[:, 0].copy(), draws[:, 1]
@@ -345,6 +359,18 @@ class TestPseudoObs:
         for other in CASES:
             np.testing.assert_array_equal(h_func(other, wrapped_u, wrapped_v, direction),
                                           h_func(other, u, v, direction))
+        # h_inv reads stdtrit(nu + 1, w) and stdtrit(nu, z) from the same wrappers.
+        w = draws[::-1, 1].copy()
+        wrapped_w = PseudoObs(w)
+        expected = h_inv(c, w, v, direction), h_inv(c, u, v, direction)
+        real_stdtrit, calls = bicop.stdtrit, []
+        monkeypatch.setattr(bicop, "stdtrit", lambda df, x: calls.append(df) or real_stdtrit(df, x))
+        for _ in range(2):
+            np.testing.assert_array_equal(h_inv(c, wrapped_w, wrapped_v, direction), expected[0])
+        assert calls == [5.0]  # the score of v at nu = 4 is kept from h_func above
+        for _ in range(2):
+            np.testing.assert_array_equal(h_inv(c, wrapped_u, wrapped_v, direction), expected[1])
+        assert calls == [5.0] * 3 and 5.0 not in wrapped_u._scores
 
     def test_fit_pair_on_pseudo_obs_is_bit_identical(self):
         s = sample_pair(PairCopula(Family.STUDENT_T, 0, 0.5, 6.0), 400, 13)
