@@ -31,6 +31,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri, gammaln, stdtr, stdtrit
+from scipy.stats._stats import _kendall_dis
 
 from . import rng
 
@@ -386,41 +387,13 @@ def _run_starts(x) -> np.ndarray:
     return np.concatenate(([True], x[1:] != x[:-1]))
 
 
-def _inversions(r) -> int:
-    """Pairs i < j with r[i] > r[j], for a permutation r of range(len(r)).
-
-    Positions are cut into blocks and values into buckets of b each.  An
-    inverted pair lies in one value bucket, or else in one position block,
-    or else in two blocks and two buckets; the first two cases are counted
-    pair by pair, the third from a block-by-bucket histogram.
-    """
-    n = r.size
-    b = max(8, round(1.6 * n ** (1 / 3)))  # balances n*b comparisons against the (n/b)^2 histogram
-    m = -(-n // b)
-    r = np.concatenate((r, np.arange(n, m * b)))  # padding: the largest values, last
-    block = np.arange(m * b) // b
-    bucket = r // b
-    grid = np.bincount(block * m + bucket, minlength=m * m).reshape(m, m)
-    above = b - grid.cumsum(axis=1)       # [p, q]: entries of block p in buckets above q
-    above = above.cumsum(axis=0) - above  # the same over the blocks before p
-    upper = np.triu(np.ones((b, b), dtype=bool), 1)
-    rows, row_buckets = r.reshape(m, b), bucket.reshape(m, b)
-    in_block = ((rows[:, :, None] > rows[:, None, :])
-                & (row_buckets[:, :, None] != row_buckets[:, None, :]) & upper)
-    pos = np.empty_like(r)
-    pos[r] = np.arange(m * b)
-    pos = pos.reshape(m, b)  # row q: positions of bucket q's values, by value
-    in_bucket = (pos[:, :, None] > pos[:, None, :]) & upper
-    pairwise = np.count_nonzero(in_block) + np.count_nonzero(in_bucket)
-    return int(above[block, bucket].sum()) + int(pairwise)
-
-
 def kendall_tau(u, v) -> float:
-    """Tie-adjusted Kendall tau-b: argsorts and an O(n^(4/3)) inversion count.
+    """Tie-adjusted Kendall tau-b from scipy's compiled discordant-pair count.
 
-    Sorting by u, ties by v, leaves the discordant pairs as the inversions of
-    v's ranks; the tie counts and the tau-b formula are those of
-    scipy.stats.kendalltau, so the two agree to the last bit.
+    The argsorts, dense ranks and tie counts come from PseudoObs.ranks; the
+    O(n log n) count (Knight's merge count as a Fenwick tree), the tie counts
+    and the tau-b formula are those of scipy.stats.kendalltau, so the two
+    agree to the last bit.
     """
     u, v = _wrap(u), _wrap(v)
     if u.x.shape != v.x.shape or u.x.ndim != 1:
@@ -430,20 +403,19 @@ def kendall_tau(u, v) -> float:
         raise ValueError("kendall_tau needs at least 2 observations")
     if not (np.isfinite(u.x).all() and np.isfinite(v.x).all()):
         raise ValueError("kendall_tau needs finite observations")
-    order, u_starts, _, u_ties = u.ranks
-    _, v_starts, v_rank, v_ties = v.ranks
-    if u_ties:
-        order = np.lexsort((v_rank, u.x))  # u's ties in v order: no inversions among them
-    r = v_rank[order]
-    # Pairs tied in both; with no ties in u or in v every run has length 1.
-    joint_ties = _tied_pairs(u_starts | _run_starts(r)) if u_ties and v_ties else 0
+    order, u_starts, u_rank, u_ties = u.ranks
+    _, _, v_rank, v_ties = v.ranks
     total = n * (n - 1) // 2
     if u_ties == total or v_ties == total:
         return 0.0  # a constant vector
-    if v_ties:
-        # Ranks of v that break v's ties by position: tied pairs are not inversions.
-        r[np.argsort(r, kind="stable")] = np.arange(n)
-    discordant = _inversions(r)
+    joint_ties = 0  # pairs tied in both: none unless both vectors have ties
+    if u_ties and v_ties:
+        order = np.lexsort((v_rank, u.x))  # equal (u, v) pairs side by side
+        joint_ties = _tied_pairs(u_starts | _run_starts(v_rank[order]))
+    # _kendall_dis needs its first argument sorted and its second argument's
+    # ranks to start at 1 (its Fenwick update never ends on a rank of 0); it
+    # skips the pairs tied in either vector.
+    discordant = _kendall_dis(u_rank[order], v_rank[order] + 1)
     if u_ties == v_ties == 0 and discordant in (0, total):
         # Perfectly monotone tie-free data has tau exactly +-1; the sqrt-based
         # formula below loses an ulp there.

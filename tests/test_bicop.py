@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -254,6 +255,56 @@ def test_direction_fold_is_bit_identical(c, direction):
     np.testing.assert_array_equal(h_inv(c, a, b, direction), old_h_inv(c, a, b, direction))
 
 
+# sha256 of h_func's then h_inv's output bytes along directions 1 and 2 on
+# the grid below.  Recorded values: unlike old_h_func and old_h_inv, which
+# call the live _h1_base and _h1_inv_base, they catch a change in those.
+H_DIGESTS = {
+    "gaussian-r0": ("f98634bf9864895dcf9731e7aa496b117b24b4f35a4b9cd138d7d061ba087a2b",
+                    "2e7a3da98e8ad11a62a075cd8ebccd39e8c08eb80e1800d47009a5033f807713"),
+    "student-r0": ("1ac2600f54b52b6433751c082b3c1b59fb8d8f0da0cbfc99c43fd0ca06936a3d",
+                   "e7c67e50e2c4fed5b15a3b4c535f48ae3c93f6fe4596eddb5629e956cdc91ab8"),
+    "clayton-r0": ("2453711de00d313f68e1185f929767835bbcc0adba94504fc1dac9a346e04d8c",
+                   "3c7878a76356fa6863472bb8fe9f4fd8eda4d6faa7d158a02a7a854cc3aaae11"),
+    "clayton-r90": ("e33d81169d02215de8c1fd5d4de316c2544e44dfeac425545b629cb9c42503f2",
+                    "1faf060726139e6d4a9c95482604331c3a6196cfb0a0e60d647e4cbed9c85ff1"),
+    "clayton-r180": ("104eaa05d036fd9309c416d4c9766e71b299e10d1ea23ef01ee8c4d5872b34c3",
+                     "1a22b9413ffcb50aa3ecacf76ee6cc43d6ac4fe0b0495d0f34922b202c5abb55"),
+    "clayton-r270": ("bea57ad49dac36671db4ee0687345ffe1646cdb1b38e028d983b04b38bbf7fa0",
+                     "5546e7842172ed96f4c045d0dfb084ee6782516a25a720ec728a31f726f58b13"),
+    "gumbel-r0": ("cafba95f943adf21d6e6ccd9a001f63f52ca96e47e1d70dc1662e2a26e2e9512",
+                  "766de680a30c78b8afcc1628bc890703173c866314f14c138649f58e311fea04"),
+    "gumbel-r90": ("3ade215b960c23986c3b5e2d6323679bfc8361060e137e6bf288b881fc218c3a",
+                   "1d7a3512eb645b90bd6f1be028945abf87b7b0c62bbeff81819cea85e34ee9ed"),
+    "gumbel-r180": ("eb178d20a4104c8fd2c117c138bf7ed06ad22263f927dca901b98140c8226ef9",
+                    "3987d623a983814c120ea000727f74418fbb8eac57dcae1030bf0ab8c0bd9c03"),
+    "gumbel-r270": ("eae323e469b3e80233f8e3b9e93ebb829202bd408f32f0949d8beba92109f6d1",
+                    "b148b1efdb2a1cb182995e652896a7837c35a5fe88d530d115ec5c5defbbe802"),
+    "frank-r0": ("a214b6bf3512aaa25872171accb1fc516d40be90ef512183dad5c09b125e5f15",
+                 "ec49998ded968eec65045573726372a4281e448246b1f3f6b10e4f4aa7356bf1"),
+    "joe-r0": ("af1b2e93cb5726e4e7111d69c0953677277aa9dd5dc2fc0b3c3ea895e5bd314a",
+               "1c64caa5e7cfc8fc6af358f8e84f6b761496e119da9eb723641aead8f84025ff"),
+    "joe-r90": ("66d94b8b65bc8897fccdce9f6e10a7bf12781dee35734642f84c5afcd290e869",
+                "bf46d0ce4036c4c522252ca76478480a08cd5f4cfd7ad88dccba3a2dd7e6dfe7"),
+    "joe-r180": ("26c13ea48111b8102bb249e236fb0e4c5f4c8cd6010bea4d0d2b40d264b08a34",
+                 "307741dfc1e10531dc2b48622138eda4491f264fb34645a26e7c9f2097d42ad8"),
+    "joe-r270": ("24653789cfa1bff4fcba3c15aa490f2022905c90670b645cf0136e2a1992ec82",
+                 "ee0ae5fb0beb366b39025a7e00ef9f2c8ce8331095e2316d6d8043a5b6ccacf1"),
+    "independence-r0": ("bfc0f218583335fd15e4cbff44583cea49260717258ea4c5ed36b1782b08f5c1",
+                        "e1b7b2d222967512432ee2791357540a202825a2deee813d1a9bcb1886d451f5"),
+}
+
+
+@pytest.mark.parametrize("c", ALL_ROTATIONS, ids=case_id)
+def test_h_functions_match_recorded_sha256(c):
+    # Distances from either bound; 1 - 1e-16 rounds to 1, so the largest double below 1 stands in.
+    near = np.array([1e-16, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6])
+    grid = np.concatenate((near, np.linspace(0.02, 0.98, 25), np.minimum(1.0 - near, np.nextafter(1.0, 0.0))))
+    a, b = (x.ravel() for x in np.meshgrid(grid, grid))
+    digests = tuple(hashlib.sha256(h_func(c, a, b, d).tobytes() + h_inv(c, a, b, d).tobytes()).hexdigest()
+                    for d in (1, 2))
+    assert digests == H_DIGESTS[case_id(c)]
+
+
 @pytest.mark.parametrize("c", ALL_ROTATIONS, ids=case_id)
 def test_h_func_derivative_is_the_density(c):
     # h_func(c, u, v, 1) = P(U <= u | V = v) is the integral of the density in u
@@ -323,16 +374,24 @@ class TestPseudoObs:
             "decreasing": -x,
         }
 
-    @pytest.mark.parametrize("n", [2, 3, 9, 250])
+    # The tie-free pairs with one ranking, or one ranking and its reverse.
+    MONOTONE = {("noisy", "noisy"), *itertools.product(("tie-free", "increasing", "decreasing"), repeat=2)}
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 250, 20_000])
     def test_shared_ranks_give_the_plain_array_tau_bit_for_bit(self, n):
         # One PseudoObs per vector, each ranked once and used in both roles
         # against every partner: ties in u, in v and in both, a constant
-        # vector and exactly monotone pairs.
+        # vector and exactly monotone pairs.  20,000 rows lie above 2^14,
+        # where the compiled discordant count offsets its tree index.
         plain = self.vectors(n)
         wrapped = {name: PseudoObs(x) for name, x in plain.items()}
         for a, b in itertools.product(plain, repeat=2):
             tau = kendall_tau(wrapped[a], wrapped[b])
             assert tau == kendall_tau(plain[a].copy(), plain[b].copy()), (a, b)
+            if (a, b) in self.MONOTONE:
+                # Exactly +-1; scipy's sqrt formula is an ulp inside at 20,000 rows.
+                assert tau == (-1.0 if (a == "decreasing") != (b == "decreasing") else 1.0), (a, b)
+                continue
             reference = scipy_kendalltau(plain[a], plain[b]).statistic
             assert tau == (0.0 if np.isnan(reference) else reference), (a, b)
         assert kendall_tau(wrapped["tie-free"], wrapped["increasing"]) == 1.0
