@@ -43,8 +43,7 @@ def _config_from_args(args) -> ExperimentConfig:
     return make_config(doc)
 
 
-def cmd_gen_data(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_gen_data(args, cfg) -> int:
     data = resolve_dataset(cfg)
     out = args.out or (cfg.data_path or "profiles.csv")
     save_profiles(out, data)
@@ -53,8 +52,7 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def cmd_fit(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_fit(args, cfg) -> int:
     data = resolve_dataset(cfg)
     train_set, _, _ = split_shuffle(data, cfg.split)
     model = fit_synth_model(train_set, CopulaSpec(args.kind, cfg.catalogue, cfg.truncation))
@@ -68,8 +66,7 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def cmd_sample(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_sample(args, cfg) -> int:
     model = load_model(args.model)
     seed = rng.derive_seed(cfg.master_seed, "sample", args.case or "-")
     synth, diag = sample_synth_model(model, args.count, seed)
@@ -79,8 +76,7 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def cmd_radiate(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_radiate(args, cfg) -> int:
     data = load_profiles(args.input, cfg.grid)
     radiated = radiate_set(data, cfg.radiation)
     save_profiles(args.out, radiated)
@@ -88,8 +84,7 @@ def cmd_radiate(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_train(args, cfg) -> int:
     train_set = load_profiles(args.train, cfg.grid)
     val_set = load_profiles(args.val, cfg.grid)
     if train_set.fluxes is None or val_set.fluxes is None:
@@ -103,8 +98,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_eval(args, cfg) -> int:
     model = load_mlp(args.model)
     test_set = load_profiles(args.test, cfg.grid)
     if test_set.fluxes is None:
@@ -120,15 +114,14 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_pipeline(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_pipeline(args, cfg) -> int:
     result = run_pipeline(cfg, args.out)
     note = f", {len(result.failures)} case(s) failed" if result.failures else ""
     print(f"pipeline complete: {len(result.rows)} result rows under {args.out}{note}")
     return 0
 
 
-def cmd_show_config(args) -> int:
+def cmd_show_config(args, cfg) -> int:
     print(json.dumps(default_config_dict(), indent=2))
     return 0
 
@@ -199,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _config_from_args(args) if "config" in args else None)
     except SchemaError as exc:
         print(f"error:schema: {exc}", file=sys.stderr)
     except OSError as exc:

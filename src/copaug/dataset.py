@@ -120,6 +120,7 @@ def _first_invalid_row(T, p, tau_c):
     checks = (
         (~np.all(finite, axis=1), "profile contains non-finite values"),
         (np.any(T <= 0, axis=1), "temperature must be positive everywhere"),
+        (np.any(p <= 0, axis=1), "pressure must be positive everywhere"),
         (np.any(np.diff(p, axis=1) <= 0, axis=1), "pressure must increase strictly toward the surface"),
         (np.any(tau_c < 0, axis=1), "cloud optical depth must be nonnegative"),
     )
@@ -133,7 +134,7 @@ class Profile:
     """One atmospheric column on a LevelGrid; a row view of a ProfileSet.
 
     T and p run from the top of the atmosphere (index 0) down to the
-    surface; p must increase strictly toward the surface.
+    surface; p must be positive and increase strictly toward the surface.
     """
 
     T: np.ndarray
@@ -329,8 +330,8 @@ def save_profiles(path, data: ProfileSet) -> None:
 def split_shuffle(data: ProfileSet, spec: SplitSpec):
     """Shuffle deterministically and split into train/val/test sets.
 
-    Train and validation sizes are round(fraction * N); the remainder
-    goes to test.
+    Train and validation sizes are round(fraction * N); the remainder,
+    which must hold at least one profile, goes to test.
     """
     n = len(data)
     if n == 0:
@@ -338,7 +339,7 @@ def split_shuffle(data: ProfileSet, spec: SplitSpec):
     order = rng.permutation(n, spec.seed)
     n_train = int(math.floor(spec.train * n + 0.5))
     n_val = int(math.floor(spec.val * n + 0.5))
-    if n_train + n_val > n:
+    if n_train + n_val >= n:
         raise ValueError("split fractions leave no room for the test set")
     train = data.subset(order[:n_train])
     val = data.subset(order[n_train:n_train + n_val])

@@ -254,7 +254,6 @@ def train(m: MLPModel, train_x, train_y, val_x, val_y, cfg: TrainConfig = TrainC
     n = tx.shape[0]
     best_val = np.inf
     best_flat, best_epoch = flat, -1  # the last weights, should no epoch improve
-    streak = 0
     for epoch in range(cfg.epochs):
         order = rng.permutation(n, gen)
         epoch_loss = 0.0
@@ -271,11 +270,8 @@ def train(m: MLPModel, train_x, train_y, val_x, val_y, cfg: TrainConfig = TrainC
         if val_loss < best_val:
             best_val = val_loss
             best_flat, best_epoch = flat.copy(), epoch
-            streak = 0
-        else:
-            streak += 1
-            if streak >= cfg.patience:
-                break
+        elif epoch - best_epoch >= cfg.patience:
+            break
     return MLPModel(m.layout, best_flat, model.normalizer, model.history, best_epoch)
 
 

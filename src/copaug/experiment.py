@@ -151,13 +151,16 @@ def _count(section: str, key: str, value: int, low: int) -> int:
 def make_config(overrides: dict | None = None) -> ExperimentConfig:
     """Merge `overrides` into the defaults and build every stage's settings.
 
-    A value of the wrong JSON type, one the stage's own type rejects, or
-    a count below its minimum raises ValueError `config: <key or
-    section>: ...`.  The truncation level and the augmentation factors
-    are checked by the cases that use them.
+    A value of the wrong JSON type, one the stage's own type rejects, a
+    repeated copula kind or augmentation factor, or a count below its
+    minimum raises ValueError `config: <key or section>: ...`.  A bad
+    truncation level or a factor below 1 fails the cases that use it.
     """
     raw = copy.deepcopy(_merged(_DEFAULTS, {} if overrides is None else overrides))
     data, cop, aug, tr, ev = (raw[k] for k in ("data", "copulas", "augmentation", "training", "evaluation"))
+    for section, key in (("copulas", "kinds"), ("augmentation", "factors")):
+        if len(set(raw[section][key])) < len(raw[section][key]):
+            raise ValueError(f"config: {section}: {key} must be distinct, got {raw[section][key]}")
     seed = raw["master_seed"]
     grid = _build("data", LevelGrid, data["n_levels"])
     catalogue = _build("copulas", frozenset, map(Family, cop["catalogue"]))
@@ -215,15 +218,22 @@ RESULT_COLUMNS = ("case", "generation", "repeat", "mb", "mae")
 
 @dataclass
 class PipelineResult:
+    out_dir: Path
     rows: list = field(default_factory=list)  # tuples in RESULT_COLUMNS order
-    files: list = field(default_factory=list)
+    files: list = field(default_factory=list)  # every path `write` wrote, for the manifest
     failures: list = field(default_factory=list)  # (case, reason)
+
+    def write(self, name: str, writer, *args) -> None:
+        """writer(out_dir / name, *args), then list that path in `files`."""
+        path = self.out_dir / name
+        writer(path, *args)
+        self.files.append(str(path))
 
     def median_mae(self, case: str) -> float:
         return float(np.median([r[4] for r in self.rows if r[0] == case]))
 
 
-def _depth_report_file(cfg: ExperimentConfig, out_dir: Path, case: str, y_true, y_pred, result):
+def _depth_report_file(cfg: ExperimentConfig, case: str, y_true, y_pred, result: PipelineResult):
     errors = np.asarray(y_true) - np.asarray(y_pred)
     n = errors.shape[0]
     k = min(cfg.depth_curves, n)
@@ -232,10 +242,7 @@ def _depth_report_file(cfg: ExperimentConfig, out_dir: Path, case: str, y_true, 
     sel_seed = rng.derive_seed(cfg.master_seed, case, "depth-subsample")
     sel = rng.permutation(n, sel_seed)[:k]
     curves = errors[sel]
-    ranking = depth_groups(band_depth(curves))
-    path = out_dir / f"depth_errors_{case}.csv"
-    write_depth_report(path, curves, ranking)
-    result.files.append(str(path))
+    result.write(f"depth_errors_{case}.csv", write_depth_report, curves, depth_groups(band_depth(curves)))
 
 
 def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
@@ -251,7 +258,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = PipelineResult()
+    result = PipelineResult(out_dir)
 
     data = resolve_dataset(cfg)
     train_set, val_set, test_set = split_shuffle(data, cfg.split)
@@ -279,19 +286,15 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
                         x_tr, x_syn, cfg.projection_iterations,
                         rng.derive_seed(cfg.master_seed, case, "projection"),
                     )
-                    path = out_dir / f"projection_{case}.csv"
-                    write_projection_report(path, report)
-                    result.files.append(str(path))
+                    result.write(f"projection_{case}.csv", write_projection_report, report)
             for rep in range(cfg.training_repeats):
                 model = train_emulator(cfg, x, y, x_val, y_val, case, f"gen{gen}", f"train{rep}")
                 pred = predict_set(model, test_rad).values
                 em = error_metrics(y_test, pred)
                 result.rows.append((case, gen, rep, em.mb, em.mae))
                 if gen == generations[0] and rep == 0:
-                    path = out_dir / f"error_quantiles_{case}.csv"
-                    write_level_quantiles(path, em)
-                    result.files.append(str(path))
-                    _depth_report_file(cfg, out_dir, case, y_test, pred, result)
+                    result.write(f"error_quantiles_{case}.csv", write_level_quantiles, em)
+                    _depth_report_file(cfg, case, y_test, pred, result)
 
     run_case("baseline")
     for spec in cfg.copulas:
@@ -311,42 +314,39 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
                 result.failures.append((case, str(exc)))
                 print(f"case {case} failed: {exc}", file=sys.stderr)
 
-    _write_results(out_dir, result)
-    _write_manifest(cfg, out_dir, result)
+    _write_results(result)
+    _write_manifest(cfg, result)
     return result
 
 
-def _write_results(out_dir: Path, result: PipelineResult) -> None:
-    path = out_dir / "results.csv"
-    write_table(path, RESULT_COLUMNS, result.rows)
-    result.files.append(str(path))
+def _write_results(result: PipelineResult) -> None:
+    result.write("results.csv", write_table, RESULT_COLUMNS, result.rows)
 
     summary = []
     for case in dict.fromkeys(row[0] for row in result.rows):
         mbs, maes = np.array([r[3:] for r in result.rows if r[0] == case]).T
         summary.append((case, mbs.size, np.median(mbs), np.ptp(mbs), np.median(maes), np.ptp(maes)))
-    path = out_dir / "summary.csv"
-    write_table(path, ("case", "runs", "mb_median", "mb_spread", "mae_median", "mae_spread"), summary)
-    result.files.append(str(path))
+    result.write("summary.csv", write_table,
+                 ("case", "runs", "mb_median", "mb_spread", "mae_median", "mae_spread"), summary)
 
 
-def _write_manifest(cfg: ExperimentConfig, out_dir: Path, result: PipelineResult) -> None:
+def _write_manifest(cfg: ExperimentConfig, result: PipelineResult) -> None:
     """Write manifest.json, first deleting each plain file name the previous
     manifest lists that this run did not write; an unreadable one deletes none."""
-    path = out_dir / "manifest.json"
+    path = result.out_dir / "manifest.json"
     manifest = {
         "config_hash": cfg.config_hash(),
-        "files": sorted(str(Path(f).relative_to(out_dir)) for f in result.files),
+        "files": sorted(str(Path(f).relative_to(result.out_dir)) for f in result.files),
     }
     keep = {*manifest["files"], "..", path.name}
     try:  # an entry that is not a string fails `keep` or `Path` with TypeError
         listed = json.loads(path.read_text(encoding="utf-8"))["files"]
         stale = [name for name in listed if name not in keep and Path(name).name == name
-                 and (out_dir / name).is_file()] if type(listed) is list else []
+                 and (path.parent / name).is_file()] if type(listed) is list else []
     except (OSError, ValueError, TypeError, KeyError):
         stale = []
     for name in stale:
-        (out_dir / name).unlink()
+        (path.parent / name).unlink()
     if stale:
         print(f"removed {len(stale)} file(s) an earlier run left: {', '.join(stale)}", file=sys.stderr)
     write_lines(path, [json.dumps(manifest, indent=2, sort_keys=True)])

@@ -521,6 +521,9 @@ def test_unknown_config_key_rejected(tmp_path):
     ({"evaluation": {"depth_curves": -1}}, "evaluation: depth_curves must be >= 0, got -1"),
     ({"training": {"repeats": 0}}, "training: repeats must be >= 1, got 0"),
     ({"augmentation": {"generation_repeats": 0}}, "augmentation: generation_repeats must be >= 1, got 0"),
+    ({"copulas": {"kinds": ["gaussian", "vine", "gaussian"]}},
+     "copulas: kinds must be distinct, got ['gaussian', 'vine', 'gaussian']"),
+    ({"augmentation": {"factors": [1, 1]}}, "augmentation: factors must be distinct, got [1, 1]"),
 ])
 def test_malformed_config_fails_at_load(tmp_path, capsys, config, message):
     def merged(base, fault):
@@ -535,6 +538,38 @@ def test_malformed_config_fails_at_load(tmp_path, capsys, config, message):
     out = tmp_path / "out"
     assert main(["pipeline", "--config", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error:invalid: config: {message}\n"
+    assert not out.exists()
+
+
+def test_split_without_test_rows_fails_invalid(tmp_path, capsys):
+    # 0.5 and 0.5 of 40 profiles round to all 40 rows; none is left to score on.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(TINY, data={"n_profiles": 40, "n_levels": 6},
+                                    split={"train": 0.5, "val": 0.5, "test": 1e-10})))
+    assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error:invalid: split fractions leave no room for the test set\n"
+
+
+@pytest.mark.parametrize("command, p_top", [("fit", 0.0), ("radiate", -50.0)])
+def test_nonpositive_pressure_file_fails_schema(tmp_path, capsys, command, p_top):
+    # Pressures that increase but start at or below zero must fail the file
+    # check: a copula artifact fitted on them would not load for sampling.
+    cfg = {"master_seed": 11, "data": {"n_profiles": 200, "n_levels": 3}}
+    data = tmp_path / "data.csv"
+    (tmp_path / "gen.json").write_text(json.dumps(cfg))
+    assert main(["gen-data", "--config", str(tmp_path / "gen.json"), "--out", str(data)]) == 0
+    header, *rows = data.read_text().splitlines()
+    cells = rows[3].split(",")
+    cells[header.split(",").index("p_1")] = repr(p_top)
+    rows[3] = ",".join(cells)
+    data.write_text("\n".join([header, *rows]) + "\n")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(cfg, data={"path": str(data), "n_levels": 3})))
+    out = tmp_path / "out.json"
+    args = {"fit": ["--kind", "gaussian"], "radiate": ["--input", str(data)]}[command]
+    assert main([command, "--config", str(path), *args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error:schema: {data}: row 3: pressure must be positive everywhere\n")
     assert not out.exists()
 
 

@@ -157,6 +157,8 @@ class TestProfileFile:
         ("250,260,270,1e4,2e4,3e4,0,nan,0", "non-finite"),
         ("250,260,inf,1e4,2e4,3e4,0,0,0", "non-finite"),
         ("250,-3,270,1e4,2e4,3e4,0,0,0", "temperature"),
+        ("250,260,270,0,2e4,3e4,0,0,0", "pressure must be positive everywhere"),
+        ("250,260,270,-50,2e4,3e4,0,0,0", "pressure must be positive everywhere"),
         ("250,260,270,1e4,2e4,2e4,0,0,0", "pressure"),
         ("250,260,270,1e4,2e4,3e4,0,-0.5,0", "optical depth"),
         ("250,260,270,1e4,2e4,3e4,0,0", "expected 9 values, got 8"),
@@ -237,6 +239,14 @@ class TestSplitShuffle:
     def test_bad_fractions(self):
         with pytest.raises(ValueError):
             SplitSpec(0.6, 0.3, 0.4)
+
+    def test_empty_test_split_refused(self):
+        # Fractions summing to 1 are a valid SplitSpec, yet here train and
+        # validation round to all 40 rows and would leave the test set empty.
+        with pytest.raises(ValueError, match="^split fractions leave no room for the test set$"):
+            split_shuffle(make_set(40), SplitSpec(0.5, 0.5, 1e-10, seed=2))
+        tr, va, te = split_shuffle(make_set(40), SplitSpec(0.5, 0.475, 0.025, seed=2))
+        assert (len(tr), len(va), len(te)) == (20, 19, 1)
 
 
 class TestFlatten:
