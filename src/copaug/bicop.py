@@ -269,21 +269,32 @@ def _h1_base(family: Family, u, v, theta: float, nu: float | None):
         with np.errstate(over="ignore"):
             base = (v / u) ** t + 1.0 - v ** t
             return base ** (-(1.0 + t) / t)
-    if family is Family.GUMBEL:
-        t = theta
-        x, y = -np.log(u), -np.log(v)
-        s = x ** t + y ** t
-        return np.exp(-(s ** (1.0 / t)) + (t - 1.0) * np.log(y) + (1.0 / t - 1.0) * np.log(s) + y)
     if family is Family.FRANK:
         t = theta
         return np.exp(-t * v) * np.expm1(-t * u) / _frank_denom(t, u, v)
-    if family is Family.JOE:
-        t = theta
-        ub, vb = 1.0 - u, 1.0 - v
-        ut, vt = ub ** t, vb ** t
-        a = np.maximum(ut + vt - ut * vt, 1e-300)
-        return a ** (1.0 / t - 1.0) * vb ** (t - 1.0) * (1.0 - ut)
+    if family in (Family.GUMBEL, Family.JOE):
+        return _h1_given(family, v, theta)(u)
     raise ValueError(f"unknown family {family}")
+
+
+def _h1_given(family: Family, v, t: float):
+    """u -> h1(u, v) of Gumbel or Joe, the terms that depend on v alone computed once."""
+    if family is Family.GUMBEL:
+        y = -np.log(v)
+        yt, log_y = y ** t, (t - 1.0) * np.log(y)
+
+        def gumbel(u):
+            s = (-np.log(u)) ** t + yt
+            return np.exp(-(s ** (1.0 / t)) + log_y + (1.0 / t - 1.0) * np.log(s) + y)
+        return gumbel
+    vb = 1.0 - v
+    vt, vb_t1 = vb ** t, vb ** (t - 1.0)
+
+    def joe(u):
+        ut = (1.0 - u) ** t
+        a = np.maximum(ut + vt - ut * vt, 1e-300)
+        return a ** (1.0 / t - 1.0) * vb_t1 * (1.0 - ut)
+    return joe
 
 
 def _bisect_conditioned(func, w) -> np.ndarray:
@@ -291,11 +302,12 @@ def _bisect_conditioned(func, w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     lo = np.full(w.shape, EPS)
     hi = np.full(w.shape, 1.0 - EPS)
+    mid = np.empty(w.shape)
     for _ in range(64):
-        mid = 0.5 * (lo + hi)
+        np.multiply(0.5, lo + hi, out=mid)
         below = func(mid) < w
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+        np.copyto(lo, mid, where=below)
+        np.copyto(hi, mid, where=~below)
     return 0.5 * (lo + hi)
 
 
@@ -322,7 +334,8 @@ def _h1_inv_base(family: Family, w, v, theta: float, nu: float | None):
         den = w + (1.0 - w) * np.exp(-t * v)
         return v - np.log(num / den) / t
     # Gumbel and Joe have no closed-form inverse: bracketed bisection.
-    return _bisect_conditioned(lambda t_: _h1_base(family, t_, v, theta, nu), w)
+    w, v = np.broadcast_arrays(w, v)
+    return _bisect_conditioned(_h1_given(family, v, theta), w)
 
 
 # ---------------------------------------------------------------------------

@@ -59,10 +59,11 @@ def cmd_fit(args, cfg) -> int:
     save_model(args.out, model)
     if model.kind == "vine":
         hist = ", ".join(f"{k}={v}" for k, v in family_counts(model.vine).items())
-        print(f"wrote {args.out}: vine on {model.d} features ({len(model.active)} active), "
-              f"truncation {model.vine.truncation}, edges: {hist}")
+        print(f"wrote {args.out}: vine on {model.d} features ({len(model.active)} active, "
+              f"{model.vine.d} rankings), truncation {model.vine.truncation}, edges: {hist}")
     else:
-        print(f"wrote {args.out}: gaussian copula on {model.d} features ({len(model.active)} active)")
+        print(f"wrote {args.out}: gaussian copula on {model.d} features ({len(model.active)} active, "
+              f"{model.gaussian.d} rankings)")
     return 0
 
 

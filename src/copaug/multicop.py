@@ -10,9 +10,9 @@ vine is an R-vine matrix; simulation inverts the Rosenblatt transform
 along its columns.
 
 A SynthModel ties marginals and copula together: fit_synth_model fits
-both on a training set's input matrix, and sample_synth_model simulates
-and maps the columns back through the marginal quantiles into the input
-matrix of new profiles.
+both on a training set's input matrix, one copula column per distinct
+ranking, and sample_synth_model simulates and maps the columns back
+through the marginal quantiles into the input matrix of new profiles.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -44,7 +44,7 @@ from .dataset import (LevelGrid, ProfileSet, SchemaError, check_artifact, json_n
                       strictly_increasing, write_lines)
 from .marginals import pseudo_observations, quantile
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 # Full vines are allowed but quadratic; above this width default to truncating.
 TRUNCATION_FREE_LIMIT = 60
@@ -156,13 +156,18 @@ class SynthModel:
     Constant training columns carry no dependence information and break
     rank correlations, so the copula covers only the `active` columns,
     the non-constant rows of the marginal table (at least 2); constant
-    columns are reproduced by their quantile map.  Exactly one of
-    `gaussian` and `vine` is set, as `kind` says.
+    columns are reproduced by their quantile map, whatever u it gets.
+    Active columns with one ranking are comonotone: their copula is the
+    upper Frechet bound M, so they share one copula column.  Column
+    active[i] reads copula column ranking[i]; the copula columns are
+    numbered 0, 1, ... in order of first use.  Exactly one of `gaussian`
+    and `vine` is set, as `kind` says.
     """
 
     kind: str
     marginals: np.ndarray  # (d, n): row j is column j's sorted training sample
     active: tuple  # column indices covered by the copula
+    ranking: tuple  # per active column, its copula column
     gaussian: GaussianCopulaModel | None = None
     vine: VineModel | None = None
 
@@ -409,29 +414,35 @@ def simulate_vine(m: VineModel, n: int, seed: int) -> np.ndarray:
     The inverse Rosenblatt transform on the R-vine matrix (Dissmann et al.
     2013), columns right to left, each through trees truncation..1: O(n d k)
     work, and no h-function call for an independence copula.  Variable v
-    inverts column v of the uniform stream.
+    inverts column v of the uniform stream.  A conditioning vector is kept
+    only until its last reader has read it.
     """
     M, d, k = m.matrix, m.d, m.truncation
     W = rng.uniforms(seed, (n, d))
     sources = _edge_sources(M, k)
-    needed = {(c, t) for t, row in enumerate(sources) for c, own in row if not own}
-    own = [None] * d  # own[j][t] = F(column j's variable | M[0..t-1][j])
-    partner = {}      # (j, t) -> F(M[t-1][j] | column j's variable, M[0..t-2][j])
+    # (c, True, t) is F(column c's variable | M[0..t-1][c]) and (c, False, t)
+    # F(M[t-1][c] | column c's variable, M[0..t-2][c]); `live` holds each
+    # until its last reader has read it.
+    readers = Counter((c, own, t) for t, row in enumerate(sources) for c, own in row)
+    live = {}
     out = np.empty((n, d))
     for j in range(d - 1, -1, -1):
         depth = min(k, d - 1 - j)
         values = [None] * depth + [W[:, M[d - 1 - j][j]]]
         for t in range(depth - 1, -1, -1):
-            c, is_own = sources[t][j]
-            z = own[c][t] if is_own else partner[c, t]
+            key = (*sources[t][j], t)
+            readers[key] -= 1
+            z = live[key] if readers[key] else live.pop(key)
             cop = m.copulas[t][j][0]
             if cop.family is Family.INDEPENDENCE:
-                values[t], partner[j, t + 1] = values[t + 1], z
+                values[t] = values[t + 1]
+                if readers[j, False, t + 1]:
+                    live[j, False, t + 1] = z
                 continue
             values[t] = h_inv(cop, values[t + 1], z, direction=1)
-            if (j, t + 1) in needed:
-                partner[j, t + 1] = h_func(cop, values[t], z, direction=2)
-        own[j] = values
+            if readers[j, False, t + 1]:
+                live[j, False, t + 1] = h_func(cop, values[t], z, direction=2)
+        live.update(((j, True, t), x) for t, x in enumerate(values) if readers[j, True, t])
         out[:, M[d - 1 - j][j]] = values[0]
     return out
 
@@ -440,43 +451,59 @@ def simulate_vine(m: VineModel, n: int, seed: int) -> np.ndarray:
 # Synthesis: marginals + copula -> new profiles.
 # ---------------------------------------------------------------------------
 
-def _copula_columns(table: np.ndarray) -> tuple:
+def _active_columns(table: np.ndarray) -> tuple:
     """The columns a copula covers: the non-constant rows of the sorted marginal table."""
     return tuple(np.flatnonzero(table[:, -1] > table[:, 0]).tolist())
 
 
+def _first_use(keys) -> tuple:
+    """Number the distinct keys 0, 1, ... in the order they first appear."""
+    first = {}
+    return tuple(first.setdefault(key, len(first)) for key in keys)
+
+
 def fit_synth_model(train: ProfileSet, spec: CopulaSpec) -> SynthModel:
-    """Fit marginals and the chosen copula on the training set's input matrix."""
+    """Fit marginals and the chosen copula on the training set's input matrix.
+
+    Active columns with equal pseudo-observations share one ranking, and
+    the copula is fitted on the first column of each ranking.  The default
+    truncation counts the active columns, comonotone copies included.
+    """
     if len(train) < 2:
         raise ValueError(f"an empirical marginal needs at least 2 values, got {len(train)}")
     margs = np.sort(train.inputs.T, axis=1)
-    active = _copula_columns(margs)
+    active = _active_columns(margs)
     if len(active) < 2:
         raise ValueError(f"a copula needs at least 2 non-constant columns, got {len(active)}")
     U = pseudo_observations(train.inputs[:, active])
+    ranking = _first_use(col.tobytes() for col in U.T)
+    U = U[:, np.unique(ranking, return_index=True)[1]]
     if spec.kind == "gaussian":
-        return SynthModel("gaussian", margs, active, gaussian=fit_gaussian(U))
-    return SynthModel("vine", margs, active, vine=fit_vine(U, spec))
+        return SynthModel("gaussian", margs, active, ranking, gaussian=fit_gaussian(U))
+    spec = replace(spec, truncation=resolve_truncation(spec.truncation, len(active)))
+    return SynthModel("vine", margs, active, ranking, vine=fit_vine(U, spec))
 
 
 def sample_synth_model(model: SynthModel, n: int, seed: int):
     """Simulate n profiles; returns (ProfileSet, SynthesisDiagnostics).
 
-    Each simulated uniform column maps through its marginal quantile into
-    the set's input matrix; non-monotone pressure columns of individual
-    profiles are re-sorted ascending in place (marginals are preserved
-    exactly) and counted.
+    Each active column maps its ranking's simulated uniform column through
+    its marginal quantile into the set's input matrix, so the columns of
+    one ranking come out comonotone; a constant column reads copula column
+    0.  Non-monotone pressure columns of individual profiles (interpolation
+    ties, or rankings the copula joins loosely) are re-sorted ascending in
+    place (marginals are preserved exactly) and counted.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     grid = LevelGrid(model.d // 3)
     if model.kind == "gaussian":
-        U_act = simulate_gaussian(model.gaussian, n, seed)
+        U = simulate_gaussian(model.gaussian, n, seed)
     else:
-        U_act = simulate_vine(model.vine, n, seed)
-    U = np.full((n, model.d), 0.5)
-    U[:, list(model.active)] = U_act
-    inputs = quantile(model.marginals, U)
+        U = simulate_vine(model.vine, n, seed)
+    column = np.zeros(model.d, dtype=np.intp)
+    column[list(model.active)] = model.ranking
+    inputs = quantile(model.marginals, U, column)
     p = inputs[:, grid.n_full:2 * grid.n_full]
     resort = np.any(np.diff(p, axis=1) <= 0, axis=1)
     p[resort] = strictly_increasing(np.sort(p[resort], axis=1))
@@ -519,10 +546,10 @@ def model_to_dict(model: SynthModel) -> dict:
     doc = {
         "version": MODEL_FORMAT_VERSION,
         "kind": model.kind,
-        "d": model.d,
         "columns": LevelGrid(model.d // 3).input_labels(),
         "marginals": model.marginals.tolist(),
         "active": list(model.active),
+        "ranking": list(model.ranking),
     }
     if model.kind == "gaussian":
         doc["correlation"] = model.gaussian.R.ravel().tolist()  # row-major
@@ -552,7 +579,7 @@ def _marginal_table(rows, columns: list) -> np.ndarray:
 
 def model_from_dict(doc: dict) -> SynthModel:
     """Decode a model artifact; a malformed one raises SchemaError naming the field."""
-    check_artifact(doc, MODEL_FORMAT_VERSION, "kind", "columns", "marginals", "active",
+    check_artifact(doc, MODEL_FORMAT_VERSION, "kind", "columns", "marginals", "active", "ranking",
                    note=f": this build reads version {MODEL_FORMAT_VERSION}; refit the model")
     kind = doc["kind"]
     if kind not in ("gaussian", "vine"):
@@ -562,30 +589,35 @@ def model_from_dict(doc: dict) -> SynthModel:
     if k < 1 or columns != LevelGrid(k).input_labels():
         raise SchemaError("columns: expected T_1..T_k, p_1..p_k, tauc_1..tauc_k for some k >= 1")
     margs = _marginal_table(doc["marginals"], columns)
-    active = _copula_columns(margs)
+    active = _active_columns(margs)
     if len(active) < 2 or doc["active"] != list(active):
         raise SchemaError("active: expected distinct column indices equal to the marginal table's "
                           f"{len(active)} non-constant rows, at least 2 of them")
-    da = len(active)
+    ranking = doc["ranking"]
+    if not (isinstance(ranking, list) and len(ranking) == len(active)
+            and all(type(r) is int for r in ranking) and tuple(ranking) == _first_use(ranking)):
+        raise SchemaError(f"ranking: expected one integer per active column ({len(active)}), "
+                          "numbering the copula columns 0, 1, ... in order of first use")
+    ranking, dc = tuple(ranking), max(ranking) + 1
     check_artifact(doc, MODEL_FORMAT_VERSION, "correlation" if kind == "gaussian" else "vine")
     if kind == "gaussian":
         R = json_numbers(doc["correlation"], "correlation")
-        if R.size != da * da:
-            raise SchemaError(f"correlation: {R.size} entries do not fit {da} active columns")
-        R = R.reshape(da, da)
+        if R.size != dc * dc:
+            raise SchemaError(f"correlation: {R.size} entries do not fit {dc} copula columns")
+        R = R.reshape(dc, dc)
         if not (np.array_equal(R, R.T) and np.all(np.diag(R) == 1.0)):
             raise SchemaError("correlation: expected an exactly symmetric matrix with unit diagonal")
         try:
             L = np.linalg.cholesky(R)
         except np.linalg.LinAlgError:
             raise SchemaError("correlation: matrix is not positive-definite") from None
-        return SynthModel("gaussian", margs, active, gaussian=GaussianCopulaModel(R, L))
+        return SynthModel("gaussian", margs, active, ranking, gaussian=GaussianCopulaModel(R, L))
     vine = doc["vine"]
     if not (isinstance(vine, dict) and "matrix" in vine and "copulas" in vine):
         raise SchemaError("vine: expected an object with matrix and copulas")
     matrix, rows = vine["matrix"], vine["copulas"]
-    if not (isinstance(matrix, list) and len(matrix) == da and all(isinstance(row, list) for row in matrix)):
-        raise SchemaError(f"vine.matrix: expected a list of {da} rows for {da} active columns")
+    if not (isinstance(matrix, list) and len(matrix) == dc and all(isinstance(row, list) for row in matrix)):
+        raise SchemaError(f"vine.matrix: expected a list of {dc} rows for {dc} copula columns")
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise SchemaError("vine.copulas: expected a list of rows")
     copulas = tuple(tuple(_edge_from_dict(e, f"vine.copulas[{t}][{j}]") for j, e in enumerate(row))
@@ -594,7 +626,7 @@ def model_from_dict(doc: dict) -> SynthModel:
         vine = VineModel(tuple(map(tuple, matrix)), copulas)
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
-    return SynthModel("vine", margs, active, vine=vine)
+    return SynthModel("vine", margs, active, ranking, vine=vine)
 
 
 def save_model(path, model: SynthModel) -> None:

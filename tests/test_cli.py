@@ -71,7 +71,7 @@ class TestFit:
         model = load_model(out)
         assert model.kind == "gaussian"
         assert model.d == 18
-        assert model.gaussian.R.shape == (len(model.active),) * 2
+        assert model.gaussian.R.shape == (max(model.ranking) + 1,) * 2
 
     def test_vine_truncation_respected(self, tmp_path):
         cfg = dict(TINY)
@@ -86,13 +86,13 @@ class TestFit:
             assert all(edge.copula.family.value == "independence" for edge in tree)
 
     @pytest.mark.parametrize("kind,truncation,digest", [
-        ("gaussian", 2, "eab41014e9793ced34394d39769271dd7fe009f40957528b1b90c1abaada0a36"),
-        ("vine", 2, "dcb0a8ec5d5aed567b90e8b26613d323506a1c79802d574954aee98984aefb5d"),
-    ])
+        ("gaussian", 2, "0dcbc4c0b3175165c2405551a87b6de214c7d1a0aa7386750f6f8a874a87a229"),
+        ("vine", 2, "72927b8d812863c5a46e233d9457fdf93d5ff581924a694ebd5c4cf7049b83cb"),
+    ], ids=["gaussian-2", "vine-2"])
     def test_fit_matches_recorded_sha256(self, tmp_path, kind, truncation, digest):
-        # Recorded before the pair-copula fitter and pair_pdf shared one
-        # log-density per family; any change to a fitted theta, nu or
-        # loglik changes the bytes.
+        # Recorded when the copula came to cover one column per distinct
+        # ranking (format 3); any change to a fitted theta, nu or loglik
+        # changes the bytes.
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"master_seed": 11, "data": {"n_profiles": 300, "n_levels": 20},
                                         "copulas": {"truncation": truncation}}))
@@ -229,18 +229,34 @@ class TestSampleRadiateTrainEval:
         err = capsys.readouterr().err
         assert err.startswith("error:schema:") and "version 1" in err
 
+    def test_format_2_model_schema_error(self, tiny_config, tmp_path, capsys):
+        # A format-2 artifact fitted the copula on every active column and
+        # carried "d" where format 3 carries the ranking map.
+        model = tmp_path / "model.json"
+        main(["fit", "--config", str(tiny_config), "--kind", "vine", "--out", str(model)])
+        doc = json.loads(model.read_text())
+        del doc["ranking"]
+        doc.update(version=2, d=len(doc["columns"]))
+        model.write_text(json.dumps(doc))
+        code = main(["sample", "--config", str(tiny_config), "--model", str(model),
+                     "--count", "5", "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == ("error:schema: unsupported model format version 2: "
+                                           "this build reads version 3; refit the model\n")
+        assert not (tmp_path / "s.csv").exists()
+
 
     @pytest.mark.parametrize("edit", ["asymmetric", "not-pd"])
     def test_bad_gaussian_correlation_schema_error(self, tiny_config, tmp_path, capsys, edit):
         model = tmp_path / "model.json"
         main(["fit", "--config", str(tiny_config), "--kind", "gaussian", "--out", str(model)])
         doc = json.loads(model.read_text())
-        da = len(doc["active"])
-        R = np.asarray(doc["correlation"]).reshape(da, da)
+        dc = max(doc["ranking"]) + 1  # copula columns, one per ranking
+        R = np.asarray(doc["correlation"]).reshape(dc, dc)
         if edit == "asymmetric":
             R[0, 1] += 0.01
         else:
-            R = np.full((da, da), -0.9)
+            R = np.full((dc, dc), -0.9)
             np.fill_diagonal(R, 1.0)
         doc["correlation"] = R.ravel().tolist()
         model.write_text(json.dumps(doc))
@@ -389,15 +405,15 @@ class TestPipeline:
         assert f"case gaussian-0x failed: {reason}" in capsys.readouterr().err
 
     def test_results_match_recorded_sha256(self, tmp_path):
-        # Recorded before the baseline became the case without synthetic
-        # rows; seeds, row order and formatting must not move.
+        # Recorded when the copula came to cover one column per distinct
+        # ranking; seeds, row order and formatting must not move.
         cfg = dict(TINY, copulas={"kinds": ["gaussian", "vine"], "truncation": 2})
         run_pipeline(make_config(cfg), tmp_path / "run")
         digests = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
                    for name in ("results.csv", "summary.csv")}
         assert digests == {
-            "results.csv": "cbe3d050019a9b2c5060796492de11c116f77fc531b2f0a091f9622a9bfe0838",
-            "summary.csv": "a05c9d976c586780c9f6c0c23eb3f415af2fb1d2aed353eed844072abba6c812",
+            "results.csv": "38562627a27471b74e580c9ba977efabb6d62edcfa10e6f87e4d3f9fc72e6553",
+            "summary.csv": "741054f457234368a6427509911d1ba24140e66be3b266c85e0303a0263aee9f",
         }
 
     def test_failed_replace_keeps_results(self, tmp_path, monkeypatch):

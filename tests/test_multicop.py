@@ -10,7 +10,9 @@ from scipy.stats import ks_2samp
 from copaug import bicop, multicop, rng
 from copaug.bicop import Family, PairCopula, h_func, h_inv, kendall_tau
 from copaug.dataset import SchemaError
-from copaug.dataset import LevelGrid, Profile, ProfileSet, flatten, generate_surrogate
+from copaug.dataset import LevelGrid, Profile, ProfileSet, flatten, generate_surrogate, split_shuffle
+from copaug.evaluation import random_projection_report
+from copaug.experiment import make_config, resolve_dataset
 from copaug.marginals import pseudo_observations
 from copaug.multicop import (
     CopulaSpec,
@@ -573,6 +575,70 @@ class TestSynthesize:
         assert all(np.array_equal(x.T, y.T) for x, y in zip(a.profiles, b.profiles))
 
 
+class TestRankings:
+    """Active columns of one ranking share one copula column."""
+
+    @staticmethod
+    def scaled_copies(n=150):
+        # T_i = a_i x and p_i = b_i y: two rankings over eight active columns.
+        gen = np.random.default_rng(4)
+        x, y = gen.uniform(200.0, 300.0, n), gen.uniform(9e4, 1.1e5, n)
+        T, p = np.outer(x, [1.0, 1.05, 1.1, 1.2]), np.outer(y, [0.2, 0.45, 0.7, 1.0])
+        return ProfileSet(LevelGrid(4), np.hstack([T, p, np.zeros((n, 4))]))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "vine"])
+    def test_scaled_copies_sample_exactly_comonotone(self, kind):
+        model = fit_synth_model(self.scaled_copies(), CopulaSpec(kind=kind))
+        assert model.active == tuple(range(8)) and model.ranking == (0, 0, 0, 0, 1, 1, 1, 1)
+        synth, diag = sample_synth_model(model, 500, 9)
+        for block in (synth.T, synth.p):  # sorting one copy sorts the others (ties where u clamps)
+            order = np.argsort(block[:, 0], kind="stable")
+            assert all(np.all(np.diff(block[order, i]) >= 0) for i in range(4))
+        # One u per ranking: the pressure copies come out increasing without the re-sort.
+        assert diag.pressure_resorted == 0
+        assert np.all(synth.tau_c == 0.0)
+
+    def test_default_truncation_counts_active_columns(self):
+        # vine-30's shape: 72 active columns over 43 rankings.  Counting the
+        # rankings instead would fit all 42 trees.
+        model = fit_synth_model(generate_surrogate(150, LevelGrid(30), 3), CopulaSpec(kind="vine"))
+        assert (len(model.active), model.vine.d, model.vine.truncation) == (72, 43, multicop.DEFAULT_TRUNCATION)
+
+    @pytest.fixture(scope="class")
+    def desk_vine(self):
+        """The untruncated vine of `copaug fit --kind vine` on the 20-level
+        surrogate (seed 11, 300 profiles): 48 active columns, 29 rankings."""
+        cfg = make_config({"master_seed": 11, "data": {"n_profiles": 300, "n_levels": 20}})
+        train, _, test = split_shuffle(resolve_dataset(cfg), cfg.split)
+        model = fit_synth_model(train, CopulaSpec(kind="vine"))
+        synth, _ = sample_synth_model(model, 2000, 4242)
+        return train, test, model, synth
+
+    def test_untruncated_desk_vine_fits_every_tree(self, desk_vine):
+        _, _, model, _ = desk_vine
+        assert (len(model.active), model.vine.d, model.vine.truncation) == (48, 29, 28)
+
+    def test_untruncated_desk_vine_passes_the_criterion_4_ks_bound(self, desk_vine):
+        train, _, _, synth = desk_vine
+        X, S = flatten(train).values, flatten(synth).values
+        assert max(ks_2samp(X[:, j], S[:, j]).statistic for j in range(X.shape[1])) < 0.05
+
+    def test_untruncated_desk_vine_projects_as_close_as_held_out_profiles(self, desk_vine):
+        # On 100 shared random directions of the standardized inputs, each
+        # statistic of the synthetic projections deviates from the training
+        # set's by at most as much as the held-out test split's does.
+        train, test, _, synth = desk_vine
+        X = train.inputs
+        mu, sd = X.mean(axis=0), np.where(X.std(axis=0) > 0, X.std(axis=0), 1.0)
+
+        def worst(other):
+            stats = random_projection_report((X - mu) / sd, (other.inputs - mu) / sd, iters=100, seed=7).stats
+            return {name: np.max(np.abs(b - a)) for name, (a, b) in stats.items()}
+
+        synthetic, held_out = worst(synth), worst(test)
+        assert all(synthetic[name] <= held_out[name] for name in held_out), (synthetic, held_out)
+
+
 class TestModelArtifact:
     @pytest.mark.parametrize("kind,trunc", [("gaussian", None), ("vine", 2)])
     def test_round_trip_sampling_identical(self, tmp_path, kind, trunc):
@@ -623,14 +689,14 @@ class TestModelArtifact:
 
     @staticmethod
     def edit_correlation(doc, edit):
-        da = len(doc["active"])
-        R = np.asarray(doc["correlation"]).reshape(da, da)
+        dc = max(doc["ranking"]) + 1  # copula columns, one per ranking
+        R = np.asarray(doc["correlation"]).reshape(dc, dc)
         if edit == "asymmetric":
             R[0, 1] += 0.01  # upper triangle only: the Cholesky factor reads the lower one
         elif edit == "diagonal":
             R[1, 1] = 1.0 + 1e-12
         else:  # equicorrelation -0.9 in three or more dimensions is not positive-definite
-            R = np.full((da, da), -0.9)
+            R = np.full((dc, dc), -0.9)
             np.fill_diagonal(R, 1.0)
         doc["correlation"] = R.ravel().tolist()
 
@@ -638,7 +704,7 @@ class TestModelArtifact:
                                              ("not-pd", "positive-definite")])
     def test_bad_gaussian_correlation_rejected(self, tmp_path, edit, reason):
         path, doc = self.saved(tmp_path, "gaussian")
-        assert len(doc["active"]) >= 3
+        assert max(doc["ranking"]) + 1 >= 3
         self.edit_correlation(doc, edit)
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match=f"^correlation: .*{reason}"):
@@ -701,6 +767,22 @@ class TestModelArtifact:
                                  r"^marginals: row 0 \(T_1\): T and p must be positive"),
         "zero-pressure": ("vine", lambda doc: doc["marginals"][5].__setitem__(0, 0.0),
                           r"^marginals: row 5 \(p_1\): T and p must be positive"),
+        "no-ranking": ("gaussian", lambda doc: doc.pop("ranking"), "^model artifact is missing the ranking field"),
+        "ranking-not-list": ("vine", lambda doc: doc.update(ranking=3), "^ranking: expected one integer per active"),
+        "ranking-too-short": ("gaussian", lambda doc: doc["ranking"].pop(), "^ranking: expected one integer per active"),
+        "ranking-too-long": ("vine", lambda doc: doc["ranking"].append(0), "^ranking: expected one integer per active"),
+        "ranking-bool": ("vine", lambda doc: doc["ranking"].__setitem__(0, False), "^ranking: expected one integer"),
+        "ranking-float": ("gaussian", lambda doc: doc["ranking"].__setitem__(0, 0.0), "^ranking: expected one integer"),
+        "ranking-negative": ("gaussian", lambda doc: doc["ranking"].__setitem__(0, -1), "^ranking: expected one integer"),
+        "ranking-not-in-first-use-order": ("vine", lambda doc: doc["ranking"].insert(0, doc["ranking"].pop(1)),
+                                           "^ranking: .* in order of first use"),
+        "ranking-skips-a-column": ("gaussian", lambda doc: doc["ranking"].__setitem__(-1, max(doc["ranking"]) + 1),
+                                   "^ranking: .* in order of first use"),
+        # A canonical map naming fewer copula columns than the copula has.
+        "ranking-merges-two-columns": ("gaussian", lambda doc: doc["ranking"].__setitem__(-1, doc["ranking"][-2]),
+                                       "^correlation: 64 entries do not fit 7 copula columns"),
+        "ranking-merges-two-vine-columns": ("vine", lambda doc: doc["ranking"].__setitem__(-1, doc["ranking"][-2]),
+                                            r"^vine\.matrix: expected a list of 7 rows for 7 copula columns"),
         "version-true": ("gaussian", lambda doc: doc.update(version=True),
                          "^unsupported model format version True"),
         "version-float": ("vine", lambda doc: doc.update(version=2.0), "^unsupported model format version 2.0"),

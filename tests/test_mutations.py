@@ -1,13 +1,17 @@
 """Seeded one-field mutations of every document the package loads.
 
 Each mutation deletes one key or list item, swaps one value to another
-JSON type, or replaces one number with 0, -1 or its numeric string.  A
-mutated config must load or fail with `config: ...`; a mutated copula
-or MLP artifact must load or fail with SchemaError.  A copula model that
-loads must sample 20 profiles, and an MLP that loads must predict 20 rows.
+JSON type, or replaces one number with 0, -1 or its numeric string.  Each
+nudge moves one number, picked uniformly among the document's numbers, by
+the least step of its type.  A mutated config must load or fail with
+`config: ...`; a mutated copula or MLP artifact must load or fail with
+SchemaError.  A copula model that loads must sample 20 profiles, and an
+MLP that loads must predict 20 rows.
 """
 
+import itertools
 import json
+import math
 import random
 
 import numpy as np
@@ -19,6 +23,7 @@ from copaug.experiment import default_config_dict, make_config
 from copaug.multicop import CopulaSpec, fit_synth_model, model_from_dict, model_to_dict, sample_synth_model
 
 N_MUTATIONS = 200
+N_NUDGES = 100
 ONE_PER_TYPE = (None, True, 7, "x", [1], {"a": 1})
 GRID = LevelGrid(4)
 
@@ -55,12 +60,38 @@ def mutants(doc, seed: int):
         yield f"{op} {path} (was {value!r:.40})", copy
 
 
+def _number_paths(node, path=()):
+    if isinstance(node, (dict, list)):
+        for key in (node if isinstance(node, dict) else range(len(node))):
+            yield from _number_paths(node[key], path + (key,))
+    elif _json_type(node) == "number":
+        yield path
+
+
+def nudges(doc, seed: int):
+    """(description, nudged copy) pairs: one number moved to the next float
+    up, or an integer plus one.  Most fields the loaders read keep a valid
+    value under such a step, so these copies reach the loaders' value checks
+    and the loaded object, where most one-field mutations fail earlier."""
+    gen = random.Random(seed)
+    paths = list(_number_paths(doc))
+    for _ in range(N_NUDGES):
+        path = gen.choice(paths)
+        copy = json.loads(json.dumps(doc))
+        parent = copy
+        for key in path[:-1]:
+            parent = parent[key]
+        value = parent[path[-1]]
+        parent[path[-1]] = value + 1 if type(value) is int else math.nextafter(value, math.inf)
+        yield f"nudge {list(path)} (was {value!r:.40})", copy
+
+
 def check_mutants(doc, seed: int, load, rejected, use=lambda obj: None):
-    """Load every mutant of `doc`.  A fault is an exception that `rejected`
-    does not accept, or any exception of `use` on a loaded object.
-    Returns (outcome counts, faults)."""
+    """Load every mutant and nudge of `doc`.  A fault is an exception that
+    `rejected` does not accept, or any exception of `use` on a loaded
+    object.  Returns (outcome counts, faults)."""
     counts, faults = {"loaded": 0, "rejected": 0}, []
-    for what, mutant in mutants(doc, seed):
+    for what, mutant in itertools.chain(mutants(doc, seed), nudges(doc, seed)):
         try:
             obj = load(mutant)
         except Exception as exc:
