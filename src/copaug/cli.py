@@ -26,7 +26,7 @@ from .experiment import (
     run_pipeline,
     train_emulator,
 )
-from .multicop import CopulaSpec, family_counts, fit_synth_model, load_model, sample_synth_model, save_model
+from .multicop import KINDS, CopulaSpec, family_counts, fit_synth_model, load_model, sample_synth_model, save_model
 from .radiation import radiate_set
 
 
@@ -57,13 +57,12 @@ def cmd_fit(args, cfg) -> int:
     train_set, _, _ = split_shuffle(data, cfg.split)
     model = fit_synth_model(train_set, CopulaSpec(args.kind, cfg.catalogue, cfg.truncation))
     save_model(args.out, model)
+    c, tail = model.copula, ""
     if model.kind == "vine":
-        hist = ", ".join(f"{k}={v}" for k, v in family_counts(model.vine).items())
-        print(f"wrote {args.out}: vine on {model.d} features ({len(model.active)} active, "
-              f"{model.vine.d} rankings), truncation {model.vine.truncation}, edges: {hist}")
-    else:
-        print(f"wrote {args.out}: gaussian copula on {model.d} features ({len(model.active)} active, "
-              f"{model.gaussian.d} rankings)")
+        hist = ", ".join(f"{k}={v}" for k, v in family_counts(c).items())
+        tail = f", truncation {c.truncation}, edges: {hist}"
+    print(f"wrote {args.out}: {model.kind} copula on {model.d} features ({len(model.active)} active, "
+          f"{c.d} rankings){tail}")
     return 0
 
 
@@ -145,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit marginals + copula on the training split")
     common(p)
-    p.add_argument("--kind", choices=["gaussian", "vine"], required=True)
+    p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--out", required=True, help="model artifact path (JSON)")
     p.set_defaults(func=cmd_fit)
 

@@ -330,5 +330,13 @@ def load_mlp(path) -> MLPModel:
     std = json_numbers(norm["std"], "normalizer.std", (layout.n_inputs,))
     if not np.all(std > 0.0):
         raise SchemaError("normalizer.std: values must be positive")
+    history, best = doc["history"], doc["best_epoch"]
+    if not (isinstance(history, dict) and all(type(history.get(key)) is list for key in ("train", "val"))
+            and len(history["train"]) == len(history["val"])):
+        raise SchemaError("history: expected an object with train and val lists of equal length")
+    for key in ("train", "val"):
+        json_numbers(history[key], f"history.{key}", (len(history[key]),))
+    if not (type(best) is int and -1 <= best < len(history["train"])):
+        raise SchemaError(f"best_epoch: expected an integer in [-1, {len(history['train'])}), got {best!r}")
     params = np.concatenate([p.ravel() for layer in zip(weights, biases) for p in layer])
-    return MLPModel(layout, params, Normalizer(mean, std), doc["history"], doc["best_epoch"])
+    return MLPModel(layout, params, Normalizer(mean, std), history, best)

@@ -41,7 +41,7 @@ from .evaluation import (
     write_level_quantiles,
     write_projection_report,
 )
-from .multicop import CopulaSpec, fit_synth_model, sample_synth_model
+from .multicop import KINDS, CopulaSpec, fit_synth_model, sample_synth_model
 from .radiation import RadiationConstants, radiate_set
 
 
@@ -58,7 +58,7 @@ _DEFAULTS = {
     "split": _field_defaults(SplitSpec),
     "radiation": _field_defaults(RadiationConstants),
     "copulas": {
-        "kinds": ["gaussian", "vine"],
+        "kinds": list(KINDS),
         "catalogue": [f.value for f in Family if f in CopulaSpec.catalogue],
         "truncation": CopulaSpec.truncation,
     },
@@ -277,13 +277,12 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
             if factor:
                 gen_seed = rng.derive_seed(cfg.master_seed, case, f"gen{gen}")
                 synth, _ = sample_synth_model(synth_model, factor * len(x_tr), gen_seed)
-                synth_rad = radiate_set(synth, cfg.radiation)
-                x_syn = synth_rad.inputs
-                x = np.vstack([x_tr, x_syn])
-                y = np.vstack([y_tr, synth_rad.fluxes])
+                synth = radiate_set(synth, cfg.radiation)
+                x, y = np.vstack([x_tr, synth.inputs]), np.vstack([y_tr, synth.fluxes])
+                del synth  # the stack holds its rows; keep no second copy through training
                 if gen == 0:
                     report = random_projection_report(
-                        x_tr, x_syn, cfg.projection_iterations,
+                        x_tr, x[len(x_tr):], cfg.projection_iterations,
                         rng.derive_seed(cfg.master_seed, case, "projection"),
                     )
                     result.write(f"projection_{case}.csv", write_projection_report, report)

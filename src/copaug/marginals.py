@@ -32,22 +32,20 @@ def pseudo_observations(values: np.ndarray) -> np.ndarray:
     return rankdata(vals, method="average", axis=0) / (n + 1.0)
 
 
-def quantile(table: np.ndarray, U, columns=None) -> np.ndarray:
+def quantile(table: np.ndarray, U, columns) -> np.ndarray:
     """Map column columns[j] of the matrix U through row j of the (d, n) table.
 
     Linear between (k/(n+1), z_(k)), clamped to [z_(1), z_(n)]: bit for
     bit np.interp(U[:, columns[j]], grid, table[j]) for every j, -0.0 and
-    its NaN fallback included; columns defaults to 0..d-1.  Every column
-    shares the one grid, so a value's bracket is index arithmetic instead
-    of a binary search, and the work runs in blocks of _BLOCK columns
-    whose table rows stay in cache.  Each block gathers its own columns of
-    U, so several rows may read one column without a (rows, d) copy.
+    its NaN fallback included.  Every column shares the one grid, so a
+    value's bracket is index arithmetic instead of a binary search, and
+    the work runs in blocks of _BLOCK columns whose table rows stay in
+    cache.  Each block gathers its own columns of U, so several rows may
+    read one column without a (rows, d) copy.
     """
     U = np.asarray(U, dtype=float)
     d, n = table.shape
-    if columns is None and not (U.ndim == 2 and U.shape[1] == d):
-        raise ValueError(f"quantile argument must have {d} columns, got shape {U.shape}")
-    columns = np.arange(d) if columns is None else np.asarray(columns)
+    columns = np.asarray(columns)
     if U.ndim != 2 or columns.shape != (d,) or not np.all((columns >= 0) & (columns < U.shape[1])):
         raise ValueError(f"quantile needs {d} column indices into a 2-d argument, got shape {U.shape}")
     if not np.all((U > 0.0) & (U < 1.0)):

@@ -45,6 +45,7 @@ from .dataset import (LevelGrid, ProfileSet, SchemaError, check_artifact, json_n
 from .marginals import pseudo_observations, quantile
 
 MODEL_FORMAT_VERSION = 3
+KINDS = ("gaussian", "vine")  # SynthModel.kind of a GaussianCopulaModel, of a VineModel
 
 # Full vines are allowed but quadratic; above this width default to truncating.
 TRUNCATION_FREE_LIMIT = 60
@@ -138,13 +139,13 @@ class VineModel:
 class CopulaSpec:
     """Which dependence model to fit and with what options."""
 
-    kind: str = "gaussian"  # "gaussian" or "vine"
+    kind: str = KINDS[0]  # one of KINDS
     catalogue: frozenset = DEFAULT_CATALOGUE
     truncation: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "vine"):
-            raise ValueError(f"kind must be 'gaussian' or 'vine', got {self.kind!r}")
+        if self.kind not in KINDS:
+            raise ValueError(f"kind must be {' or '.join(map(repr, KINDS))}, got {self.kind!r}")
         if self.kind == "vine" and not self.catalogue:
             raise ValueError("vine fitting needs a nonempty catalogue")
 
@@ -155,25 +156,30 @@ class SynthModel:
 
     Constant training columns carry no dependence information and break
     rank correlations, so the copula covers only the `active` columns,
-    the non-constant rows of the marginal table (at least 2); constant
-    columns are reproduced by their quantile map, whatever u it gets.
-    Active columns with one ranking are comonotone: their copula is the
-    upper Frechet bound M, so they share one copula column.  Column
-    active[i] reads copula column ranking[i]; the copula columns are
-    numbered 0, 1, ... in order of first use.  Exactly one of `gaussian`
-    and `vine` is set, as `kind` says.
+    the non-constant rows of the marginal table; constant columns are
+    reproduced by their quantile map, whatever u it gets.  Active columns
+    with one ranking are comonotone (upper Frechet bound M) and share a
+    copula column: active[i] reads copula column ranking[i], numbered 0,
+    1, ... in order of first use, at least 2 of them.  `copula` is the
+    GaussianCopulaModel or VineModel over them; its type is the `kind`.
     """
 
-    kind: str
     marginals: np.ndarray  # (d, n): row j is column j's sorted training sample
     active: tuple  # column indices covered by the copula
     ranking: tuple  # per active column, its copula column
-    gaussian: GaussianCopulaModel | None = None
-    vine: VineModel | None = None
+    copula: GaussianCopulaModel | VineModel
 
     @property
     def d(self) -> int:
         return self.marginals.shape[0]
+
+    @property
+    def kind(self) -> str:
+        return KINDS[isinstance(self.copula, VineModel)]
+
+    @property
+    def vine(self) -> VineModel | None:  # perfbench's vine-30 check reads it
+        return self.copula if isinstance(self.copula, VineModel) else None
 
 
 @dataclass
@@ -473,15 +479,16 @@ def fit_synth_model(train: ProfileSet, spec: CopulaSpec) -> SynthModel:
         raise ValueError(f"an empirical marginal needs at least 2 values, got {len(train)}")
     margs = np.sort(train.inputs.T, axis=1)
     active = _active_columns(margs)
-    if len(active) < 2:
-        raise ValueError(f"a copula needs at least 2 non-constant columns, got {len(active)}")
     U = pseudo_observations(train.inputs[:, active])
     ranking = _first_use(col.tobytes() for col in U.T)
     U = U[:, np.unique(ranking, return_index=True)[1]]
+    if U.shape[1] < 2:
+        raise ValueError("a copula needs at least 2 distinct rankings of non-constant columns, "
+                         f"got {U.shape[1]}")
     if spec.kind == "gaussian":
-        return SynthModel("gaussian", margs, active, ranking, gaussian=fit_gaussian(U))
+        return SynthModel(margs, active, ranking, fit_gaussian(U))
     spec = replace(spec, truncation=resolve_truncation(spec.truncation, len(active)))
-    return SynthModel("vine", margs, active, ranking, vine=fit_vine(U, spec))
+    return SynthModel(margs, active, ranking, fit_vine(U, spec))
 
 
 def sample_synth_model(model: SynthModel, n: int, seed: int):
@@ -497,10 +504,7 @@ def sample_synth_model(model: SynthModel, n: int, seed: int):
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     grid = LevelGrid(model.d // 3)
-    if model.kind == "gaussian":
-        U = simulate_gaussian(model.gaussian, n, seed)
-    else:
-        U = simulate_vine(model.vine, n, seed)
+    U = (simulate_vine if model.kind == "vine" else simulate_gaussian)(model.copula, n, seed)
     column = np.zeros(model.d, dtype=np.intp)
     column[list(model.active)] = model.ranking
     inputs = quantile(model.marginals, U, column)
@@ -552,11 +556,11 @@ def model_to_dict(model: SynthModel) -> dict:
         "ranking": list(model.ranking),
     }
     if model.kind == "gaussian":
-        doc["correlation"] = model.gaussian.R.ravel().tolist()  # row-major
+        doc["correlation"] = model.copula.R.ravel().tolist()  # row-major
     else:
-        doc["vine"] = {"matrix": [list(row) for row in model.vine.matrix],
+        doc["vine"] = {"matrix": [list(row) for row in model.copula.matrix],
                        "copulas": [[{"tau_hat": tau, **_copula_to_dict(c)} for c, tau in row]
-                                   for row in model.vine.copulas]}
+                                   for row in model.copula.copulas]}
     return doc
 
 
@@ -582,8 +586,8 @@ def model_from_dict(doc: dict) -> SynthModel:
     check_artifact(doc, MODEL_FORMAT_VERSION, "kind", "columns", "marginals", "active", "ranking",
                    note=f": this build reads version {MODEL_FORMAT_VERSION}; refit the model")
     kind = doc["kind"]
-    if kind not in ("gaussian", "vine"):
-        raise SchemaError(f"kind: expected 'gaussian' or 'vine', got {kind!r}")
+    if kind not in KINDS:
+        raise SchemaError(f"kind: expected {' or '.join(map(repr, KINDS))}, got {kind!r}")
     columns = doc["columns"]
     k = len(columns) // 3 if isinstance(columns, list) else 0
     if k < 1 or columns != LevelGrid(k).input_labels():
@@ -595,9 +599,10 @@ def model_from_dict(doc: dict) -> SynthModel:
                           f"{len(active)} non-constant rows, at least 2 of them")
     ranking = doc["ranking"]
     if not (isinstance(ranking, list) and len(ranking) == len(active)
-            and all(type(r) is int for r in ranking) and tuple(ranking) == _first_use(ranking)):
-        raise SchemaError(f"ranking: expected one integer per active column ({len(active)}), "
-                          "numbering the copula columns 0, 1, ... in order of first use")
+            and all(type(r) is int for r in ranking) and tuple(ranking) == _first_use(ranking)
+            and max(ranking) >= 1):
+        raise SchemaError(f"ranking: expected one integer per active column ({len(active)}), numbering "
+                          "the copula columns 0, 1, ... in order of first use, at least 2 of them")
     ranking, dc = tuple(ranking), max(ranking) + 1
     check_artifact(doc, MODEL_FORMAT_VERSION, "correlation" if kind == "gaussian" else "vine")
     if kind == "gaussian":
@@ -608,25 +613,25 @@ def model_from_dict(doc: dict) -> SynthModel:
         if not (np.array_equal(R, R.T) and np.all(np.diag(R) == 1.0)):
             raise SchemaError("correlation: expected an exactly symmetric matrix with unit diagonal")
         try:
-            L = np.linalg.cholesky(R)
+            copula = GaussianCopulaModel(R, np.linalg.cholesky(R))
         except np.linalg.LinAlgError:
             raise SchemaError("correlation: matrix is not positive-definite") from None
-        return SynthModel("gaussian", margs, active, ranking, gaussian=GaussianCopulaModel(R, L))
-    vine = doc["vine"]
-    if not (isinstance(vine, dict) and "matrix" in vine and "copulas" in vine):
-        raise SchemaError("vine: expected an object with matrix and copulas")
-    matrix, rows = vine["matrix"], vine["copulas"]
-    if not (isinstance(matrix, list) and len(matrix) == dc and all(isinstance(row, list) for row in matrix)):
-        raise SchemaError(f"vine.matrix: expected a list of {dc} rows for {dc} copula columns")
-    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
-        raise SchemaError("vine.copulas: expected a list of rows")
-    copulas = tuple(tuple(_edge_from_dict(e, f"vine.copulas[{t}][{j}]") for j, e in enumerate(row))
-                    for t, row in enumerate(rows))
-    try:
-        vine = VineModel(tuple(map(tuple, matrix)), copulas)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
-    return SynthModel("vine", margs, active, ranking, vine=vine)
+    else:
+        vine = doc["vine"]
+        if not (isinstance(vine, dict) and "matrix" in vine and "copulas" in vine):
+            raise SchemaError("vine: expected an object with matrix and copulas")
+        matrix, rows = vine["matrix"], vine["copulas"]
+        if not (isinstance(matrix, list) and len(matrix) == dc and all(isinstance(row, list) for row in matrix)):
+            raise SchemaError(f"vine.matrix: expected a list of {dc} rows for {dc} copula columns")
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            raise SchemaError("vine.copulas: expected a list of rows")
+        copulas = tuple(tuple(_edge_from_dict(e, f"vine.copulas[{t}][{j}]") for j, e in enumerate(row))
+                        for t, row in enumerate(rows))
+        try:
+            copula = VineModel(tuple(map(tuple, matrix)), copulas)
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from None
+    return SynthModel(margs, active, ranking, copula)
 
 
 def save_model(path, model: SynthModel) -> None:

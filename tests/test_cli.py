@@ -71,7 +71,7 @@ class TestFit:
         model = load_model(out)
         assert model.kind == "gaussian"
         assert model.d == 18
-        assert model.gaussian.R.shape == (max(model.ranking) + 1,) * 2
+        assert model.copula.R.shape == (max(model.ranking) + 1,) * 2
 
     def test_vine_truncation_respected(self, tmp_path):
         cfg = dict(TINY)
@@ -82,7 +82,7 @@ class TestFit:
         out = tmp_path / "vine.json"
         assert main(["fit", "--config", str(cfg_path), "--kind", "vine", "--out", str(out)]) == 0
         model = load_model(out)
-        for tree in model.vine.trees[2:]:
+        for tree in model.copula.trees[2:]:
             assert all(edge.copula.family.value == "independence" for edge in tree)
 
     @pytest.mark.parametrize("kind,truncation,digest", [
@@ -100,6 +100,22 @@ class TestFit:
         assert main(["fit", "--config", str(cfg_path), "--kind", kind, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("kind,truncation,digest", [
+        ("gaussian", 2, "642a7e96060695dccde5c1b49d06435d70a80d0924b2c6c2d00af7da0caa55c3"),
+        ("vine", 2, "7f84c8ea887caeec965525112bca430cf65f0298529b5d3c891304dd508325a4"),
+    ], ids=["gaussian-2", "vine-2"])
+    def test_sample_matches_recorded_sha256(self, tmp_path, kind, truncation, digest):
+        # The 200 profiles `copaug sample` draws from the model pinned above:
+        # any change to the simulated uniforms or the quantile maps changes the bytes.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"master_seed": 11, "data": {"n_profiles": 300, "n_levels": 20},
+                                        "copulas": {"truncation": truncation}}))
+        model, out = tmp_path / "model.json", tmp_path / "synth.csv"
+        assert main(["fit", "--config", str(cfg_path), "--kind", kind, "--out", str(model)]) == 0
+        assert main(["sample", "--config", str(cfg_path), "--model", str(model),
+                     "--count", "200", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_vine_summary_counts_every_edge(self, tmp_path, capsys):
         # The summary counts families from the fitted trees 1..k plus the
         # independence edges past k; it must match a count over all trees.
@@ -107,7 +123,7 @@ class TestFit:
         cfg_path.write_text(json.dumps(dict(TINY, copulas={"kinds": ["vine"], "truncation": 2})))
         out = tmp_path / "vine.json"
         assert main(["fit", "--config", str(cfg_path), "--kind", "vine", "--out", str(out)]) == 0
-        vine = load_model(out).vine
+        vine = load_model(out).copula
         assert vine.truncation == 2 and len(vine.trees) > 2
         counts = Counter(e.copula.family.value for tree in vine.trees for e in tree)
         hist = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))

@@ -380,6 +380,21 @@ class TestMlpArtifact:
         pytest.param(lambda d: d.__setitem__("version", 2), "version 2", id="version"),
         pytest.param(lambda d: d.__setitem__("version", True), "version True", id="version-true"),
         pytest.param(lambda d: d.__setitem__("version", 1.0), "version 1.0", id="version-float"),
+        pytest.param(lambda d: d.__setitem__("history", []), "^history: expected an object", id="history-list"),
+        pytest.param(lambda d: d["history"].pop("val"), "^history: expected an object", id="history-no-val"),
+        pytest.param(lambda d: d["history"]["train"].append(0.5), "^history: .* of equal length",
+                     id="history-unequal"),
+        pytest.param(lambda d: d["history"].update(train=[0.5], val=[float("nan")]),
+                     r"^history\.val: values must be finite", id="history-nan"),
+        pytest.param(lambda d: d["history"].update(train=["0.5"], val=[0.5]),
+                     r"^history\.train: expected a list of numbers", id="history-string"),
+        pytest.param(lambda d: d["history"].update(train=[[0.5]], val=[[0.5]]),
+                     r"^history\.train: expected shape \(1,\)", id="history-nested"),
+        pytest.param(lambda d: d.__setitem__("best_epoch", 0), r"^best_epoch: expected an integer in \[-1, 0\)",
+                     id="best-epoch-past-history"),
+        pytest.param(lambda d: d.__setitem__("best_epoch", -2), "^best_epoch: ", id="best-epoch-below"),
+        pytest.param(lambda d: d.__setitem__("best_epoch", False), "^best_epoch: ", id="best-epoch-bool"),
+        pytest.param(lambda d: d.__setitem__("best_epoch", -1.0), "^best_epoch: ", id="best-epoch-float"),
     ])
     def test_malformed_artifact_names_field(self, tmp_path, edit, field):
         path, doc = self._saved_doc(tmp_path)

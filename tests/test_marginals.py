@@ -30,12 +30,12 @@ class TestFit:
 
     def test_constant_column_accepted(self):
         table = np.full((1, 3), 5.0)
-        np.testing.assert_array_equal(quantile(table, [[0.1], [0.5], [0.9]]), [[5.0]] * 3)
+        np.testing.assert_array_equal(quantile(table, [[0.1], [0.5], [0.9]], [0]), [[5.0]] * 3)
 
     def test_large_column(self):
         table = np.arange(10_000, dtype=float)[None, :]
         probs = np.arange(1, 10_001) / 10_001.0
-        np.testing.assert_array_equal(quantile(table, probs[:, None])[:, 0], table[0])
+        np.testing.assert_array_equal(quantile(table, probs[:, None], [0])[:, 0], table[0])
 
     def test_too_small(self):
         one = generate_surrogate(1, LevelGrid(4), 3)
@@ -123,29 +123,30 @@ class TestCdfQuantile:
         self.table = np.array([[1.0, 2.0, 3.0]])
 
     def test_quantile_at_node(self):
-        assert quantile(self.table, [[0.5]]) == 2.0
+        assert quantile(self.table, [[0.5]], [0]) == 2.0
 
     def test_quantile_clamps(self):
-        assert quantile(self.table, [[0.001]]) == 1.0
-        assert quantile(self.table, [[0.999]]) == 3.0
+        assert quantile(self.table, [[0.001]], [0]) == 1.0
+        assert quantile(self.table, [[0.999]], [0]) == 3.0
 
     def test_quantile_inverts_cdf_example(self):
-        assert quantile(self.table, [[0.375]]) == 1.5
+        assert quantile(self.table, [[0.375]], [0]) == 1.5
 
     def test_quantile_domain(self):
         for bad in (0.0, 1.0, np.nan):
             with pytest.raises(ValueError, match="strictly inside"):
-                quantile(self.table, [[bad]])
-        with pytest.raises(ValueError, match="1 columns"):
-            quantile(self.table, [[0.5, 0.5]])
+                quantile(self.table, [[bad]], [0])
+        for columns in ([0, 0], [1], [-1]):
+            with pytest.raises(ValueError, match="^quantile needs 1 column indices"):
+                quantile(self.table, [[0.5]], columns)
         with pytest.raises(ValueError, match="at least 2 samples"):
-            quantile(np.array([[1.0]]), [[0.5]])
+            quantile(np.array([[1.0]]), [[0.5]], [0])
 
     @settings(max_examples=200, deadline=None)
     @given(tables_and_uniforms())
     def test_quantile_bitwise_matches_interp(self, case):
         table, U = case
-        got = quantile(table, U)
+        got = quantile(table, U, np.arange(len(table)))
         assert np.array_equal(got.view(np.uint64), interp_reference(table, U).view(np.uint64))
 
     def test_quantile_bitwise_matches_interp_at_desk_shape(self):
@@ -155,7 +156,7 @@ class TestCdfQuantile:
         U = rng.uniforms(11, (10_000, 60))
         U[:3002] = np.concatenate([probs, np.nextafter(probs, 0.0), np.nextafter(probs, 1.0),
                                    [1e-10, 1.0 - 1e-10]])[:, None]
-        got = quantile(table, U)
+        got = quantile(table, U, np.arange(len(table)))
         assert np.array_equal(got.view(np.uint64), interp_reference(table, U).view(np.uint64))
 
     def test_quantile_returns_each_sample_at_its_grid_point(self):
@@ -164,7 +165,7 @@ class TestCdfQuantile:
         for n in range(2, 200):
             table = np.sort(rng.normals(n, (3, n)), axis=1)
             probs = np.arange(1, n + 1) / (n + 1.0)
-            got = quantile(table, np.repeat(probs[:, None], 3, axis=1))
+            got = quantile(table, np.repeat(probs[:, None], 3, axis=1), np.arange(3))
             assert np.array_equal(got.T.view(np.uint64), table.view(np.uint64)), n
 
     def test_quantile_special_rows_match_interp(self):
@@ -177,19 +178,19 @@ class TestCdfQuantile:
         probs = np.arange(1, 4) / 4.0
         U = np.concatenate([probs, np.nextafter(probs, 0.0), np.nextafter(probs, 1.0),
                             rng.uniforms(2, 20)])[:, None].repeat(len(table), axis=1)
-        got = quantile(table, U)
+        got = quantile(table, U, np.arange(len(table)))
         assert np.array_equal(got.view(np.uint64), interp_reference(table, U).view(np.uint64))
 
     def test_quantile_of_a_column_slice(self):
         table = desk_table()
         U = rng.uniforms(4, (500, 90))[:, 10:70]
         assert not U.flags.c_contiguous
-        got = quantile(table, U)
+        got = quantile(table, U, np.arange(len(table)))
         assert np.array_equal(got.view(np.uint64), interp_reference(table, U).view(np.uint64))
 
 
 class TestSamplingFidelity:
     def test_ks_against_source(self):
         source = np.random.default_rng(5).gamma(2.0, 1.5, size=10_000)
-        draws = quantile(np.sort(source)[None, :], rng.uniforms(123, 10_000)[:, None])[:, 0]
+        draws = quantile(np.sort(source)[None, :], rng.uniforms(123, 10_000)[:, None], [0])[:, 0]
         assert ks_2samp(draws, source).statistic < 0.03

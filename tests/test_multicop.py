@@ -560,7 +560,8 @@ class TestSynthesize:
         n = 30
         T = np.column_stack([np.linspace(200.0, 260.0, n), np.full(n, 280.0)])
         train = ProfileSet(LevelGrid(2), np.hstack([T, np.tile([5e4, 1e5], (n, 1)), np.zeros((n, 2))]))
-        with pytest.raises(ValueError, match="^a copula needs at least 2 non-constant columns, got 1$"):
+        with pytest.raises(ValueError, match="^a copula needs at least 2 distinct rankings of non-constant "
+                                             "columns, got 1$"):
             fit_synth_model(train, CopulaSpec(kind=kind))
 
     def test_vine_kind_works(self):
@@ -587,6 +588,17 @@ class TestRankings:
         return ProfileSet(LevelGrid(4), np.hstack([T, p, np.zeros((n, 4))]))
 
     @pytest.mark.parametrize("kind", ["gaussian", "vine"])
+    def test_one_ranking_rejected(self, kind):
+        # T_i = a_i x and p_i = b_i x: eight active columns, one ranking.
+        x = np.random.default_rng(4).uniform(200.0, 300.0, 150)
+        train = ProfileSet(LevelGrid(4), np.hstack([np.outer(x, [1.0, 1.05, 1.1, 1.2]),
+                                                    np.outer(400.0 * x, [0.2, 0.45, 0.7, 1.0]),
+                                                    np.zeros((len(x), 4))]))
+        with pytest.raises(ValueError, match="^a copula needs at least 2 distinct rankings of non-constant "
+                                             "columns, got 1$"):
+            fit_synth_model(train, CopulaSpec(kind=kind))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "vine"])
     def test_scaled_copies_sample_exactly_comonotone(self, kind):
         model = fit_synth_model(self.scaled_copies(), CopulaSpec(kind=kind))
         assert model.active == tuple(range(8)) and model.ranking == (0, 0, 0, 0, 1, 1, 1, 1)
@@ -602,7 +614,7 @@ class TestRankings:
         # vine-30's shape: 72 active columns over 43 rankings.  Counting the
         # rankings instead would fit all 42 trees.
         model = fit_synth_model(generate_surrogate(150, LevelGrid(30), 3), CopulaSpec(kind="vine"))
-        assert (len(model.active), model.vine.d, model.vine.truncation) == (72, 43, multicop.DEFAULT_TRUNCATION)
+        assert (len(model.active), model.copula.d, model.copula.truncation) == (72, 43, multicop.DEFAULT_TRUNCATION)
 
     @pytest.fixture(scope="class")
     def desk_vine(self):
@@ -616,7 +628,7 @@ class TestRankings:
 
     def test_untruncated_desk_vine_fits_every_tree(self, desk_vine):
         _, _, model, _ = desk_vine
-        assert (len(model.active), model.vine.d, model.vine.truncation) == (48, 29, 28)
+        assert (len(model.active), model.copula.d, model.copula.truncation) == (48, 29, 28)
 
     def test_untruncated_desk_vine_passes_the_criterion_4_ks_bound(self, desk_vine):
         train, _, _, synth = desk_vine
@@ -779,6 +791,9 @@ class TestModelArtifact:
         "ranking-skips-a-column": ("gaussian", lambda doc: doc["ranking"].__setitem__(-1, max(doc["ranking"]) + 1),
                                    "^ranking: .* in order of first use"),
         # A canonical map naming fewer copula columns than the copula has.
+        # One ranking would be a copula on one column.
+        "ranking-one-column": ("vine", lambda doc: doc.update(ranking=[0] * len(doc["ranking"])),
+                               "^ranking: .* at least 2 of them$"),
         "ranking-merges-two-columns": ("gaussian", lambda doc: doc["ranking"].__setitem__(-1, doc["ranking"][-2]),
                                        "^correlation: 64 entries do not fit 7 copula columns"),
         "ranking-merges-two-vine-columns": ("vine", lambda doc: doc["ranking"].__setitem__(-1, doc["ranking"][-2]),
