@@ -11,7 +11,9 @@ Conventions
 * h_func(c, u, v, direction=1) is the conditional CDF of the first
   argument given the second, direction=2 the reverse.
 * h_inv(c, w, z, direction) inverts the conditioned argument; z is the
-  value of the conditioning variable.
+  value of the conditioning variable.  Gumbel and Joe have no closed-form
+  inverse: theirs is a Newton iteration inside a bracket, to 1e-14
+  relative, or as close as the rounding of h allows where h is flat.
 * Rotations follow one reflection rule: 90 and 180 reflect the first
   argument (x -> 1-x), 180 and 270 the second; 90/270 capture negative
   dependence for Clayton, Gumbel and Joe.  h_func and h_inv reflect their
@@ -121,19 +123,13 @@ def _clip(x) -> np.ndarray:
     return np.clip(np.asarray(x, dtype=float), EPS, 1.0 - EPS)
 
 
-def _check_unit(*args) -> None:
-    for x in args:
-        x = np.asarray(x, dtype=float)
-        if not np.all((x > 0.0) & (x < 1.0)):
-            raise ValueError("copula arguments must be finite and strictly inside (0, 1)")
-
-
 class PseudoObs:
     """One pseudo-observation vector x and its per-vector transforms.
 
     Each is computed on first use and kept: the argsort, dense ranks and tie
-    count that all taus of x share, and the Student-t scores stdtrit(nu, x).
-    Every function here that takes pseudo-observation arrays takes one too.
+    count that all taus of x share, the (0, 1) and clip checks, and the
+    Student-t scores stdtrit(nu, x).  Every function here that takes
+    pseudo-observation arrays takes one too.
     """
 
     def __init__(self, x):
@@ -152,6 +148,10 @@ class PseudoObs:
     def clipped(self) -> bool:  # whether _clip leaves x as it is
         return bool(np.all((self.x >= EPS) & (self.x <= 1.0 - EPS)))
 
+    @cached_property
+    def inside(self) -> bool:  # whether x lies strictly inside (0, 1), NaN excluded
+        return self.clipped or bool(np.all((self.x > 0.0) & (self.x < 1.0)))
+
     def scores(self, df: float) -> np.ndarray:
         if df not in self._scores:
             self._scores[df] = stdtrit(df, self.x)
@@ -162,12 +162,18 @@ def _wrap(x) -> PseudoObs:
     return x if isinstance(x, PseudoObs) else PseudoObs(x)
 
 
+def _check_unit(*args: PseudoObs) -> None:
+    if not all(x.inside for x in args):
+        raise ValueError("copula arguments must be finite and strictly inside (0, 1)")
+
+
 def _unit_args(c: PairCopula, *args) -> list:
-    """pair_pdf/h_func/h_inv arguments, checked and clipped; a Student-t copula
-    keeps a PseudoObs that _clip leaves as it is, so its scores are reused."""
+    """pair_pdf/h_func/h_inv arguments, checked and clipped.  A vector that
+    _clip leaves as it is goes on uncopied: a Student-t copula takes its
+    PseudoObs, so its scores are reused, the other families its array."""
     args = [_wrap(x) for x in args]
-    _check_unit(*(x.x for x in args))
-    return [x if c.family is Family.STUDENT_T and x.clipped else _clip(x.x) for x in args]
+    _check_unit(*args)
+    return [(x if c.family is Family.STUDENT_T else x.x) if x.clipped else _clip(x.x) for x in args]
 
 
 # ---------------------------------------------------------------------------
@@ -278,37 +284,69 @@ def _h1_base(family: Family, u, v, theta: float, nu: float | None):
 
 
 def _h1_given(family: Family, v, t: float):
-    """u -> h1(u, v) of Gumbel or Joe, the terms that depend on v alone computed once."""
+    """u -> h1(u, v) of Gumbel or Joe, the terms that depend on v alone computed once.
+
+    The function takes `at`, the positions of v that u's values belong to,
+    and with slope=True returns (h1, dh1/du): the density, built from the
+    terms h1 already holds.
+    """
     if family is Family.GUMBEL:
         y = -np.log(v)
         yt, log_y = y ** t, (t - 1.0) * np.log(y)
 
-        def gumbel(u):
-            s = (-np.log(u)) ** t + yt
-            return np.exp(-(s ** (1.0 / t)) + log_y + (1.0 / t - 1.0) * np.log(s) + y)
+        def gumbel(u, at=..., slope=False):
+            x = -np.log(u)
+            xt = x ** t
+            s = xt + yt[at]
+            s_rt = s ** (1.0 / t)
+            h = np.exp(-s_rt + log_y[at] + (1.0 / t - 1.0) * np.log(s) + y[at])
+            return (h, h * (xt / x) * (s_rt + t - 1.0) / (s * u)) if slope else h
         return gumbel
     vb = 1.0 - v
     vt, vb_t1 = vb ** t, vb ** (t - 1.0)
 
-    def joe(u):
-        ut = (1.0 - u) ** t
-        a = np.maximum(ut + vt - ut * vt, 1e-300)
-        return a ** (1.0 / t - 1.0) * vb_t1 * (1.0 - ut)
+    def joe(u, at=..., slope=False):
+        ub = 1.0 - u
+        ut = ub ** t
+        a = np.maximum(ut + vt[at] - ut * vt[at], 1e-300)
+        h = a ** (1.0 / t - 1.0) * vb_t1[at] * (1.0 - ut)
+        return (h, h * (ut / ub) * (t - 1.0 + a) / (a * (1.0 - ut))) if slope else h
     return joe
 
 
-def _bisect_conditioned(func, w) -> np.ndarray:
-    """Solve func(t) = w for t in (0,1), func monotone increasing in t, in 64 halvings."""
-    w = np.asarray(w, dtype=float)
-    lo = np.full(w.shape, EPS)
-    hi = np.full(w.shape, 1.0 - EPS)
-    mid = np.empty(w.shape)
-    for _ in range(64):
-        np.multiply(0.5, lo + hi, out=mid)
-        below = func(mid) < w
-        np.copyto(lo, mid, where=below)
-        np.copyto(hi, mid, where=~below)
-    return 0.5 * (lo + hi)
+def _newton_conditioned(h1, w) -> np.ndarray:
+    """Solve h1(u, at) = w for u in [EPS, 1 - EPS], h1 increasing in u (see _h1_given).
+
+    Newton's method from u = w, safeguarded by a bracket on the root that
+    every evaluation narrows, (0, 1) at first: an iterate outside it, or on
+    one of its ends, is replaced by its midpoint.  Iterates are clamped into
+    [EPS, 1 - EPS], so a root beyond a bound ends on that bound.  An element
+    stops once its step or its bracket is below 1e-14 relative or 1e-16 (the
+    spacing of doubles below 1: a smaller step leaves 1 - u, all that Joe's
+    h1 reads, as it is), after at most 64 iterations.  A tighter test would
+    chase the rounding noise of h1, which moves some roots by several ulps
+    forever.
+    """
+    out = np.empty(w.size)
+    at = np.arange(w.size)  # the positions still iterating
+    u, lo, hi = w.copy(), np.zeros(w.size), np.ones(w.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(64):
+            h, slope = h1(u, at, slope=True)
+            np.copyto(lo, u, where=h < w)
+            np.copyto(hi, u, where=h > w)
+            new = np.clip(u - (h - w) / slope, EPS, 1.0 - EPS)
+            small = np.abs(new - u) <= np.maximum(1e-14 * new, 1e-16)
+            stray = ~((new > lo) & (new < hi) | small)  # NaN included
+            new[stray] = np.clip(0.5 * (lo[stray] + hi[stray]), EPS, 1.0 - EPS)
+            done = small | (hi - lo <= np.maximum(1e-14 * new, 1e-16))
+            out[at[done]] = new[done]
+            keep = ~done
+            at, u, lo, hi, w = at[keep], new[keep], lo[keep], hi[keep], w[keep]
+            if not at.size:
+                return out
+    out[at] = u
+    return out
 
 
 def _h1_inv_base(family: Family, w, v, theta: float, nu: float | None):
@@ -333,9 +371,9 @@ def _h1_inv_base(family: Family, w, v, theta: float, nu: float | None):
         num = 1.0 + w * np.expm1(-t * (1.0 - v))
         den = w + (1.0 - w) * np.exp(-t * v)
         return v - np.log(num / den) / t
-    # Gumbel and Joe have no closed-form inverse: bracketed bisection.
+    # Gumbel and Joe have no closed-form inverse: Newton's method, bracketed.
     w, v = np.broadcast_arrays(w, v)
-    return _bisect_conditioned(_h1_given(family, v, theta), w)
+    return _newton_conditioned(_h1_given(family, v.ravel(), theta), w.ravel()).reshape(w.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +629,7 @@ def fit_pair(u, v, catalogue=DEFAULT_CATALOGUE, *, tau: float | None = None) -> 
     n = u.x.shape[0]
     if n < 10:
         raise ValueError("need at least 10 paired observations")
-    _check_unit(u.x, v.x)
+    _check_unit(u, v)
     if np.ptp(u.x) == 0.0 or np.ptp(v.x) == 0.0:
         raise ValueError("degenerate (constant) pseudo-observation column")
     tau_hat = kendall_tau(u, v) if tau is None else tau

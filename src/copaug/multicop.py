@@ -421,7 +421,8 @@ def simulate_vine(m: VineModel, n: int, seed: int) -> np.ndarray:
     2013), columns right to left, each through trees truncation..1: O(n d k)
     work, and no h-function call for an independence copula.  Variable v
     inverts column v of the uniform stream.  A conditioning vector is kept
-    only until its last reader has read it.
+    only until its last reader has read it, in one PseudoObs that all its
+    readers share, so a Student-t edge's scores of it are computed once.
     """
     M, d, k = m.matrix, m.d, m.truncation
     W = rng.uniforms(seed, (n, d))
@@ -434,7 +435,7 @@ def simulate_vine(m: VineModel, n: int, seed: int) -> np.ndarray:
     out = np.empty((n, d))
     for j in range(d - 1, -1, -1):
         depth = min(k, d - 1 - j)
-        values = [None] * depth + [W[:, M[d - 1 - j][j]]]
+        values = [None] * depth + [PseudoObs(W[:, M[d - 1 - j][j]])]
         for t in range(depth - 1, -1, -1):
             key = (*sources[t][j], t)
             readers[key] -= 1
@@ -445,11 +446,11 @@ def simulate_vine(m: VineModel, n: int, seed: int) -> np.ndarray:
                 if readers[j, False, t + 1]:
                     live[j, False, t + 1] = z
                 continue
-            values[t] = h_inv(cop, values[t + 1], z, direction=1)
+            values[t] = PseudoObs(h_inv(cop, values[t + 1], z, direction=1))
             if readers[j, False, t + 1]:
-                live[j, False, t + 1] = h_func(cop, values[t], z, direction=2)
+                live[j, False, t + 1] = PseudoObs(h_func(cop, values[t], z, direction=2))
         live.update(((j, True, t), x) for t, x in enumerate(values) if readers[j, True, t])
-        out[:, M[d - 1 - j][j]] = values[0]
+        out[:, M[d - 1 - j][j]] = values[0].x
     return out
 
 

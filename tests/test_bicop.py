@@ -26,7 +26,7 @@ from copaug.bicop import (
     tau_independence_threshold,
     tau_to_param,
 )
-from copaug.bicop import _clip, _h1_base, _h1_inv_base
+from copaug.bicop import EPS, _clip, _direction_one, _h1_base, _h1_given, _h1_inv_base
 
 # One parameter set per family, used by the shared property tests.
 CASES = [
@@ -120,6 +120,20 @@ class TestDensity:
         for u, v in ((np.nan, 0.5), (0.5, np.array([0.2, np.nan]))):
             with pytest.raises(ValueError, match="finite and strictly inside"):
                 pair_pdf(CASES[0], u, v)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, np.nan, -np.inf])
+    def test_a_bad_argument_raises_on_every_call(self, bad):
+        # A PseudoObs makes its (0, 1) check once and keeps the answer.
+        x = rng.uniforms(3, 20)
+        x[7] = bad
+        wrapped, good = PseudoObs(x), PseudoObs(rng.uniforms(4, 20))
+        for arg in (x, wrapped, wrapped):
+            for c in (CASES[1], CASES[4]):
+                for call in (lambda: pair_pdf(c, arg, good), lambda: h_func(c, good, arg, 2),
+                             lambda: h_inv(c, arg, good), lambda: fit_pair(good, arg)):
+                    with pytest.raises(ValueError, match="finite and strictly inside"):
+                        call()
+        assert not wrapped.inside and good.inside
 
     @pytest.mark.parametrize("c", INTEGRATION_CASES, ids=case_id)
     def test_integrates_to_one(self, c):
@@ -257,7 +271,9 @@ def test_direction_fold_is_bit_identical(c, direction):
 
 # sha256 of h_func's then h_inv's output bytes along directions 1 and 2 on
 # the grid below.  Recorded values: unlike old_h_func and old_h_inv, which
-# call the live _h1_base and _h1_inv_base, they catch a change in those.
+# call the live _h1_base and _h1_inv_base, they catch a change in those.  The
+# Gumbel and Joe ones were re-recorded when their h-inverse became a bracketed
+# Newton iteration (see test_newton_h_inv_matches_the_bisection).
 H_DIGESTS = {
     "gaussian-r0": ("f98634bf9864895dcf9731e7aa496b117b24b4f35a4b9cd138d7d061ba087a2b",
                     "2e7a3da98e8ad11a62a075cd8ebccd39e8c08eb80e1800d47009a5033f807713"),
@@ -271,35 +287,37 @@ H_DIGESTS = {
                      "1a22b9413ffcb50aa3ecacf76ee6cc43d6ac4fe0b0495d0f34922b202c5abb55"),
     "clayton-r270": ("bea57ad49dac36671db4ee0687345ffe1646cdb1b38e028d983b04b38bbf7fa0",
                      "5546e7842172ed96f4c045d0dfb084ee6782516a25a720ec728a31f726f58b13"),
-    "gumbel-r0": ("cafba95f943adf21d6e6ccd9a001f63f52ca96e47e1d70dc1662e2a26e2e9512",
-                  "766de680a30c78b8afcc1628bc890703173c866314f14c138649f58e311fea04"),
-    "gumbel-r90": ("3ade215b960c23986c3b5e2d6323679bfc8361060e137e6bf288b881fc218c3a",
-                   "1d7a3512eb645b90bd6f1be028945abf87b7b0c62bbeff81819cea85e34ee9ed"),
-    "gumbel-r180": ("eb178d20a4104c8fd2c117c138bf7ed06ad22263f927dca901b98140c8226ef9",
-                    "3987d623a983814c120ea000727f74418fbb8eac57dcae1030bf0ab8c0bd9c03"),
-    "gumbel-r270": ("eae323e469b3e80233f8e3b9e93ebb829202bd408f32f0949d8beba92109f6d1",
-                    "b148b1efdb2a1cb182995e652896a7837c35a5fe88d530d115ec5c5defbbe802"),
+    "gumbel-r0": ("687d313b20832baa648bd5ebaa6e42a930860c6bceaeffedcf97524d03b11026",
+                  "4f8853109c060e7511d1ba9958d361113c19e1d584a957964d441babdf13b414"),
+    "gumbel-r90": ("976d89aeba4b213f5dec877754dabc529e66eec3956eacadd38140b131b3123f",
+                   "213a0dbaddf774df68798ca45d02d2e546f36f9a5dcb13d716b48ea3613f6437"),
+    "gumbel-r180": ("0e5124d487d78de1d90499b0a7b323e645142a5b7b960ab55bb77ef63636ef7d",
+                    "4307f7f4c262a6565604b1c3bcb959e4304edb3fb7621a4d27355806b11c90ff"),
+    "gumbel-r270": ("262be6e7678dccd7db487e319741ba0dc54d7c79f7cda1020df8801526905cbf",
+                    "535d9c8e269ad68e86ad0a0414685f41ca021dbbd81e9a0cb8239d9e0d66c986"),
     "frank-r0": ("a214b6bf3512aaa25872171accb1fc516d40be90ef512183dad5c09b125e5f15",
                  "ec49998ded968eec65045573726372a4281e448246b1f3f6b10e4f4aa7356bf1"),
-    "joe-r0": ("af1b2e93cb5726e4e7111d69c0953677277aa9dd5dc2fc0b3c3ea895e5bd314a",
-               "1c64caa5e7cfc8fc6af358f8e84f6b761496e119da9eb723641aead8f84025ff"),
-    "joe-r90": ("66d94b8b65bc8897fccdce9f6e10a7bf12781dee35734642f84c5afcd290e869",
-                "bf46d0ce4036c4c522252ca76478480a08cd5f4cfd7ad88dccba3a2dd7e6dfe7"),
-    "joe-r180": ("26c13ea48111b8102bb249e236fb0e4c5f4c8cd6010bea4d0d2b40d264b08a34",
-                 "307741dfc1e10531dc2b48622138eda4491f264fb34645a26e7c9f2097d42ad8"),
-    "joe-r270": ("24653789cfa1bff4fcba3c15aa490f2022905c90670b645cf0136e2a1992ec82",
-                 "ee0ae5fb0beb366b39025a7e00ef9f2c8ce8331095e2316d6d8043a5b6ccacf1"),
+    "joe-r0": ("c0ece78f27f79c4ea4d363a92385ad8af2135e39a534c1bbf7046c58f33cb77b",
+               "dc9ed1d22c5312c8f793261ded0eb285ed412c25febea5d6a4d86dfc8533522b"),
+    "joe-r90": ("c65dd6f81700996955c6f32472a11482ff2d9284d9c50c06265c1a027f0f01cc",
+                "dce8beee5eac4ee1551ea9bdbe76ff3cf9ee2d598c388b56ef245d36c03e664e"),
+    "joe-r180": ("5c98a3643c8240f0dfbd53f7401dc7a31b7ab3939e95d2e53792da66b3f58677",
+                 "c6434f6d3622f274af7963d1eb6870650764f118c5956ec1a605469c7b67c2b0"),
+    "joe-r270": ("1a6d2f26cfa8904650b3c2b2fac01cbe781ade2f9ec9170aae3aec64c98ebd9a",
+                 "db8cda25824c26463038b4245c2b7e9e730e16497ecc9fed261e15b51046030c"),
     "independence-r0": ("bfc0f218583335fd15e4cbff44583cea49260717258ea4c5ed36b1782b08f5c1",
                         "e1b7b2d222967512432ee2791357540a202825a2deee813d1a9bcb1886d451f5"),
 }
 
 
+# Distances from either bound; 1 - 1e-16 rounds to 1, so the largest double below 1 stands in.
+NEAR = np.array([1e-16, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6])
+EDGE_GRID = np.concatenate((NEAR, np.linspace(0.02, 0.98, 25), np.minimum(1.0 - NEAR, np.nextafter(1.0, 0.0))))
+
+
 @pytest.mark.parametrize("c", ALL_ROTATIONS, ids=case_id)
 def test_h_functions_match_recorded_sha256(c):
-    # Distances from either bound; 1 - 1e-16 rounds to 1, so the largest double below 1 stands in.
-    near = np.array([1e-16, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6])
-    grid = np.concatenate((near, np.linspace(0.02, 0.98, 25), np.minimum(1.0 - near, np.nextafter(1.0, 0.0))))
-    a, b = (x.ravel() for x in np.meshgrid(grid, grid))
+    a, b = (x.ravel() for x in np.meshgrid(EDGE_GRID, EDGE_GRID))
     digests = tuple(hashlib.sha256(h_func(c, a, b, d).tobytes() + h_inv(c, a, b, d).tobytes()).hexdigest()
                     for d in (1, 2))
     assert digests == H_DIGESTS[case_id(c)]
@@ -325,6 +343,83 @@ def test_swap_arguments_is_the_reversed_pair(c):
     a, b = draws[:, 0], draws[:, 1]
     np.testing.assert_array_equal(h_func(swap_arguments(c), b, a, 1), h_func(c, a, b, 2))
     np.testing.assert_array_equal(h_inv(swap_arguments(c), a, b, 1), h_inv(c, a, b, 2))
+
+
+def bisected_h1_inv_base(family, w, v, theta, nu):
+    """_h1_inv_base of Gumbel and Joe before the Newton solver: 64 halvings of [EPS, 1 - EPS]."""
+    w, v = np.broadcast_arrays(w, v)
+    h1 = _h1_given(family, v, theta)
+    lo, hi = np.full(w.shape, EPS), np.full(w.shape, 1.0 - EPS)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = h1(mid) < w
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def assert_matches_the_bisection(c, w, z, direction):
+    new = h_inv(c, w, z, direction)
+    ref = _direction_one(c, direction, bisected_h1_inv_base, _clip(w), _clip(z))
+    pair = (lambda x: (x, z)) if direction == 1 else (lambda x: (z, x))  # (u, v) of a conditioned x
+    h = lambda x: h_func(c, *pair(x), direction)
+    # Where the two roots differ by more than 1e-12, h is too flat for its
+    # rounding to fix the root that closely: the density is below 1e-3, so an
+    # error of 1e-15 in h moves the root by over 1e-12.  There the new root
+    # solves h = w at least as closely as the bisection's.
+    loose = np.abs(new - ref) > 1e-12
+    assert np.all(pair_pdf(c, *pair(ref))[loose] < 1e-3)
+    residual = lambda x: np.abs(h(x) - _clip(w))[loose]
+    assert np.all(residual(new) <= residual(ref) + 2.0 ** -52)
+    # h_func(h_inv(w)) returns w to 1e-12 wherever the bisection's root does.
+    trip = lambda x: np.abs(h(x) - w)
+    assert np.all(trip(new)[trip(ref) <= 1e-12] <= 1e-12)
+    return new
+
+
+GUMBEL_JOE = [c for c in ALL_ROTATIONS if c.family in (Family.GUMBEL, Family.JOE)]
+
+
+@pytest.fixture
+def newton_iterations(monkeypatch):
+    """The iteration count of each Newton solve, counted as its slope evaluations."""
+    real_h1_given, counts = bicop._h1_given, []
+
+    def counting_h1_given(family, v, t):
+        h1 = real_h1_given(family, v, t)
+        counts.append(0)
+        i = len(counts) - 1
+
+        def counting(u, at=..., slope=False):
+            counts[i] += slope
+            return h1(u, at, slope)
+        return counting
+
+    monkeypatch.setattr(bicop, "_h1_given", counting_h1_given)
+    return lambda: [n for n in counts if n]  # h_func and the bisection take no slope
+
+
+@pytest.mark.parametrize("c", GUMBEL_JOE, ids=case_id)
+@pytest.mark.parametrize("direction", [1, 2])
+def test_newton_h_inv_matches_the_bisection(c, direction, newton_iterations):
+    a, b = (x.ravel() for x in np.meshgrid(EDGE_GRID, EDGE_GRID))
+    assert_matches_the_bisection(c, a, b, direction)
+    draws = rng.uniforms(19, (2000, 2))
+    new = h_inv(c, draws[:, 0], draws[:, 1], direction)
+    ref = _direction_one(c, direction, bisected_h1_inv_base, draws[:, 0], draws[:, 1])
+    np.testing.assert_allclose(new, ref, rtol=0, atol=1e-12)
+    _, draws_solve = newton_iterations()
+    assert draws_solve <= 24  # the bisection's 64 halvings, cut by Newton steps
+
+
+@pytest.mark.parametrize("family", [Family.GUMBEL, Family.JOE])
+def test_newton_ends_within_its_cap_near_the_bounds(family, newton_iterations):
+    w, z = (x.ravel() for x in np.meshgrid([1e-16, np.nextafter(1.0, 0.0)], EDGE_GRID))
+    for rotation in (0, 90, 180, 270):
+        for direction in (1, 2):
+            u = assert_matches_the_bisection(PairCopula(family, rotation, 20.0), w, z, direction)
+            assert np.all((u >= EPS) & (u <= 1.0 - EPS))
+    solves = newton_iterations()
+    assert len(solves) == 8 and max(solves) <= 64
 
 
 class TestKendallTau:
@@ -513,6 +608,8 @@ class TestFitPair:
 # fit_pair(catalogue={family}) on 300 draws from each copula below, recorded
 # before the fitter and pair_pdf shared one log-density per family:
 # (family, rotation, theta, nu, seed, (rotation, theta.hex(), nu, loglik.hex())).
+# sample_pair draws through h_inv, so the Gumbel and Joe logliks were
+# re-recorded with its Newton solver; their thetas kept every bit.
 FIT_PINS = [
     (Family.GAUSSIAN, 0, 0.6, None, 100, (0, "0x1.3f8743c453176p-1", None, "0x1.1bf624b23dd9ap+6")),
     (Family.STUDENT_T, 0, 0.5, 4.0, 101, (0, "0x1.eb1c42cb5abf1p-2", 6.0, "0x1.4ddb18886f545p+5")),
@@ -522,14 +619,14 @@ FIT_PINS = [
     (Family.CLAYTON, 90, 2.0, None, 105, (90, "0x1.e3076c744cdb5p+0", None, "0x1.98ea9c4935185p+6")),
     (Family.CLAYTON, 180, 2.0, None, 106, (180, "0x1.c2d47f8a171fap+0", None, "0x1.ba8032c6b6950p+6")),
     (Family.CLAYTON, 270, 2.0, None, 107, (270, "0x1.01caba240aecfp+1", None, "0x1.170d142b4e334p+7")),
-    (Family.GUMBEL, 0, 1.8, None, 108, (0, "0x1.cb27ad76631f1p+0", None, "0x1.5c0a4e322c80cp+6")),
-    (Family.GUMBEL, 90, 1.8, None, 109, (90, "0x1.c8352e8b4460ep+0", None, "0x1.8509d4d8dcf36p+6")),
-    (Family.GUMBEL, 180, 1.8, None, 110, (180, "0x1.d5f5388342cdcp+0", None, "0x1.598464ef8bb9ep+6")),
-    (Family.GUMBEL, 270, 1.8, None, 111, (270, "0x1.d0452d107fc98p+0", None, "0x1.81686d3f42bc0p+6")),
-    (Family.JOE, 0, 2.0, None, 112, (0, "0x1.d77aba0b6d30fp+0", None, "0x1.c99ac5f458af6p+5")),
-    (Family.JOE, 90, 2.0, None, 113, (90, "0x1.039eb72124bc6p+1", None, "0x1.3d7506e840212p+6")),
-    (Family.JOE, 180, 2.0, None, 114, (180, "0x1.dd193b4854c5bp+0", None, "0x1.96e70adc1c3b7p+5")),
-    (Family.JOE, 270, 2.0, None, 115, (270, "0x1.e6d7f82556df1p+0", None, "0x1.be1f391fe9490p+5")),
+    (Family.GUMBEL, 0, 1.8, None, 108, (0, "0x1.cb27ad76631f1p+0", None, "0x1.5c0a4e322c80ap+6")),
+    (Family.GUMBEL, 90, 1.8, None, 109, (90, "0x1.c8352e8b4460ep+0", None, "0x1.8509d4d8dceebp+6")),
+    (Family.GUMBEL, 180, 1.8, None, 110, (180, "0x1.d5f5388342cdcp+0", None, "0x1.598464ef8bb9cp+6")),
+    (Family.GUMBEL, 270, 1.8, None, 111, (270, "0x1.d0452d107fc98p+0", None, "0x1.81686d3f42bb8p+6")),
+    (Family.JOE, 0, 2.0, None, 112, (0, "0x1.d77aba0b6d30fp+0", None, "0x1.c99ac5f458ae5p+5")),
+    (Family.JOE, 90, 2.0, None, 113, (90, "0x1.039eb72124bc6p+1", None, "0x1.3d7506e840214p+6")),
+    (Family.JOE, 180, 2.0, None, 114, (180, "0x1.dd193b4854c5bp+0", None, "0x1.96e70adc1c3b0p+5")),
+    (Family.JOE, 270, 2.0, None, 115, (270, "0x1.e6d7f82556df1p+0", None, "0x1.be1f391fe9495p+5")),
 ]
 
 

@@ -102,11 +102,13 @@ class TestFit:
 
     @pytest.mark.parametrize("kind,truncation,digest", [
         ("gaussian", 2, "642a7e96060695dccde5c1b49d06435d70a80d0924b2c6c2d00af7da0caa55c3"),
-        ("vine", 2, "7f84c8ea887caeec965525112bca430cf65f0298529b5d3c891304dd508325a4"),
+        ("vine", 2, "4af4f462cf53573afd02d3207750ef84c77879b60b655e215e394129dd2cb84c"),
     ], ids=["gaussian-2", "vine-2"])
     def test_sample_matches_recorded_sha256(self, tmp_path, kind, truncation, digest):
         # The 200 profiles `copaug sample` draws from the model pinned above:
         # any change to the simulated uniforms or the quantile maps changes the bytes.
+        # The vine's was re-recorded when the Gumbel and Joe h-inverse became a
+        # Newton iteration: 549 of its 12,000 values moved, by 6.4e-14 relative at most.
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"master_seed": 11, "data": {"n_profiles": 300, "n_levels": 20},
                                         "copulas": {"truncation": truncation}}))

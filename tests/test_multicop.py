@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import namedtuple
 from functools import cached_property
@@ -236,6 +237,53 @@ class TestVineSimulation:
             for j in range(i + 1, 5):
                 target = kendall_tau(u[:, i], u[:, j])
                 assert abs(kendall_tau(sim[:, i], sim[:, j]) - target) < 0.06
+
+
+# The D-vine 0-1-...-7 in matrix form, truncated at 4 trees; edge (t, j)
+# takes edges[(3 t + j) % len(edges)], so every family recurs at several depths.
+DVINE_MATRIX = ((6, 5, 4, 3, 2, 1, 0, 0), (5, 4, 3, 2, 1, 0, 1, -1), (4, 3, 2, 1, 0, 2, -1, -1),
+                (3, 2, 1, 0, 3, -1, -1, -1), (2, 1, 0, 4, -1, -1, -1, -1), (1, 0, 5, -1, -1, -1, -1, -1),
+                (0, 6, -1, -1, -1, -1, -1, -1), (7, -1, -1, -1, -1, -1, -1, -1))
+CLOSED_FORM_EDGES = (PairCopula(Family.STUDENT_T, 0, 0.6, 4.0), PairCopula(Family.GAUSSIAN, 0, -0.5),
+                     PairCopula(Family.STUDENT_T, 0, -0.4, 6.0), PairCopula(Family.FRANK, 0, 4.0),
+                     PairCopula(Family.STUDENT_T, 0, 0.3, 2.0), bicop.INDEPENDENCE)
+
+
+def dvine(edges) -> multicop.VineModel:
+    return multicop.VineModel(DVINE_MATRIX, tuple(tuple((edges[(3 * t + j) % len(edges)], 0.0)
+                                                        for j in range(7 - t)) for t in range(4)))
+
+
+class TestVineSamplingTraffic:
+    def test_closed_form_edges_match_recorded_sha256(self):
+        # Recorded before simulate_vine shared one PseudoObs per conditioning
+        # vector.  No edge is Gumbel or Joe, whose h-inverse is iterative, so
+        # every bit of the sample is pinned.
+        sim = simulate_vine(dvine(CLOSED_FORM_EDGES), 500, 9)
+        assert hashlib.sha256(sim.tobytes()).hexdigest() == (
+            "2be36129d9192ade4bab10e255ba03694cb50f63b119538625974634c065622e")
+
+    def test_each_conditioning_vector_scored_once_per_nu(self, monkeypatch):
+        vm = dvine([PairCopula(Family.STUDENT_T, 0, r, nu) for r, nu in ((0.6, 4.0), (-0.4, 6.0), (0.3, 4.0))])
+        expected = simulate_vine(vm, 400, 9)
+        real_stdtrit, real_h_inv, real_h_func = bicop.stdtrit, multicop.h_inv, multicop.h_func
+        scored, h_calls = [], []
+
+        def counting_h_inv(c, w, z, direction=1):
+            h_calls.append("h_inv")
+            return real_h_inv(c, w, z, direction)
+
+        def counting_h_func(c, u, v, direction=1):
+            h_calls.append("h_func")
+            return real_h_func(c, u, v, direction)
+
+        monkeypatch.setattr(bicop, "stdtrit", lambda df, x: scored.append((x.tobytes(), df)) or real_stdtrit(df, x))
+        monkeypatch.setattr(multicop, "h_inv", counting_h_inv)
+        monkeypatch.setattr(multicop, "h_func", counting_h_func)
+        np.testing.assert_array_equal(simulate_vine(vm, 400, 9), expected)
+        assert len(set(scored)) == len(scored)  # one stdtrit per (vector, nu)
+        # Each call reads two scores; the readers of one vector share them.
+        assert h_calls.count("h_inv") == 22 and len(scored) < 2 * len(h_calls)
 
 
 # Trees 1-3 of fit_vine(ar1_umatrix(0.7, 10, 120, 2), truncation=3) as fitted
