@@ -84,8 +84,8 @@ class PairCopula:
     loglik: float = 0.0
 
     def __post_init__(self):
-        if self.rotation not in (0, 90, 180, 270):
-            raise ValueError(f"rotation must be one of 0/90/180/270, got {self.rotation}")
+        if type(self.rotation) is not int or self.rotation not in (0, 90, 180, 270):
+            raise ValueError(f"rotation must be one of 0/90/180/270, got {self.rotation!r}")
         if self.rotation != 0 and self.family not in ROTATABLE:
             raise ValueError(f"{self.family.value} copula only supports rotation 0")
         f, t = self.family, self.theta
@@ -102,6 +102,8 @@ class PairCopula:
         if f is Family.STUDENT_T:
             if self.nu is None or self.nu < 2:
                 raise ValueError("Student-t copula needs nu >= 2")
+        elif self.nu is not None:
+            raise ValueError(f"{f.value} copula takes no nu, got {self.nu}")
 
     @property
     def n_params(self) -> int:

@@ -56,7 +56,9 @@ class Normalizer:
         return cls(x.mean(axis=0), std)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=float) - self.mean) / self.std
+        z = np.asarray(x, dtype=float) - self.mean
+        z /= self.std  # in place: no second full-size temporary
+        return z
 
 
 @dataclass(frozen=True)

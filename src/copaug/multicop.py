@@ -294,56 +294,46 @@ def fit_vine(u, spec: CopulaSpec = CopulaSpec(kind="vine")) -> VineModel:
     Ties break toward the lowest conditioned index pair.  Trees past the
     truncation level do not change the density, so they only complete the
     structure: a spanning tree of the proximity graph picked by node index,
-    with independence copulas.  Within a tree, edges that join the same
-    ordered pair of node vectors share one tau, one pair fit and its
-    h-functions.
+    with independence copulas.  Each node vector has one PseudoObs for the
+    whole fit: a fitted edge wraps its h-functions for the next tree, and an
+    independence edge hands its two wrappers on, as simulate_vine does.
     """
     u = _check_umatrix(u)
-    n, d = u.shape
+    d = u.shape[1]
     if d < 2:
         raise ValueError("vine fitting needs at least 2 features")
     trunc = resolve_truncation(spec.truncation, d)
     nodes = [_Node((), (i,), frozenset((i,))) for i in range(d)]
-    hdata = [{i: u[:, i]} for i in range(d)]  # per node: var -> F(var | constraint - {var})
+    hdata = [{i: PseudoObs(u[:, i])} for i in range(d)]  # per node: var -> F(var | constraint - {var})
     levels = []
     for level in range(1, d):
         fitted = level <= trunc
         pairs = itertools.combinations(range(d), 2) if level == 1 else _proximity_pairs(nodes)
-        shared = {}  # one PseudoObs per distinct node vector of this tree (comonotone columns repeat them)
-        hdata = [{v: shared.setdefault(x.tobytes(), PseudoObs(x)) for v, x in h.items()} for h in hdata]
-        # taus and fits are keyed by the ordered pair of wrappers: kendall_tau(v, u) may differ from
-        # kendall_tau(u, v) in the last bit, and fit_pair's rotations follow the argument order.
-        candidates, taus = [], {}
+        candidates = []
         for x, y in pairs:
             e, f = nodes[x], nodes[y]
             (a,) = e.constraint - f.constraint
             (b,) = f.constraint - e.constraint
-            tau = 0.0
-            if fitted:
-                key = hdata[x][a], hdata[y][b]
-                if key not in taus:
-                    taus[key] = kendall_tau(*key)
-                tau = taus[key]
+            tau = kendall_tau(hdata[x][a], hdata[y][b]) if fitted else 0.0
             tiebreak = (min(a, b), max(a, b), x, y) if fitted else (x, y)
             candidates.append((abs(tau), tiebreak, x, y, (x, y, a, b, tau)))
         chosen = _kruskal_max(len(nodes), candidates)
         chosen.sort(key=lambda c: (min(c[2], c[3]), max(c[2], c[3])))
-        new_nodes, new_hdata, fits = [], [], {}  # fits: (copula, h1, h2)
+        new_nodes, new_hdata = [], []
         for x, y, a, b, tau in chosen:
             node = _Node((x, y), (a, b), nodes[x].constraint | nodes[y].constraint)
             if fitted:
-                key = za, zb = hdata[x][a], hdata[y][b]
-                if key not in fits:
-                    try:
-                        cop = fit_pair(za, zb, spec.catalogue, tau=tau)
-                    except ValueError as exc:
-                        raise ValueError(f"tree {level} edge ({a},{b}): {exc}") from None
-                    fits[key] = ((cop, h_func(cop, za, zb, direction=1), h_func(cop, za, zb, direction=2))
-                                 if level < trunc else (cop, None, None))
-                node.copula, h1, h2 = fits[key]
-                node.tau = tau
+                za, zb = hdata[x][a], hdata[y][b]
+                try:
+                    cop = fit_pair(za, zb, spec.catalogue, tau=tau)
+                except ValueError as exc:
+                    raise ValueError(f"tree {level} edge ({a},{b}): {exc}") from None
+                node.copula, node.tau = cop, tau
                 if level < trunc:
-                    new_hdata.append({a: h1, b: h2})
+                    if cop.family is not Family.INDEPENDENCE:
+                        za, zb = (PseudoObs(h_func(cop, za, zb, direction=1)),
+                                  PseudoObs(h_func(cop, za, zb, direction=2)))
+                    new_hdata.append({a: za, b: zb})
             new_nodes.append(node)
         levels.append(new_nodes)
         nodes, hdata = new_nodes, new_hdata
@@ -541,6 +531,8 @@ def _edge_from_dict(e, where: str) -> tuple:
     numbers = [e["theta"], e["loglik"], e["tau_hat"]] + ([] if e["nu"] is None else [e["nu"]])
     if not all(type(x) in (int, float) and np.isfinite(x) for x in numbers):
         raise SchemaError(f"{where}: theta, loglik and tau_hat must be finite numbers, nu one or null")
+    if abs(e["tau_hat"]) > 1:
+        raise SchemaError(f"{where}: tau_hat must lie in [-1, 1], got {e['tau_hat']}")
     try:
         return PairCopula(Family(e["family"]), e["rotation"], e["theta"], e["nu"], e["loglik"]), e["tau_hat"]
     except ValueError as exc:

@@ -88,6 +88,18 @@ class TestParameterValidation:
         with pytest.raises(ValueError):
             PairCopula(Family.STUDENT_T, 0, 0.5)
 
+    @pytest.mark.parametrize("family, theta", [
+        (Family.GAUSSIAN, 0.5), (Family.CLAYTON, 2.0), (Family.INDEPENDENCE, 0.0),
+    ])
+    def test_only_student_takes_nu(self, family, theta):
+        with pytest.raises(ValueError, match=f"^{family.value} copula takes no nu, got 4.0$"):
+            PairCopula(family, 0, theta, 4.0)
+
+    @pytest.mark.parametrize("rotation", [180.0, True])
+    def test_rotation_must_be_an_int(self, rotation):
+        with pytest.raises(ValueError, match="^rotation must be one of 0/90/180/270"):
+            PairCopula(Family.CLAYTON, rotation, 2.0)
+
     @pytest.mark.parametrize("family, theta, nu", [
         (Family.JOE, np.nan, None), (Family.CLAYTON, np.inf, None), (Family.FRANK, -np.inf, None),
         (Family.GUMBEL, np.nan, None), (Family.STUDENT_T, 0.5, np.nan), (Family.STUDENT_T, 0.5, np.inf),

@@ -408,145 +408,134 @@ def student_umatrix(d, n, seed):
 
 
 class TestVineFitTraffic:
-    def test_each_distinct_node_vector_ranked_and_scored_once_per_tree(self, monkeypatch):
-        # Columns 0 and 1 are equal (comonotone), so tree 1 holds two equal node vectors.
-        u = student_umatrix(7, 300, 1)
-        u = np.column_stack([u[:, :1], u])
-        spec = CopulaSpec(kind="vine", truncation=3)
-        expected = fit_vine(u, spec)
-        events = []
-        real_tau, real_stdtrit = multicop.kendall_tau, bicop.stdtrit
-
-        class CountingObs(bicop.PseudoObs):
-            def __init__(self, x):
-                super().__init__(x)
-                events.append(("made", self))
-
-            @cached_property
-            def ranks(self):
-                events.append(("ranked", self))
-                return bicop.PseudoObs.ranks.func(self)
-
-        def counting_tau(a, b):
-            events.append(("tau", a, b))
-            return real_tau(a, b)
-
-        def counting_stdtrit(df, x):
-            events.append(("stdtrit", x, df))
-            return real_stdtrit(df, x)
-
-        monkeypatch.setattr(multicop, "PseudoObs", CountingObs)
-        monkeypatch.setattr(multicop, "kendall_tau", counting_tau)
-        monkeypatch.setattr(bicop, "stdtrit", counting_stdtrit)
-        assert fit_vine(u, spec) == expected
-        assert any(e.copula.family is Family.STUDENT_T for e in expected.trees[0])  # h_func reads scores
-        # Each tree wraps its node vectors first, so a run of "made" events starts a tree.
-        trees, kind = [], None
-        for event in events:
-            if event[0] == "made" and kind != "made":
-                trees.append([])
-            trees[-1].append(event)
-            kind = event[0]
-        assert len(trees) == 3
-        distinct, scores = [], []
-        for tree in trees:
-            owner = {id(e[1].x): e[1] for e in tree if e[0] == "made"}
-            used = {id(obs): obs for e in tree if e[0] == "tau" for obs in e[1:]}
-            ranked = [e[1] for e in tree if e[0] == "ranked"]
-            scored = [(e[1], e[2]) for e in tree if e[0] == "stdtrit"]
-            # Every tau takes this tree's wrappers, one per distinct vector, each ranked once.
-            assert all(id(obs.x) in owner for obs in used.values())
-            assert len({obs.x.tobytes() for obs in used.values()}) == len(used)
-            assert sorted(map(id, ranked)) == sorted(used)
-            # stdtrit runs on this tree's wrapped vectors only, once per distinct (vector, nu).
-            assert all(id(x) in owner for x, _ in scored)
-            keys = [(x.tobytes(), df) for x, df in scored]
-            assert len(set(keys)) == len(keys)
-            distinct.append(len(used))
-            scores.append(len(keys))
-        assert distinct[0] == 7  # eight columns, two of them equal
-        assert scores[0] == 7 * len(bicop.STUDENT_NU_GRID)  # every tree-1 vector takes a Student-t fit
-
     @staticmethod
     def three_equal_columns():
         u = student_umatrix(7, 300, 1)
         return np.column_stack([u[:, :1], u[:, :1], u])
 
-    def test_each_distinct_wrapper_pair_takes_one_tau_one_fit_and_one_pair_of_h_per_tree(self, monkeypatch):
-        # Columns 0, 1 and 2 are equal, so edges repeat ordered pairs of node vectors in every tree.
-        u, trunc = self.three_equal_columns(), 3
+    @staticmethod
+    def with_independent_columns():
+        # Two columns independent of the rest: their edges fit the independence copula.
+        u = student_umatrix(7, 300, 1)
+        return np.column_stack([u[:, :3], rng.uniforms(5, (300, 2)), u[:, 3:]])
+
+    @pytest.mark.parametrize("columns", ["three-equal", "distinct"])
+    def test_edges_refitted_from_plain_arrays(self, monkeypatch, columns):
+        # The distinct columns include two independent ones, so independence edges hand vectors on.
+        u, trunc = self.three_equal_columns() if columns == "three-equal" else self.with_independent_columns(), 3
         spec = CopulaSpec(kind="vine", truncation=trunc)
         expected = fit_vine(u, spec)
-        real_tau, real_fit, real_h = multicop.kendall_tau, multicop.fit_pair, multicop.h_func
         real_kruskal, real_proximity = multicop._kruskal_max, multicop._proximity_pairs
-        levels, taus_so_far, node_lists = [], [], []
+        candidate_lists, node_lists = [], []
 
-        def tau(a, b):
-            taus_so_far.append((a.x.tobytes(), b.x.tobytes()))
-            return real_tau(a, b)
-
-        def fit(a, b, *args, **kwargs):
-            levels[-1]["fit"].append((a.x.tobytes(), b.x.tobytes()))
-            return real_fit(a, b, *args, **kwargs)
-
-        def h(c, a, b, direction):
-            levels[-1]["h"].append((a.x.tobytes(), b.x.tobytes()))
-            return real_h(c, a, b, direction=direction)
-
-        def kruskal(n, edges):  # ends the candidate loop of a tree
-            levels.append({"tau": taus_so_far[:], "candidates": [e[4] for e in edges], "fit": [], "h": []})
-            taus_so_far.clear()
+        def kruskal(n, edges):
+            candidate_lists.append([e[4] for e in edges])
             return real_kruskal(n, edges)
 
         def proximity(nodes):  # the previous tree's edges, in the order of their node vectors
             node_lists.append([(*node.pieces, *node.cond) for node in nodes])
             return real_proximity(nodes)
 
-        for name, f in [("kendall_tau", tau), ("fit_pair", fit), ("h_func", h),
-                        ("_kruskal_max", kruskal), ("_proximity_pairs", proximity)]:
-            monkeypatch.setattr(multicop, name, f)
+        monkeypatch.setattr(multicop, "_kruskal_max", kruskal)
+        monkeypatch.setattr(multicop, "_proximity_pairs", proximity)
         assert fit_vine(u, spec) == expected
-        # A parent-style fit alongside: every edge computes its own tau, fit and h-functions
-        # from plain arrays, and its h-functions are the next tree's node vectors.
+        # Every edge computes its own tau, fit and h-functions from plain arrays,
+        # and its h-functions are the next tree's node vectors.
         vectors = [{i: u[:, i]} for i in range(u.shape[1])]
-        for t, level, chosen in zip(range(trunc), levels, node_lists):
-            def distinct_pairs(edges):
-                return sorted({(vectors[x][a].tobytes(), vectors[y][b].tobytes()) for x, y, a, b, *_ in edges})
-
-            candidates = level["candidates"]
-            assert sorted(level["tau"]) == distinct_pairs(candidates)
+        for t, candidates, chosen in zip(range(trunc), candidate_lists, node_lists):
             taus = {(x, y): tau for x, y, a, b, tau in candidates}
-            assert all(taus[x, y] == real_tau(vectors[x][a], vectors[y][b]) for x, y, a, b, _ in candidates)
-            keys = distinct_pairs(chosen)
-            assert sorted(level["fit"]) == keys
-            assert sorted(level["h"]) == (sorted(keys * 2) if t + 1 < trunc else [])
+            assert all(tau == kendall_tau(vectors[x][a], vectors[y][b]) for x, y, a, b, tau in candidates)
             fitted, next_vectors = {}, []
             for x, y, a, b in chosen:
-                c = real_fit(vectors[x][a], vectors[y][b], spec.catalogue, tau=taus[x, y])
+                c = bicop.fit_pair(vectors[x][a], vectors[y][b], spec.catalogue, tau=taus[x, y])
                 fitted[min(a, b), max(a, b)] = (c if a < b else bicop.swap_arguments(c)), taus[x, y]
-                next_vectors.append({a: real_h(c, vectors[x][a], vectors[y][b], direction=1),
-                                     b: real_h(c, vectors[x][a], vectors[y][b], direction=2)})
+                next_vectors.append({a: h_func(c, vectors[x][a], vectors[y][b], direction=1),
+                                     b: h_func(c, vectors[x][a], vectors[y][b], direction=2)})
             assert fitted == {e.cond: (e.copula, e.tau_hat) for e in expected.trees[t]}
-            if t == 0:  # the data do repeat pairs: among the candidates and among the chosen edges
-                assert len(level["tau"]) < len(candidates) and len(keys) < len(chosen)
             vectors = next_vectors
 
-    def test_a_repeated_pair_that_fails_names_its_first_edge(self, monkeypatch):
-        u = self.three_equal_columns()
+    def test_one_wrapper_per_vector_and_independence_hands_on(self, monkeypatch):
+        u, trunc = self.with_independent_columns(), 3
+        spec = CopulaSpec(kind="vine", truncation=trunc)
+        expected = fit_vine(u, spec)
+        below = [e.copula.family for tree in expected.trees[:trunc - 1] for e in tree]
+        assert Family.INDEPENDENCE in below and Family.STUDENT_T in below  # h_func reads scores
+        real_tau, real_fit, real_h = multicop.kendall_tau, multicop.fit_pair, multicop.h_func
+        real_kruskal, real_proximity, real_stdtrit = multicop._kruskal_max, multicop._proximity_pairs, bicop.stdtrit
+        trees, ranked, scored, h_trees = [{"tau": [], "fit": []}], [], [], []
+
+        class CountingObs(bicop.PseudoObs):
+            @cached_property
+            def ranks(self):
+                ranked.append(self)
+                return bicop.PseudoObs.ranks.func(self)
+
+        def tau(a, b):
+            trees[-1]["tau"].append((a, b))
+            return real_tau(a, b)
+
+        def kruskal(n, edges):  # ends the candidate loop of a tree
+            trees[-1]["candidates"] = [e[4] for e in edges]
+            return real_kruskal(n, edges)
+
+        def fit(a, b, *args, **kwargs):
+            cop = real_fit(a, b, *args, **kwargs)
+            trees[-1]["fit"].append((a, b, cop))
+            return cop
+
+        def h(c, a, b, direction):
+            h_trees.append(len(trees))
+            return real_h(c, a, b, direction=direction)
+
+        def proximity(nodes):  # starts the next tree; nodes are the edges just fitted, in order
+            trees[-1]["cond"] = [node.cond for node in nodes]
+            trees.append({"tau": [], "fit": []})
+            return real_proximity(nodes)
+
+        def stdtrit(df, x):
+            scored.append((x.tobytes(), df))
+            return real_stdtrit(df, x)
+
+        for name, f in [("PseudoObs", CountingObs), ("kendall_tau", tau), ("fit_pair", fit), ("h_func", h),
+                        ("_kruskal_max", kruskal), ("_proximity_pairs", proximity)]:
+            monkeypatch.setattr(multicop, name, f)
+        monkeypatch.setattr(bicop, "stdtrit", stdtrit)
+        assert fit_vine(u, spec) == expected
+        # Each wrapper that a tau reads is ranked once over the whole fit, and no
+        # vector is wrapped twice; stdtrit runs once per vector and nu.
+        assert sorted(map(id, ranked)) == sorted({id(z) for tree in trees for pair in tree["tau"] for z in pair})
+        assert len({obs.x.tobytes() for obs in ranked}) == len(ranked)
+        assert len(set(scored)) == len(scored)
+        # h_func runs twice per edge below the truncation level that is not independence.
+        fitted = [sum(cop.family is not Family.INDEPENDENCE for *_, cop in tree["fit"]) for tree in trees[:trunc - 1]]
+        assert sorted(h_trees) == [t + 1 for t, k in enumerate(fitted) for _ in range(2 * k)]
+        # An independence edge hands its two input wrappers on to the next tree.
+        handed = 0
+        for tree, nxt in zip(trees[:trunc - 1], trees[1:trunc]):
+            for (x, y, a, b, _), pair in zip(nxt["candidates"], nxt["tau"]):
+                for node, var, z in zip((x, y), (a, b), pair):
+                    wa, wb, cop = tree["fit"][node]
+                    if cop.family is Family.INDEPENDENCE:
+                        assert z is (wa if var == tree["cond"][node][0] else wb)
+                        handed += 1
+        assert handed
+
+    def test_a_refused_edge_is_named(self, monkeypatch):
+        u, spec = student_umatrix(7, 300, 1), CopulaSpec(kind="vine", truncation=2)
+        refused = max(e.cond for e in fit_vine(u, spec).trees[0])
+        columns = {u[:, i].tobytes() for i in refused}
         real_fit, calls = multicop.fit_pair, []
 
         def fit(a, b, *args, **kwargs):
-            calls.append((a, b))
-            if a is b:  # a column paired with an equal one: twice among tree 1's chosen edges
+            calls.append({a.x.tobytes(), b.x.tobytes()})
+            if calls[-1] == columns:
                 raise ValueError("refused")
             return real_fit(a, b, *args, **kwargs)
 
-        first = min(e.cond for e in fit_vine(u, CopulaSpec(kind="vine", truncation=2)).trees[0]
-                    if set(e.cond) <= {0, 1, 2})
         monkeypatch.setattr(multicop, "fit_pair", fit)
-        with pytest.raises(ValueError, match=rf"^tree 1 edge \({first[0]},{first[1]}\): refused$"):
-            fit_vine(u, CopulaSpec(kind="vine", truncation=2))
-        assert calls[-1][0] is calls[-1][1] and all(a is not b for a, b in calls[:-1])
+        with pytest.raises(ValueError, match=rf"^tree 1 edge \({refused[0]},{refused[1]}\): refused$"):
+            fit_vine(u, spec)
+        assert calls.count(columns) == 1 and calls[-1] == columns
 
 
 def synthesize(train, spec, factor, seed):
@@ -851,6 +840,14 @@ class TestModelArtifact:
         "version-float": ("vine", lambda doc: doc.update(version=2.0), "^unsupported model format version 2.0"),
         "negative-tauc": ("gaussian", lambda doc: doc["marginals"][10].__setitem__(0, -1e-3),
                           r"^marginals: row 10 \(tauc_1\): T and p must be positive, tauc nonnegative"),
+        "copula-nu-not-student": ("vine", lambda doc: doc["vine"]["copulas"][0][0].update(
+            family="gaussian", rotation=0, theta=0.5, nu=4.0),
+            r"^vine\.copulas\[0\]\[0\]: gaussian copula takes no nu, got 4\.0$"),
+        "copula-rotation-float": ("vine", lambda doc: doc["vine"]["copulas"][0][0].update(
+            family="clayton", rotation=180.0, theta=2.0, nu=None),
+            r"^vine\.copulas\[0\]\[0\]: rotation must be one of 0/90/180/270, got 180\.0$"),
+        "copula-tau-hat-above-one": ("vine", lambda doc: doc["vine"]["copulas"][0][1].update(tau_hat=5.0),
+                                     r"^vine\.copulas\[0\]\[1\]: tau_hat must lie in \[-1, 1\], got 5\.0$"),
     }
 
     @pytest.mark.parametrize("fault", MALFORMED)
