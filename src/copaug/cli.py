@@ -24,6 +24,7 @@ from .experiment import (
     make_config,
     resolve_dataset,
     run_pipeline,
+    surrogate_set,
     train_emulator,
 )
 from .multicop import KINDS, CopulaSpec, family_counts, fit_synth_model, load_model, sample_synth_model, save_model
@@ -44,11 +45,10 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def cmd_gen_data(args, cfg) -> int:
-    data = resolve_dataset(cfg)
-    out = args.out or (cfg.data_path or "profiles.csv")
+    data = surrogate_set(cfg)
+    out = args.out or cfg.data_path or "profiles.csv"
     save_profiles(out, data)
-    n_cols = 3 * cfg.grid.n_full + (cfg.grid.n_half if data.fluxes is not None else 0)
-    print(f"wrote {out}: {len(data)} rows, {n_cols} columns")
+    print(f"wrote {out}: {len(data)} rows, {3 * cfg.grid.n_full} columns")
     return 0
 
 
@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="write a surrogate profile file")
     common(p)
-    p.add_argument("--out", help="output profile file (default: config data path)")
+    p.add_argument("--out", help="output profile file (default: data.path, else profiles.csv)")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("fit", help="fit marginals + copula on the training split")

@@ -28,19 +28,6 @@ class ProjectionReport:
 
 
 @dataclass(frozen=True)
-class DepthRanking:
-    """Band depths with the descending-depth ordering and centrality groups."""
-
-    depths: np.ndarray
-    order: np.ndarray        # curve indices, deepest first
-    groups: dict             # "central" / "middle" / "outer" -> index arrays
-
-    @property
-    def median_index(self) -> int:
-        return int(self.order[0])
-
-
-@dataclass(frozen=True)
 class ErrorMetrics:
     mb: float
     mae: float
@@ -94,27 +81,6 @@ def band_depth(curves) -> np.ndarray:
     return depths
 
 
-def depth_groups(depths) -> DepthRanking:
-    """Sort curves by descending depth and split into centrality groups.
-
-    The deepest ceil(n/4) curves form the central group, the next
-    ceil(n/4) the middle group, the rest the outer group; ties break by
-    curve index and the single deepest curve is the median profile.
-    """
-    depths = np.asarray(depths, dtype=float)
-    n = depths.shape[0]
-    if n == 0:
-        raise ValueError("no depths to group")
-    order = np.lexsort((np.arange(n), -depths))
-    q = -(-n // 4)  # ceil(n/4)
-    groups = {
-        "central": order[:q],
-        "middle": order[q:2 * q],
-        "outer": order[2 * q:],
-    }
-    return DepthRanking(depths, order, groups)
-
-
 def error_metrics(y_true, y_pred) -> ErrorMetrics:
     """Mean bias and mean absolute error of d = y_true - y_pred.
 
@@ -140,12 +106,16 @@ def write_projection_report(path, report: ProjectionReport) -> None:
                  for it, (a, b) in enumerate(zip(*report.stats[name]))))
 
 
-def write_depth_report(path, curves, ranking: DepthRanking) -> None:
-    """Per level: envelope of the central group around the median curve."""
+def write_depth_report(path, curves) -> None:
+    """Per level: envelope of the ceil(n/4) deepest curves around the deepest.
+
+    Curves rank by descending band depth, ties by curve index.
+    """
     a = np.asarray(curves, dtype=float)
-    central = a[ranking.groups["central"]]
+    order = np.lexsort((np.arange(len(a)), -band_depth(a)))
+    central = a[order[:-(-len(a) // 4)]]
     write_table(path, ("level", "q_low", "q_mid", "q_high"),
-                zip(range(a.shape[1]), central.min(axis=0), a[ranking.median_index], central.max(axis=0)))
+                zip(range(a.shape[1]), central.min(axis=0), a[order[0]], central.max(axis=0)))
 
 
 def write_level_quantiles(path, metrics: ErrorMetrics) -> None:

@@ -33,8 +33,6 @@ from .dataset import (
 )
 from .emulator import MLPLayout, MLPModel, TrainConfig, init_mlp, predict_set, train
 from .evaluation import (
-    band_depth,
-    depth_groups,
     error_metrics,
     random_projection_report,
     write_depth_report,
@@ -195,12 +193,14 @@ def default_config_dict() -> dict:
 # Pipeline stages.
 # ---------------------------------------------------------------------------
 
+def surrogate_set(cfg: ExperimentConfig) -> ProfileSet:
+    """The configured number of surrogate profiles, seeded from the master seed."""
+    return generate_surrogate(cfg.n_profiles, cfg.grid, rng.derive_seed(cfg.master_seed, "surrogate"))
+
+
 def resolve_dataset(cfg: ExperimentConfig) -> ProfileSet:
     """Load the configured profile file or generate the surrogate set."""
-    if cfg.data_path:
-        return load_profiles(cfg.data_path, cfg.grid)
-    seed = rng.derive_seed(cfg.master_seed, "surrogate")
-    return generate_surrogate(cfg.n_profiles, cfg.grid, seed)
+    return load_profiles(cfg.data_path, cfg.grid) if cfg.data_path else surrogate_set(cfg)
 
 
 def train_emulator(cfg: ExperimentConfig, x_tr, y_tr, x_val, y_val, *labels) -> MLPModel:
@@ -242,7 +242,7 @@ def _depth_report_file(cfg: ExperimentConfig, case: str, y_true, y_pred, result:
     sel_seed = rng.derive_seed(cfg.master_seed, case, "depth-subsample")
     sel = rng.permutation(n, sel_seed)[:k]
     curves = errors[sel]
-    result.write(f"depth_errors_{case}.csv", write_depth_report, curves, depth_groups(band_depth(curves)))
+    result.write(f"depth_errors_{case}.csv", write_depth_report, curves)
 
 
 def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:

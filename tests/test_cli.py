@@ -63,6 +63,19 @@ class TestGenData:
         main(["gen-data", "--config", str(tiny_config), "--seed", "99", "--out", str(b)])
         assert a.read_bytes() != b.read_bytes()
 
+    def test_writes_data_path_for_the_pipeline(self, tiny_config, tmp_path, capsys):
+        # Without --out the surrogate goes to data.path, which need not exist yet;
+        # the pipeline reading it scores exactly as the one generating it.
+        data = tmp_path / "prof.csv"
+        with_path = tmp_path / "with-path.json"
+        with_path.write_text(json.dumps(dict(TINY, data=dict(TINY["data"], path=str(data)))))
+        assert main(["gen-data", "--config", str(with_path)]) == 0
+        assert capsys.readouterr().out == f"wrote {data}: 120 rows, 18 columns\n"
+        for cfg, out in ((with_path, "read"), (tiny_config, "generated")):
+            assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "read" / "results.csv").read_bytes() == (
+            tmp_path / "generated" / "results.csv").read_bytes()
+
 
 class TestFit:
     def test_gaussian_artifact_shape(self, tiny_config, tmp_path):

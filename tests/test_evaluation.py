@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from copaug import rng
 from copaug.evaluation import (
     PROJECTION_STATISTICS,
     band_depth,
-    depth_groups,
     error_metrics,
     random_projection_report,
     write_depth_report,
@@ -134,25 +134,44 @@ class TestBandDepth:
         np.testing.assert_array_equal(band_depth(curves), band_depth(scale * curves + shift))
 
 
-class TestDepthGroups:
-    def test_group_sizes_n4(self):
-        r = depth_groups(np.array([0.9, 0.7, 0.5, 0.3]))
-        assert (len(r.groups["central"]), len(r.groups["middle"]), len(r.groups["outer"])) == (1, 1, 2)
+def depth_report(tmp_path, curves):
+    """The (level, 3) values of the depth report written for `curves`."""
+    path = tmp_path / "depth.csv"
+    write_depth_report(path, curves)
+    _, levels, values = read_table(path)
+    assert levels == [str(t) for t in range(curves.shape[1])]
+    return values
 
-    def test_tie_breaks_by_index(self):
-        r = depth_groups(np.array([0.5, 0.5, 0.5, 0.5]))
-        np.testing.assert_array_equal(r.order, [0, 1, 2, 3])
 
-    def test_nested_median(self):
+def reference_envelope(curves):
+    """q_low, q_mid, q_high from band_depth and a plain sort: deepest first, ties by index."""
+    depth = band_depth(curves)
+    order = sorted(range(len(curves)), key=lambda i: (-depth[i], i))
+    central = curves[order[:math.ceil(len(curves) / 4)]]
+    return np.column_stack([central.min(axis=0), curves[order[0]], central.max(axis=0)])
+
+
+class TestDepthReport:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=1000), st.integers(min_value=3, max_value=13))
+    def test_central_set_is_deepest_quarter(self, tmp_path_factory, seed, n):
+        # Small integer curves tie often, in depth and in value.
+        curves = np.random.default_rng(seed).integers(0, 4, size=(n, 4)).astype(float)
+        values = depth_report(tmp_path_factory.mktemp("depth"), curves)
+        assert_same_bits(values, reference_envelope(curves))
+
+    def test_tie_breaks_by_index(self, tmp_path):
+        # Five parallel lines: depths 0.4, 0.7, 0.8, 0.7, 0.4.  The central pair is
+        # the middle line and, of the tied lines 1 and 3, the lower index.
+        curves = np.arange(1.0, 6.0)[:, None] * np.ones(3)
+        values = depth_report(tmp_path, curves)
+        assert_same_bits(values, np.column_stack([curves[1], curves[2], curves[2]]))
+        assert_same_bits(values, reference_envelope(curves))
+
+    def test_nested_median(self, tmp_path):
+        # The middle of three nested curves is the deepest, and the central set alone.
         curves = np.array([[1.0, 1, 1], [2, 2, 2], [3, 3, 3]])
-        r = depth_groups(band_depth(curves))
-        assert r.median_index == 1
-
-    def test_groups_partition(self):
-        depths = np.random.default_rng(3).random(11)
-        r = depth_groups(depths)
-        combined = np.concatenate([r.groups["central"], r.groups["middle"], r.groups["outer"]])
-        assert sorted(combined.tolist()) == list(range(11))
+        assert_same_bits(depth_report(tmp_path, curves), np.full((3, 3), 2.0))
 
 
 class TestErrorMetrics:
@@ -201,14 +220,6 @@ class TestErrorMetrics:
 
 def test_depth_report_file(tmp_path):
     curves = np.random.default_rng(5).normal(size=(9, 4))
-    ranking = depth_groups(band_depth(curves))
-    path = tmp_path / "depth.csv"
-    write_depth_report(path, curves, ranking)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "level,q_low,q_mid,q_high"
-    assert len(lines) == 5
-    _, levels, values = read_table(path)
-    assert levels == ["0", "1", "2", "3"]
-    central = curves[ranking.groups["central"]]
-    assert_same_bits(values, np.column_stack([central.min(axis=0), curves[ranking.median_index],
-                                              central.max(axis=0)]))
+    values = depth_report(tmp_path, curves)
+    assert (tmp_path / "depth.csv").read_text().splitlines()[0] == "level,q_low,q_mid,q_high"
+    assert_same_bits(values, reference_envelope(curves))
