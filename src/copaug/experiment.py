@@ -260,11 +260,8 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     result = PipelineResult(out_dir)
 
-    data = resolve_dataset(cfg)
-    train_set, val_set, test_set = split_shuffle(data, cfg.split)
-    train_rad = radiate_set(train_set, cfg.radiation)
-    val_rad = radiate_set(val_set, cfg.radiation)
-    test_rad = radiate_set(test_set, cfg.radiation)
+    # Label the whole set once, replacing any fluxes a data.path file carried; the split copies them.
+    train_rad, val_rad, test_rad = split_shuffle(radiate_set(resolve_dataset(cfg), cfg.radiation), cfg.split)
 
     x_tr, y_tr = train_rad.inputs, train_rad.fluxes
     x_val, y_val, y_test = val_rad.inputs, val_rad.fluxes, test_rad.fluxes
@@ -277,9 +274,11 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
             if factor:
                 gen_seed = rng.derive_seed(cfg.master_seed, case, f"gen{gen}")
                 synth, _ = sample_synth_model(synth_model, factor * len(x_tr), gen_seed)
-                synth = radiate_set(synth, cfg.radiation)
-                x, y = np.vstack([x_tr, synth.inputs]), np.vstack([y_tr, synth.fluxes])
-                del synth  # the stack holds its rows; keep no second copy through training
+                fluxes = radiate_set(synth, cfg.radiation).fluxes
+                x = np.vstack([x_tr, synth.inputs])
+                del synth  # free the synthetic inputs before stacking the fluxes
+                y = np.vstack([y_tr, fluxes])
+                del fluxes  # the stacks hold every row; keep no second copy through training
                 if gen == 0:
                     report = random_projection_report(
                         x_tr, x[len(x_tr):], cfg.projection_iterations,

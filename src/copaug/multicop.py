@@ -229,8 +229,8 @@ def fit_gaussian(u) -> GaussianCopulaModel:
 
 def simulate_gaussian(m: GaussianCopulaModel, n: int, seed: int) -> np.ndarray:
     """n rows of Phi(L z) with z standard normal via inverse CDF."""
-    z = rng.normals(seed, (n, m.d))
-    return np.clip(ndtr(z @ m.L.T), EPS, 1.0 - EPS)
+    u = rng.normals(seed, (n, m.d)) @ m.L.T
+    return np.clip(ndtr(u, out=u), EPS, 1.0 - EPS, out=u)
 
 
 # ---------------------------------------------------------------------------

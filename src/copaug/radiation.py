@@ -77,14 +77,6 @@ def sigma_layers(p_half) -> SigmaLayers:
     return SigmaLayers(np.diff(p_half / p0))
 
 
-def planck_flux(T) -> np.ndarray:
-    """Black-body flux sigma_SB * T^4 [W m^-2]."""
-    T = np.asarray(T, dtype=float)
-    if np.any(T < 0):
-        raise ValueError("temperature must be nonnegative")
-    return STEFAN_BOLTZMANN * T ** 4
-
-
 def layer_optical_depth(tau_c, delta_sigma, consts: RadiationConstants = RadiationConstants()) -> np.ndarray:
     """Per-layer optical depth tau = tau_c + tau_g * delta_sigma."""
     tau_c = np.asarray(tau_c, dtype=float)
@@ -94,14 +86,6 @@ def layer_optical_depth(tau_c, delta_sigma, consts: RadiationConstants = Radiati
     return tau_c + consts.gas_optical_depth * delta_sigma
 
 
-def layer_emissivity(tau, consts: RadiationConstants = RadiationConstants()) -> np.ndarray:
-    """Layer emissivity 1 - exp(-D tau), in [0, 1)."""
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0):
-        raise ValueError("optical depth must be nonnegative")
-    return -np.expm1(-consts.diffusivity * tau)
-
-
 def _downwelling(T, p, tau_c, consts: RadiationConstants) -> np.ndarray:
     """Downwelling flux of an (n, n_full) block of profiles, (n, n_full + 1).
 
@@ -109,9 +93,11 @@ def _downwelling(T, p, tau_c, consts: RadiationConstants) -> np.ndarray:
     from L[:, 0] = 0, with B and eps constant within each layer; one step
     per layer over all rows at once.
     """
-    layers = sigma_layers(half_level_pressures(p))
-    eps = layer_emissivity(layer_optical_depth(tau_c, layers.delta_sigma, consts), consts)
-    B = planck_flux(T)
+    eps = layer_optical_depth(tau_c, sigma_layers(half_level_pressures(p)).delta_sigma, consts)
+    eps *= -consts.diffusivity
+    np.negative(np.expm1(eps, out=eps), out=eps)  # eps = 1 - exp(-D tau)
+    B = T ** 4
+    B *= STEFAN_BOLTZMANN
     L = np.zeros((T.shape[0], T.shape[1] + 1))
     for i in range(T.shape[1]):
         L[:, i + 1] = L[:, i] * (1.0 - eps[:, i]) + B[:, i] * eps[:, i]

@@ -27,12 +27,14 @@ def stream(seed: int) -> np.random.Generator:
 
 def uniforms(seed: int, shape) -> np.ndarray:
     """Uniform draws on the open interval (0, 1), filling `shape` in C order from the seed's stream."""
-    return np.clip(stream(seed).random(shape), _UNIT_LO, _UNIT_HI)
+    u = stream(seed).random(shape)
+    return np.clip(u, _UNIT_LO, _UNIT_HI, out=u)
 
 
 def normals(seed: int, shape) -> np.ndarray:
     """Standard normal draws via inverse CDF (fixed draw count, no rejection)."""
-    return ndtri(uniforms(seed, shape))
+    u = uniforms(seed, shape)
+    return ndtri(u, out=u)
 
 
 def permutation(n: int, seed_or_gen) -> np.ndarray:

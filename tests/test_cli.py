@@ -377,6 +377,35 @@ class TestPipeline:
         cases = {r[0] for r in result.rows}
         assert cases == {"baseline", "gaussian-1x"}
 
+    def test_labels_the_real_data_once(self, tmp_path, monkeypatch):
+        # One radiate_set call on all 120 profiles before the split, then one
+        # per generation on its 48 synthetic rows.
+        sizes = []
+        real = experiment.radiate_set
+        monkeypatch.setattr(experiment, "radiate_set", lambda s, *a: sizes.append(len(s)) or real(s, *a))
+        run_pipeline(make_config(TINY), tmp_path / "run")
+        assert sizes == [120, 48, 48]
+
+    def test_data_path_fluxes_are_relabelled(self, tmp_path):
+        # Wrong flux columns in a data.path file give the results of the
+        # same profiles without flux columns: the pipeline labels them anew.
+        profiles = experiment.surrogate_set(make_config(TINY))
+        files = {"bare": profiles, "wrong": profiles.with_fluxes(np.ones((len(profiles), 7)))}
+        results = []
+        for name, data in files.items():
+            save_profiles(tmp_path / f"{name}.csv", data)
+            cfg = dict(TINY, data=dict(TINY["data"], path=str(tmp_path / f"{name}.csv")))
+            run_pipeline(make_config(cfg), tmp_path / name)
+            results.append((tmp_path / name / "results.csv").read_bytes())
+        assert results[0] == results[1]
+
+    def test_header_only_data_file_fails(self, tmp_path, capsys):
+        data, cfg = tmp_path / "empty.csv", tmp_path / "cfg.json"
+        data.write_text(",".join(LevelGrid(6).input_labels()) + "\n")
+        cfg.write_text(json.dumps(dict(TINY, data=dict(TINY["data"], path=str(data)))))
+        assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == "error:invalid: cannot split an empty ProfileSet\n"
+
     def test_outputs_present(self, tmp_path):
         run_pipeline(make_config(TINY), tmp_path / "run")
         out = tmp_path / "run"

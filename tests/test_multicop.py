@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from collections import namedtuple
 from functools import cached_property
 
@@ -111,6 +112,20 @@ class TestGaussianCopula:
         sim = simulate_gaussian(m, 5000, 77)
         R_hat = np.corrcoef(ndtri(sim), rowvar=False)
         assert np.abs(R_hat - R).max() < 0.05
+
+    def test_simulation_peak_memory(self):
+        # Only the normal draws and their product with L are full size; ndtr
+        # and the clip run in place.  numpy reports its buffers to tracemalloc.
+        from copaug.multicop import GaussianCopulaModel
+        R = np.corrcoef(np.random.default_rng(0).standard_normal((40, 120)))
+        m = GaussianCopulaModel(R, np.linalg.cholesky(R))
+        tracemalloc.start()
+        try:
+            sim = simulate_gaussian(m, 5000, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * sim.nbytes
 
 
 VineStructure = namedtuple("VineStructure", "trees truncation")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,7 @@ from copaug.radiation import (
     STEFAN_BOLTZMANN,
     downwelling_longwave,
     half_level_pressures,
-    layer_emissivity,
     layer_optical_depth,
-    planck_flux,
     radiate_set,
     sigma_layers,
 )
@@ -59,18 +58,18 @@ class TestSigmaLayers:
             sigma_layers([10.0, 500.0])
 
 
+def one_layer_flux(T, tau_c):
+    """Surface flux L[1] of a one-layer column with no gas: B(T) * eps(tau_c)."""
+    prof = Profile([T], [5e4], [tau_c])
+    return downwelling_longwave(prof, RadiationConstants(gas_optical_depth=0.0))[1]
+
+
 class TestPlanck:
-    def test_zero(self):
-        assert planck_flux(0.0) == 0.0
-
     def test_known_values(self):
-        np.testing.assert_allclose(planck_flux(300.0), STEFAN_BOLTZMANN * 300.0 ** 4, rtol=0)
-        np.testing.assert_allclose(planck_flux(300.0), 459.30, atol=0.01)
-        np.testing.assert_allclose(planck_flux(255.0), 239.76, atol=0.01)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            planck_flux(-1.0)
+        # An opaque layer (eps rounds to 1) passes its Planck flux sigma T^4 down exactly.
+        assert one_layer_flux(300.0, 100.0) == STEFAN_BOLTZMANN * 300.0 ** 4
+        np.testing.assert_allclose(one_layer_flux(300.0, 100.0), 459.30, atol=0.01)
+        np.testing.assert_allclose(one_layer_flux(255.0, 100.0), 239.76, atol=0.01)
 
     def test_stefan_boltzmann_not_overridable(self):
         assert RadiationConstants(diffusivity=1.3).sigma_sb == STEFAN_BOLTZMANN
@@ -92,13 +91,15 @@ class TestLayerOptics:
         assert abs(total - 1.7) < 1e-12
 
     def test_emissivity_values(self):
-        assert layer_emissivity(0.0) == 0.0
-        np.testing.assert_allclose(layer_emissivity(1.0), 1.0 - math.exp(-1.66), rtol=1e-15)
-        assert abs(layer_emissivity(50.0) - 1.0) < 1e-9
+        B = STEFAN_BOLTZMANN * 280.0 ** 4
+        assert one_layer_flux(280.0, 0.0) == 0.0
+        np.testing.assert_allclose(one_layer_flux(280.0, 1.0) / B, 1.0 - math.exp(-1.66), rtol=1e-15)
+        assert abs(one_layer_flux(280.0, 50.0) / B - 1.0) < 1e-9
 
     def test_emissivity_monotone(self):
-        taus = np.linspace(0.0, 10.0, 100)
-        assert np.all(np.diff(layer_emissivity(taus)) > 0)
+        taus = np.linspace(0.0, 10.0, 100)[:, None]
+        s = ProfileSet(LevelGrid(1), np.hstack([np.full_like(taus, 280.0), np.full_like(taus, 5e4), taus]))
+        assert np.all(np.diff(radiate_set(s, RadiationConstants(gas_optical_depth=0.0)).fluxes[:, 1]) > 0)
 
 
 def profile_from_radiances(B, eps, consts=RadiationConstants()):
@@ -136,7 +137,7 @@ class TestDownwelling:
             L = downwelling_longwave(prof)
             assert L[0] == 0.0
             assert np.all(L >= 0.0)
-            B = planck_flux(prof.T)
+            B = STEFAN_BOLTZMANN * prof.T ** 4
             for i in range(1, len(L)):
                 assert L[i] <= B[:i].max() + 1e-9
 
@@ -215,6 +216,19 @@ class TestRadiateSet:
     def test_paper_scale_count(self):
         s = generate_surrogate(2500, LevelGrid(10), 4)
         assert radiate_set(s).fluxes.shape == (2500, 11)
+
+    def test_peak_memory(self):
+        # Optical depth turns into eps in place, and T ** 4 into B: besides the
+        # flux array, only eps and B are full size.  numpy reports its buffers
+        # to tracemalloc.
+        s = generate_surrogate(4000, LevelGrid(137), 4)
+        tracemalloc.start()
+        try:
+            fluxes = radiate_set(s).fluxes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.2 * fluxes.nbytes
 
 
 def reference_fluxes(T, p, tau_c, consts):
