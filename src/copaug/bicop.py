@@ -3,7 +3,7 @@
 Families: Independence, Gaussian, Student-t, Clayton, Gumbel, Frank and
 Joe, with 90/180/270 degree rotations for the asymmetric Archimedean
 families.  Fitting inverts the empirical Kendall tau for a starting
-parameter, refines it by golden-section maximum likelihood and selects
+parameter, refines it by maximum likelihood (Brent's method) and selects
 the family (and rotation) by AIC.
 
 Conventions
@@ -492,12 +492,18 @@ def _frank_tau(theta: float) -> float:
     return math.copysign(tau, theta)
 
 
+_JOE_SERIES_K = np.arange(1.0, 5001.0)
+
+
 def _joe_tau(theta: float) -> float:
     if theta == 1.0:
         return 0.0
-    k = np.arange(1.0, 5001.0)
+    k = _JOE_SERIES_K
     terms = 1.0 / (k * (theta * k + 2.0) * (theta * (k - 1.0) + 2.0))
     return float(1.0 - 4.0 * terms.sum())
+
+
+_FRANK_CAP_TAU = _frank_tau(_FRANK_THETA_CAP)
 
 
 def param_to_tau(f: Family, theta: float) -> float:
@@ -537,8 +543,7 @@ def tau_to_param(f: Family, tau: float) -> float:
         if tau == 0.0:
             raise ValueError("Frank tau must be nonzero")
         target = abs(tau)
-        cap_tau = _frank_tau(_FRANK_THETA_CAP)
-        if target >= cap_tau:
+        if target >= _FRANK_CAP_TAU:
             theta = _FRANK_THETA_CAP
         else:
             theta = brentq(lambda t: _frank_tau(t) - target, 1e-9, _FRANK_THETA_CAP, xtol=1e-12)
@@ -556,28 +561,65 @@ def tau_to_param(f: Family, tau: float) -> float:
 # Fitting.
 # ---------------------------------------------------------------------------
 
-def _golden_max(fun, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section maximization of fun on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def _brent_max(fun, lo: float, hi: float) -> tuple[float, float]:
+    """Maximize fun on [lo, hi] by Brent's method; the best point evaluated and its value.
+
+    Brent (Algorithms for Minimization without Derivatives, 1973, ch. 5),
+    the loop of R's optimize and scipy's fminbound: x is the best point so
+    far, w and v the two best before it.  Each step goes to the vertex of
+    the parabola through x, w and v, or is a golden-section step into the
+    larger part of the bracket [a, b] when that vertex is not finite, leaves
+    the bracket or is not under half the step before last.  No evaluation
+    lies within tol/4 of x, and the search stops once x is within tol/2 of
+    both ends, so the final bracket is no wider than the x-tolerance
+    tol = 1e-6 * max(hi - lo, 1e-3).
+    """
+    tol1 = 0.25e-6 * max(hi - lo, 1e-3)
+    tol2 = 2.0 * tol1
     a, b = lo, hi
-    tol = 1e-6 * max(b - a, 1e-3)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = fun(x)
+    d = e = 0.0  # the last step; the one before it, or the part a golden-section step divided
+    while max(x - a, b - x) > tol2:
+        m = 0.5 * (a + b)
+        parabolic = False
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            # NaN and infinite p or q fail these tests: a golden-section step.
+            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                d = p / q
+                if (x + d) - a < tol2 or b - (x + d) < tol2:
+                    d = tol1 if m >= x else -tol1
+        if not parabolic:
+            e = (a if x >= m else b) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = fun(u)
+        if fu >= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return (c, fc) if fc > fd else (d, fd)
+            a, b = (u, b) if u < x else (a, u)
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def _fit_family(f: Family, tau_hat: float, u, v) -> list[PairCopula]:
-    """Tau inversion plus golden-section MLE: one fit per rotation f allows.
+    """Tau inversion plus MLE by Brent's method: one fit per rotation f allows.
 
     The search runs in parameter space over the bracket obtained by
     mapping [tau0 - 0.5, tau0 + 0.5] (clamped to the family's admissible
@@ -606,7 +648,7 @@ def _fit_family(f: Family, tau_hat: float, u, v) -> list[PairCopula]:
                 ll = float(logpdf(theta).sum())
                 return ll if math.isfinite(ll) else -1e300
 
-            theta, ll = _golden_max(loglik_of, th_lo, th_hi)
+            theta, ll = _brent_max(loglik_of, th_lo, th_hi)
             if best is None or ll > best.loglik:
                 best = PairCopula(f, rotation, theta, nu, ll)
         fits.append(best)

@@ -100,12 +100,14 @@ class TestFit:
 
     @pytest.mark.parametrize("kind,truncation,digest", [
         ("gaussian", 2, "0dcbc4c0b3175165c2405551a87b6de214c7d1a0aa7386750f6f8a874a87a229"),
-        ("vine", 2, "72927b8d812863c5a46e233d9457fdf93d5ff581924a694ebd5c4cf7049b83cb"),
+        ("vine", 2, "b3ba2948672f3e88a9990b530235c647c2a847148677fead9324d38b499e9a20"),
     ], ids=["gaussian-2", "vine-2"])
     def test_fit_matches_recorded_sha256(self, tmp_path, kind, truncation, digest):
         # Recorded when the copula came to cover one column per distinct
         # ranking (format 3); any change to a fitted theta, nu or loglik
-        # changes the bytes.
+        # changes the bytes.  The vine's was re-recorded when the likelihood
+        # search became Brent's method: its thetas and logliks moved within
+        # the search tolerance, its families, rotations and nus did not.
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"master_seed": 11, "data": {"n_profiles": 300, "n_levels": 20},
                                         "copulas": {"truncation": truncation}}))
@@ -115,13 +117,15 @@ class TestFit:
 
     @pytest.mark.parametrize("kind,truncation,digest", [
         ("gaussian", 2, "642a7e96060695dccde5c1b49d06435d70a80d0924b2c6c2d00af7da0caa55c3"),
-        ("vine", 2, "4af4f462cf53573afd02d3207750ef84c77879b60b655e215e394129dd2cb84c"),
+        ("vine", 2, "bc49a538ef70dd8c3cb63d90420c9c4c57f4daaed7253110a2b11aa2dca56392"),
     ], ids=["gaussian-2", "vine-2"])
     def test_sample_matches_recorded_sha256(self, tmp_path, kind, truncation, digest):
         # The 200 profiles `copaug sample` draws from the model pinned above:
         # any change to the simulated uniforms or the quantile maps changes the bytes.
         # The vine's was re-recorded when the Gumbel and Joe h-inverse became a
         # Newton iteration: 549 of its 12,000 values moved, by 6.4e-14 relative at most.
+        # It was re-recorded again with the model above, for Brent's method:
+        # 4,057 values moved, by 5.7e-5 at most.
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"master_seed": 11, "data": {"n_profiles": 300, "n_levels": 20},
                                         "copulas": {"truncation": truncation}}))
@@ -466,14 +470,16 @@ class TestPipeline:
 
     def test_results_match_recorded_sha256(self, tmp_path):
         # Recorded when the copula came to cover one column per distinct
-        # ranking; seeds, row order and formatting must not move.
+        # ranking; seeds, row order and formatting must not move.  Re-recorded
+        # when the likelihood search became Brent's method: only the vine
+        # rows moved, the baseline and Gaussian rows kept every byte.
         cfg = dict(TINY, copulas={"kinds": ["gaussian", "vine"], "truncation": 2})
         run_pipeline(make_config(cfg), tmp_path / "run")
         digests = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
                    for name in ("results.csv", "summary.csv")}
         assert digests == {
-            "results.csv": "38562627a27471b74e580c9ba977efabb6d62edcfa10e6f87e4d3f9fc72e6553",
-            "summary.csv": "741054f457234368a6427509911d1ba24140e66be3b266c85e0303a0263aee9f",
+            "results.csv": "2c18104f5f58a49179eadcb26bb48513bb75f8190f53a731a94432b8a24d07fb",
+            "summary.csv": "96b3fb46eb2fbad2372ee38f30250a80cf02df391ca1fc4bbeb82d38b92c133a",
         }
 
     def test_failed_replace_keeps_results(self, tmp_path, monkeypatch):
