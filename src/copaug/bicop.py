@@ -2,9 +2,9 @@
 
 Families: Independence, Gaussian, Student-t, Clayton, Gumbel, Frank and
 Joe, with 90/180/270 degree rotations for the asymmetric Archimedean
-families.  Fitting inverts the empirical Kendall tau for a starting
-parameter, refines it by maximum likelihood (Brent's method) and selects
-the family (and rotation) by AIC.
+families.  Fitting inverts the empirical (tie-adjusted) Kendall tau for
+each family's parameter, the method of moments of Genest & Favre (2007),
+and selects the family (and rotation) by AIC.
 
 Conventions
 -----------
@@ -52,7 +52,7 @@ class Family(Enum):
     JOE = "joe"
 
 
-# Tau-space search clamps keep parameters inside numerically safe ranges.
+# Clamps on the inverted tau keep parameters inside numerically safe ranges.
 _TAU_CAP = {
     Family.GAUSSIAN: 0.99,
     Family.STUDENT_T: 0.99,
@@ -191,8 +191,8 @@ def _frank_denom(t: float, u, v):
 def _loglik(family: Family, rotation: int, u, v, nu: float | None):
     """theta -> per-observation log-density of the rotated family at (u, v).
 
-    Everything that does not depend on theta is computed once, here, so a
-    fitter evaluating many thetas on one sample pays for it once.  Rotations
+    Everything that does not depend on theta is computed once, here, and
+    the returned function adds the terms that do.  Rotations
     90 and 270 are evaluated in the equal form swap_arguments(c) at (v, u):
     the Gumbel log-density is exchangeable but not to the last bit, and its
     recorded fits sum in that order.
@@ -561,94 +561,25 @@ def tau_to_param(f: Family, tau: float) -> float:
 # Fitting.
 # ---------------------------------------------------------------------------
 
-_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
-
-
-def _brent_max(fun, lo: float, hi: float) -> tuple[float, float]:
-    """Maximize fun on [lo, hi] by Brent's method; the best point evaluated and its value.
-
-    Brent (Algorithms for Minimization without Derivatives, 1973, ch. 5),
-    the loop of R's optimize and scipy's fminbound: x is the best point so
-    far, w and v the two best before it.  Each step goes to the vertex of
-    the parabola through x, w and v, or is a golden-section step into the
-    larger part of the bracket [a, b] when that vertex is not finite, leaves
-    the bracket or is not under half the step before last.  No evaluation
-    lies within tol/4 of x, and the search stops once x is within tol/2 of
-    both ends, so the final bracket is no wider than the x-tolerance
-    tol = 1e-6 * max(hi - lo, 1e-3).
-    """
-    tol1 = 0.25e-6 * max(hi - lo, 1e-3)
-    tol2 = 2.0 * tol1
-    a, b = lo, hi
-    x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = fun(x)
-    d = e = 0.0  # the last step; the one before it, or the part a golden-section step divided
-    while max(x - a, b - x) > tol2:
-        m = 0.5 * (a + b)
-        parabolic = False
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            e_prev, e = e, d
-            # NaN and infinite p or q fail these tests: a golden-section step.
-            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
-                parabolic = True
-                d = p / q
-                if (x + d) - a < tol2 or b - (x + d) < tol2:
-                    d = tol1 if m >= x else -tol1
-        if not parabolic:
-            e = (a if x >= m else b) - x
-            d = _GOLDEN * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = fun(u)
-        if fu >= fx:
-            a, b = (x, b) if u >= x else (a, x)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            a, b = (u, b) if u < x else (a, u)
-            if fu >= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu >= fv or v == x or v == w:
-                v, fv = u, fu
-    return x, fx
-
-
 def _fit_family(f: Family, tau_hat: float, u, v) -> list[PairCopula]:
-    """Tau inversion plus MLE by Brent's method: one fit per rotation f allows.
+    """Kendall tau inversion: one fit per rotation f allows.
 
-    The search runs in parameter space over the bracket obtained by
-    mapping [tau0 - 0.5, tau0 + 0.5] (clamped to the family's admissible
-    tau range) through the tau inversion; Student-t keeps the best nu of
-    STUDENT_NU_GRID.  Fits come in the order 0/180 or 90/270.
+    Each fit takes theta = tau_to_param of the clamped tau_hat and is
+    scored by its log-likelihood; Student-t keeps the best nu of
+    STUDENT_NU_GRID at that rho.  Fits come in the order 0/180 or 90/270.
     """
     cap = _TAU_CAP[f]
     # Asymmetric families are fitted on |tau| regardless of rotation.
-    lo_t, base_tau = (1e-4, abs(tau_hat)) if f in ROTATABLE else (-cap, tau_hat)
-    base_tau = min(max(base_tau, lo_t), cap)
-    lo_tau, hi_tau = max(lo_t, base_tau - 0.5), min(cap, base_tau + 0.5)
-    if f is Family.FRANK:
-        # Exclude the removable singularity at theta = 0 from the bracket.
-        if lo_tau <= 0.0 <= hi_tau:
-            lo_tau, hi_tau = (1e-4, max(hi_tau, 2e-4)) if base_tau >= 0 else (min(lo_tau, -2e-4), -1e-4)
-    th_lo, th_hi = tau_to_param(f, lo_tau), tau_to_param(f, hi_tau)
+    lo, tau = (1e-4, abs(tau_hat)) if f in ROTATABLE else (-cap, tau_hat)
+    theta = tau_to_param(f, min(max(tau, lo), cap))
     rotations = ((0, 180) if tau_hat > 0 else (90, 270)) if f in ROTATABLE else (0,)
     fits = []
     x, y = (u, v) if f is Family.STUDENT_T else (u.x, v.x)
     for rotation in rotations:
         best = None
         for nu in STUDENT_NU_GRID if f is Family.STUDENT_T else (None,):
-            logpdf = _loglik(f, rotation, x, y, nu)
-
-            def loglik_of(theta: float) -> float:
-                ll = float(logpdf(theta).sum())
-                return ll if math.isfinite(ll) else -1e300
-
-            theta, ll = _brent_max(loglik_of, th_lo, th_hi)
+            ll = float(_loglik(f, rotation, x, y, nu)(theta).sum())
+            ll = ll if math.isfinite(ll) else -1e300
             if best is None or ll > best.loglik:
                 best = PairCopula(f, rotation, theta, nu, ll)
         fits.append(best)

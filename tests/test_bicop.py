@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -620,26 +619,27 @@ class TestFitPair:
 
 # fit_pair(catalogue={family}) on 300 draws from each copula below:
 # (family, rotation, theta, nu, seed, (rotation, theta.hex(), nu, loglik.hex())).
-# Re-recorded when the likelihood search became Brent's method: each theta
-# moved within the search's x-tolerance (by 3.8e-6 at most) and each loglik
-# by 3.4e-10 at most; no rotation or nu moved.
+# Re-recorded when the fit became Kendall tau inversion: each theta is now
+# tau_to_param of the sample's tau_b (moved by 0.42 at most) and each loglik
+# is the likelihood there, below the old maximum by 3.4 at most; the
+# Student-t fit's nu moved from 6 to 4, no rotation moved.
 FIT_PINS = [
-    (Family.GAUSSIAN, 0, 0.6, None, 100, (0, "0x1.3f873d53666ccp-1", None, "0x1.1bf624b23dee6p+6")),
-    (Family.STUDENT_T, 0, 0.5, 4.0, 101, (0, "0x1.eb1c53e979cd9p-2", 6.0, "0x1.4ddb18886f974p+5")),
-    (Family.FRANK, 0, 5.0, None, 102, (0, "0x1.51f0cc816ff3ap+2", None, "0x1.6018c62189e36p+6")),
-    (Family.FRANK, 0, -5.0, None, 103, (0, "-0x1.2e2334c19af38p+2", None, "0x1.079f422613a65p+6")),
-    (Family.CLAYTON, 0, 2.0, None, 104, (0, "0x1.09950f054871cp+1", None, "0x1.1444fe8c5746ap+7")),
-    (Family.CLAYTON, 90, 2.0, None, 105, (90, "0x1.e307ac7c3a120p+0", None, "0x1.98ea9c493ad7ep+6")),
-    (Family.CLAYTON, 180, 2.0, None, 106, (180, "0x1.c2d487f800880p+0", None, "0x1.ba8032c6b64e8p+6")),
-    (Family.CLAYTON, 270, 2.0, None, 107, (270, "0x1.01caa92341dacp+1", None, "0x1.170d142b4ea84p+7")),
-    (Family.GUMBEL, 0, 1.8, None, 108, (0, "0x1.cb27c0473c29fp+0", None, "0x1.5c0a4e322bc52p+6")),
-    (Family.GUMBEL, 90, 1.8, None, 109, (90, "0x1.c835494a3116dp+0", None, "0x1.8509d4d8dc663p+6")),
-    (Family.GUMBEL, 180, 1.8, None, 110, (180, "0x1.d5f5452b8826cp+0", None, "0x1.598464ef8acd5p+6")),
-    (Family.GUMBEL, 270, 1.8, None, 111, (270, "0x1.d0455f81f06a8p+0", None, "0x1.81686d3f45e36p+6")),
-    (Family.JOE, 0, 2.0, None, 112, (0, "0x1.d77accc68cb55p+0", None, "0x1.c99ac5f45877dp+5")),
-    (Family.JOE, 90, 2.0, None, 113, (90, "0x1.039eb9c8e71ecp+1", None, "0x1.3d7506e840372p+6")),
-    (Family.JOE, 180, 2.0, None, 114, (180, "0x1.dd193fe31414fp+0", None, "0x1.96e70adc1c556p+5")),
-    (Family.JOE, 270, 2.0, None, 115, (270, "0x1.e6d7ff829d5dbp+0", None, "0x1.be1f391fe9dcap+5")),
+    (Family.GAUSSIAN, 0, 0.6, None, 100, (0, "0x1.30d217ef39744p-1", None, "0x1.1a5150756e6bep+6")),
+    (Family.STUDENT_T, 0, 0.5, 4.0, 101, (0, "0x1.ce5c2c7ae303fp-2", 4.0, "0x1.4d3e214337eadp+5")),
+    (Family.FRANK, 0, 5.0, None, 102, (0, "0x1.5a320985e6bd2p+2", None, "0x1.5fe9b854ab74ap+6")),
+    (Family.FRANK, 0, -5.0, None, 103, (0, "-0x1.1f0a062fafd2bp+2", None, "0x1.070211a403b94p+6")),
+    (Family.CLAYTON, 0, 2.0, None, 104, (0, "0x1.036cb752ca2bcp+1", None, "0x1.142e6e49ea08ap+7")),
+    (Family.CLAYTON, 90, 2.0, None, 105, (90, "0x1.be65b75877aaap+0", None, "0x1.974a6b3d0106bp+6")),
+    (Family.CLAYTON, 180, 2.0, None, 106, (180, "0x1.9b414c0054515p+0", None, "0x1.b863e88f72f93p+6")),
+    (Family.CLAYTON, 270, 2.0, None, 107, (270, "0x1.37291fb7291fcp+1", None, "0x1.103fb5cd5d434p+7")),
+    (Family.GUMBEL, 0, 1.8, None, 108, (0, "0x1.d8c425dd0bbe3p+0", None, "0x1.5b47de1c2dabdp+6")),
+    (Family.GUMBEL, 90, 1.8, None, 109, (90, "0x1.e657f6fa5c79dp+0", None, "0x1.8112401c9126ap+6")),
+    (Family.GUMBEL, 180, 1.8, None, 110, (180, "0x1.d0d79435e50d8p+0", None, "0x1.5968ae67ebc72p+6")),
+    (Family.GUMBEL, 270, 1.8, None, 111, (270, "0x1.e3f731da72ba2p+0", None, "0x1.7fb5e7da7835ep+6")),
+    (Family.JOE, 0, 2.0, None, 112, (0, "0x1.d7efc06a18c33p+0", None, "0x1.c99a7e1e1e57ap+5")),
+    (Family.JOE, 90, 2.0, None, 113, (90, "0x1.0d9e76d368da3p+1", None, "0x1.3c8be781d30e3p+6")),
+    (Family.JOE, 180, 2.0, None, 114, (180, "0x1.bb405e40d66d7p+0", None, "0x1.9155a1924e9dep+5")),
+    (Family.JOE, 270, 2.0, None, 115, (270, "0x1.d7cc945e3dc93p+0", None, "0x1.bd0dfe11933b8p+5")),
 ]
 
 
@@ -655,7 +655,8 @@ def test_fit_pair_matches_recorded_bits(family, rotation, theta, nu, seed, expec
 @pytest.mark.parametrize("family,rotation,theta,nu,seed", [p[:5] for p in FIT_PINS],
                          ids=[f"{p[0].value}-r{p[1]}-{p[2]}" for p in FIT_PINS])
 def test_fit_pair_searches_take_at_most_20_evaluations(monkeypatch, family, rotation, theta, nu, seed):
-    # Each search evaluates one theta -> log-density closure of _loglik.
+    # There is no search left: each (rotation, nu) candidate evaluates its
+    # theta -> log-density closure of _loglik once, at the inverted tau.
     counts = []
     real_loglik = bicop._loglik
 
@@ -667,54 +668,7 @@ def test_fit_pair_searches_take_at_most_20_evaluations(monkeypatch, family, rota
     monkeypatch.setattr(bicop, "_loglik", counting_loglik)
     uv = sample_pair(PairCopula(family, rotation, theta, nu), 300, seed)
     fit_pair(uv[:, 0], uv[:, 1], frozenset({family}))
-    assert counts and max(map(len, counts)) <= 20
-
-
-class TestBrentMax:
-    @staticmethod
-    def search(fun, lo, hi):
-        """_brent_max(fun, lo, hi), its x-tolerance, and the points it evaluated."""
-        seen = []
-        x, fx = bicop._brent_max(lambda t: seen.append(t) or fun(t), lo, hi)
-        assert lo <= x <= hi and x in seen
-        assert fx == fun(x)
-        return x, 1e-6 * max(hi - lo, 1e-3), seen
-
-    @pytest.mark.parametrize("fun,lo,hi,argmax", [
-        (lambda t: -(t - 0.3) ** 2, 0.0, 1.0, 0.3),
-        (lambda t: math.log(t) - t, 0.05, 7.0, 1.0),
-        (lambda t: -math.cosh(t - 1.7) + 0.2 * t, -3.0, 45.0, 1.7 + math.asinh(0.2)),
-        (lambda t: t * math.exp(-t * t), 0.0, 3.0, math.sqrt(0.5)),
-    ], ids=["quadratic", "log", "cosh", "skewed"])
-    def test_interior_maximum(self, fun, lo, hi, argmax):
-        x, tol, seen = self.search(fun, lo, hi)
-        assert abs(x - argmax) <= tol
-        assert len(seen) <= 20
-
-    @pytest.mark.parametrize("fun,lo,hi,argmax", [
-        (lambda t: t, 0.0, 1.0, 1.0),
-        (lambda t: -t, -2.0, 5.0, -2.0),
-        (lambda t: -(t - 2.0) ** 2, 0.0, 1.0, 1.0),
-        (lambda t: -(t + 1.0) ** 2, 0.0, 1.0, 0.0),
-    ], ids=["rising", "falling", "rising-curved", "falling-curved"])
-    def test_maximum_at_an_end(self, fun, lo, hi, argmax):
-        x, tol, _ = self.search(fun, lo, hi)
-        assert abs(x - argmax) <= tol
-
-    @pytest.mark.parametrize("fun,argmax", [
-        (lambda t: -1e300 if t > 0.6 else -(t - 0.4) ** 2, 0.4),
-        (lambda t: -1e300 if t < 0.7 else -(t - 0.8) ** 2, 0.8),
-        (lambda t: t if t <= 0.5 else -1e300, 0.5),
-        (lambda t: -1e300 if 0.2 < t < 0.45 else -(t - 0.5) ** 2, 0.5),
-    ], ids=["above", "below", "at-the-edge", "gap"])
-    def test_non_finite_loglik_stand_in(self, fun, argmax):
-        # loglik_of maps a non-finite log-likelihood to -1e300.
-        x, tol, _ = self.search(fun, 0.0, 1.0)
-        assert abs(x - argmax) <= tol
-
-    def test_constant(self):
-        x, _, seen = self.search(lambda t: 2.5, -1.0, 3.0)
-        assert len(seen) <= 40
+    assert counts and all(len(calls) == 1 for calls in counts)
 
 
 class TestSamplePair:

@@ -100,14 +100,15 @@ class TestFit:
 
     @pytest.mark.parametrize("kind,truncation,digest", [
         ("gaussian", 2, "0dcbc4c0b3175165c2405551a87b6de214c7d1a0aa7386750f6f8a874a87a229"),
-        ("vine", 2, "b3ba2948672f3e88a9990b530235c647c2a847148677fead9324d38b499e9a20"),
+        ("vine", 2, "e98dd0b606b29fbfc167b989a04e86cae2a95f6c856b8e379e0a222069df0408"),
     ], ids=["gaussian-2", "vine-2"])
     def test_fit_matches_recorded_sha256(self, tmp_path, kind, truncation, digest):
         # Recorded when the copula came to cover one column per distinct
         # ranking (format 3); any change to a fitted theta, nu or loglik
-        # changes the bytes.  The vine's was re-recorded when the likelihood
-        # search became Brent's method: its thetas and logliks moved within
-        # the search tolerance, its families, rotations and nus did not.
+        # changes the bytes.  The vine's was re-recorded when the fit became
+        # Kendall tau inversion: every fitted theta moved, and the edge
+        # histogram went from frank 1, gaussian 10, gumbel 6, joe 2, student 10
+        # to frank 1, gaussian 9, gumbel 7, joe 6, student 8.
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"master_seed": 11, "data": {"n_profiles": 300, "n_levels": 20},
                                         "copulas": {"truncation": truncation}}))
@@ -117,15 +118,16 @@ class TestFit:
 
     @pytest.mark.parametrize("kind,truncation,digest", [
         ("gaussian", 2, "642a7e96060695dccde5c1b49d06435d70a80d0924b2c6c2d00af7da0caa55c3"),
-        ("vine", 2, "bc49a538ef70dd8c3cb63d90420c9c4c57f4daaed7253110a2b11aa2dca56392"),
+        ("vine", 2, "376e80ce27ad658816bd10a2eddc94ca6716b7b8b5e709f39da7ddda9906359d"),
     ], ids=["gaussian-2", "vine-2"])
     def test_sample_matches_recorded_sha256(self, tmp_path, kind, truncation, digest):
         # The 200 profiles `copaug sample` draws from the model pinned above:
         # any change to the simulated uniforms or the quantile maps changes the bytes.
         # The vine's was re-recorded when the Gumbel and Joe h-inverse became a
         # Newton iteration: 549 of its 12,000 values moved, by 6.4e-14 relative at most.
-        # It was re-recorded again with the model above, for Brent's method:
-        # 4,057 values moved, by 5.7e-5 at most.
+        # It was re-recorded again with the model above, for Brent's method
+        # (4,057 values moved, by 5.7e-5 at most), and for Kendall tau
+        # inversion (4,200 values moved).
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"master_seed": 11, "data": {"n_profiles": 300, "n_levels": 20},
                                         "copulas": {"truncation": truncation}}))
@@ -471,15 +473,16 @@ class TestPipeline:
     def test_results_match_recorded_sha256(self, tmp_path):
         # Recorded when the copula came to cover one column per distinct
         # ranking; seeds, row order and formatting must not move.  Re-recorded
-        # when the likelihood search became Brent's method: only the vine
-        # rows moved, the baseline and Gaussian rows kept every byte.
+        # when the likelihood search became Brent's method and again when the
+        # vine fit became Kendall tau inversion: each time only the vine rows
+        # moved, the baseline and Gaussian rows kept every byte.
         cfg = dict(TINY, copulas={"kinds": ["gaussian", "vine"], "truncation": 2})
         run_pipeline(make_config(cfg), tmp_path / "run")
         digests = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
                    for name in ("results.csv", "summary.csv")}
         assert digests == {
-            "results.csv": "2c18104f5f58a49179eadcb26bb48513bb75f8190f53a731a94432b8a24d07fb",
-            "summary.csv": "96b3fb46eb2fbad2372ee38f30250a80cf02df391ca1fc4bbeb82d38b92c133a",
+            "results.csv": "9b51810b8e60de1dd170b732577bfe0434730e9243a389491744d7c7bdd27103",
+            "summary.csv": "d294b7cd6c6cdde1ef7c6aa436f0a656d485b212ead6f121803a692a43833c54",
         }
 
     def test_failed_replace_keeps_results(self, tmp_path, monkeypatch):

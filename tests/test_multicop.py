@@ -7,12 +7,12 @@ from functools import cached_property
 import numpy as np
 import pytest
 from scipy.special import ndtr
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, rankdata
 
 from copaug import bicop, multicop, rng
 from copaug.bicop import Family, PairCopula, h_func, h_inv, kendall_tau
 from copaug.dataset import SchemaError
-from copaug.dataset import LevelGrid, Profile, ProfileSet, flatten, generate_surrogate, split_shuffle
+from copaug.dataset import LevelGrid, Profile, ProfileSet, SplitSpec, flatten, generate_surrogate, split_shuffle
 from copaug.evaluation import random_projection_report
 from copaug.experiment import make_config, resolve_dataset
 from copaug.marginals import pseudo_observations
@@ -304,34 +304,36 @@ class TestVineSamplingTraffic:
 # Trees 1-3 of fit_vine(ar1_umatrix(0.7, 10, 120, 2), truncation=3) as fitted
 # before the fitter stopped at the truncation level: (tree, conditioned pair,
 # conditioning set, family, rotation, theta, nu, tau_hat), each pair
-# ascending with its rotation oriented to match.  The thetas were re-recorded
-# when the likelihood search became Brent's method: each moved within the
-# search's x-tolerance (by 3.9e-7 at most); nothing else moved.
+# ascending with its rotation oriented to match.  Re-recorded when the fit
+# became Kendall tau inversion: the trees kept their edges, every theta moved,
+# two edges changed family (1-2 Gaussian to Gumbel, 5-8 given 6, 7 rotated
+# Clayton to Frank) and the taus of trees 2 and 3 moved with their
+# conditional pseudo-observations.
 REFERENCE_TREES = [
-    (1, (0, 1), (), 'gaussian', 0, 0.7203133501142159, None, 0.48571428571428565),
-    (1, (1, 2), (), 'gaussian', 0, 0.6963758706705461, None, 0.43613445378151255),
-    (1, (2, 3), (), 'gaussian', 0, 0.6396172068000984, None, 0.37731092436974784),
-    (1, (3, 4), (), 'gaussian', 0, 0.671703040404789, None, 0.42521008403361343),
-    (1, (4, 5), (), 'gaussian', 0, 0.7018909799232683, None, 0.49271708683473386),
-    (1, (5, 6), (), 'gaussian', 0, 0.70244486388007, None, 0.4983193277310924),
-    (1, (6, 7), (), 'gaussian', 0, 0.6820602569944364, None, 0.48375350140056017),
-    (1, (7, 8), (), 'gaussian', 0, 0.7132292810670228, None, 0.5014005602240895),
-    (1, (8, 9), (), 'gaussian', 0, 0.7122166624558655, None, 0.5428571428571428),
-    (2, (0, 2), (1,), 'independence', 0, 0.0, None, -0.029131652661064426),
-    (2, (1, 3), (2,), 'independence', 0, 0.0, None, -0.031372549019607836),
-    (2, (2, 4), (3,), 'independence', 0, 0.0, None, 0.009523809523809523),
+    (1, (0, 1), (), 'gaussian', 0, 0.6910626489868645, None, 0.48571428571428565),
+    (1, (1, 2), (), 'gumbel', 0, 1.773472429210134, None, 0.43613445378151255),
+    (1, (2, 3), (), 'gaussian', 0, 0.5585847937003224, None, 0.37731092436974784),
+    (1, (3, 4), (), 'gaussian', 0, 0.6193530695767987, None, 0.42521008403361343),
+    (1, (4, 5), (), 'gaussian', 0, 0.6989714048856571, None, 0.49271708683473386),
+    (1, (5, 6), (), 'gaussian', 0, 0.7052375617051652, None, 0.4983193277310924),
+    (1, (6, 7), (), 'gaussian', 0, 0.6888331717014289, None, 0.48375350140056017),
+    (1, (7, 8), (), 'gaussian', 0, 0.7086607000228281, None, 0.5014005602240895),
+    (1, (8, 9), (), 'gaussian', 0, 0.7530714660036109, None, 0.5428571428571428),
+    (2, (0, 2), (1,), 'independence', 0, 0.0, None, -0.046498599439775905),
+    (2, (1, 3), (2,), 'independence', 0, 0.0, None, -0.0361344537815126),
+    (2, (2, 4), (3,), 'independence', 0, 0.0, None, 0.010364145658263305),
     (2, (3, 5), (4,), 'independence', 0, 0.0, None, 0.0014005602240896356),
-    (2, (4, 6), (5,), 'independence', 0, 0.0, None, -0.08907563025210083),
-    (2, (5, 7), (6,), 'independence', 0, 0.0, None, -0.02156862745098039),
+    (2, (4, 6), (5,), 'independence', 0, 0.0, None, -0.08963585434173668),
+    (2, (5, 7), (6,), 'independence', 0, 0.0, None, -0.02072829131652661),
     (2, (6, 8), (7,), 'independence', 0, 0.0, None, 0.10196078431372549),
-    (2, (7, 9), (8,), 'gumbel', 90, 1.1811548190844126, None, -0.157703081232493),
-    (3, (0, 3), (1, 2), 'independence', 0, 0.0, None, -0.004201680672268907),
-    (3, (1, 4), (2, 3), 'independence', 0, 0.0, None, 0.0050420168067226885),
-    (3, (2, 5), (3, 4), 'independence', 0, 0.0, None, 0.08543417366946778),
-    (3, (3, 6), (4, 5), 'independence', 0, 0.0, None, 0.08319327731092437),
-    (3, (4, 7), (5, 6), 'independence', 0, 0.0, None, 0.07899159663865545),
-    (3, (5, 8), (6, 7), 'clayton', 270, 0.26770744615945224, None, -0.1257703081232493),
-    (3, (6, 9), (7, 8), 'independence', 0, 0.0, None, 0.0515406162464986),
+    (2, (7, 9), (8,), 'gumbel', 90, 1.1868351063829787, None, -0.15742296918767504),
+    (3, (0, 3), (1, 2), 'independence', 0, 0.0, None, -0.010084033613445377),
+    (3, (1, 4), (2, 3), 'independence', 0, 0.0, None, 0.012605042016806721),
+    (3, (2, 5), (3, 4), 'independence', 0, 0.0, None, 0.08067226890756302),
+    (3, (3, 6), (4, 5), 'independence', 0, 0.0, None, 0.08039215686274509),
+    (3, (4, 7), (5, 6), 'independence', 0, 0.0, None, 0.07675070028011204),
+    (3, (5, 8), (6, 7), 'frank', 0, -1.1650373716840223, None, -0.12773109243697478),
+    (3, (6, 9), (7, 8), 'independence', 0, 0.0, None, 0.047058823529411764),
 ]
 
 
@@ -703,6 +705,26 @@ class TestRankings:
 
         synthetic, held_out = worst(synth), worst(test)
         assert all(synthetic[name] <= held_out[name] for name in held_out), (synthetic, held_out)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "vine"])
+@pytest.mark.parametrize("seed", [11, 23])
+def test_sample_spearman_stays_near_the_held_out_floor(seed, kind):
+    # The held-out test split's own Spearman deviation from the training
+    # split is the sampling-noise floor; a sample the size of the test split
+    # may deviate by at most 2.5 times it.  Maximum likelihood on the mostly
+    # tied tau_c columns once put the vine at 4.6-6 times the floor.
+    train, _, test = split_shuffle(generate_surrogate(2000, LevelGrid(20), seed), SplitSpec(0.4, 0.2, 0.4, seed))
+    model = fit_synth_model(train, CopulaSpec(kind=kind))
+    synth, _ = sample_synth_model(model, len(test), 5)
+    active = list(model.active)
+
+    def spearman(profiles):
+        return np.corrcoef(rankdata(profiles.inputs[:, active], axis=0), rowvar=False)
+
+    floor = np.abs(spearman(test) - spearman(train)).max()
+    deviation = np.abs(spearman(synth) - spearman(train)).max()
+    assert deviation <= 2.5 * floor, (deviation, floor)
 
 
 class TestModelArtifact:
