@@ -30,10 +30,7 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri, gammaln, stdtr, stdtrit
-from scipy.stats._stats import _kendall_dis
 
 from . import rng
 
@@ -446,8 +443,11 @@ def kendall_tau(u, v) -> float:
     The argsorts, dense ranks and tie counts come from PseudoObs.ranks; the
     O(n log n) count (Knight's merge count as a Fenwick tree), the tie counts
     and the tau-b formula are those of scipy.stats.kendalltau, so the two
-    agree to the last bit.
+    agree to the last bit.  Importing the count loads scipy.stats, so a
+    process pays that load at its first call, not at import.
     """
+    from scipy.stats._stats import _kendall_dis
+
     u, v = _wrap(u), _wrap(v)
     if u.x.shape != v.x.shape or u.x.ndim != 1:
         raise ValueError("kendall_tau expects two equal-length vectors")
@@ -486,6 +486,8 @@ def tau_independence_threshold(n: int) -> float:
 def _frank_tau(theta: float) -> float:
     if theta == 0.0:
         return 0.0
+    from scipy.integrate import quad
+
     t = abs(theta)
     debye, _ = quad(lambda x: x / math.expm1(x), 0.0, t, limit=200)
     tau = 1.0 - 4.0 / t * (1.0 - debye / t)
@@ -503,7 +505,9 @@ def _joe_tau(theta: float) -> float:
     return float(1.0 - 4.0 * terms.sum())
 
 
-_FRANK_CAP_TAU = _frank_tau(_FRANK_THETA_CAP)
+# _frank_tau(_FRANK_THETA_CAP), written out so that importing the module
+# does not load scipy.integrate; a test keeps the two equal to the bit.
+_FRANK_CAP_TAU = float.fromhex("0x1.d4270aa4bed52p-1")
 
 
 def param_to_tau(f: Family, theta: float) -> float:
@@ -525,6 +529,8 @@ def param_to_tau(f: Family, theta: float) -> float:
 
 def tau_to_param(f: Family, tau: float) -> float:
     """Invert param_to_tau; raises when tau is incompatible with the family."""
+    from scipy.optimize import brentq
+
     if abs(tau) >= 1.0:
         raise ValueError("|tau| must be < 1")
     if f is Family.INDEPENDENCE:

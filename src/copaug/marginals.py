@@ -10,7 +10,6 @@ matrix onto the open unit hypercube.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
 
 # Columns per block of quantile's kernel: 16 rows of a 10,000-sample table
 # (1.3 MB) stay in cache while their values are gathered.
@@ -29,7 +28,19 @@ def pseudo_observations(values: np.ndarray) -> np.ndarray:
     n = vals.shape[0]
     if n < 2:
         raise ValueError("pseudo-observations need at least 2 rows")
-    return rankdata(vals, method="average", axis=0) / (n + 1.0)
+    # Average ranks from each value's run of ties in sorted order: the run
+    # spans sorted positions first..last, so its rank is (first + last)/2 + 1,
+    # an exact half-integer, bit for bit scipy's rankdata(method="average").
+    order = np.argsort(vals, axis=0)
+    s = np.take_along_axis(vals, order, axis=0)
+    pos = np.arange(n).reshape((n,) + (1,) * (vals.ndim - 1))
+    edge = np.ones((1,) + vals.shape[1:], dtype=bool)
+    new_run = s[1:] != s[:-1]
+    first = np.maximum.accumulate(np.where(np.concatenate([edge, new_run]), pos, 0), axis=0)
+    last = np.minimum.accumulate(np.where(np.concatenate([new_run, edge]), pos, n - 1)[::-1], axis=0)[::-1]
+    ranks = np.empty_like(vals)
+    np.put_along_axis(ranks, order, (first + last) / 2 + 1, axis=0)
+    return ranks / (n + 1.0)
 
 
 def quantile(table: np.ndarray, U, columns) -> np.ndarray:

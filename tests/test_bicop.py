@@ -564,6 +564,10 @@ class TestTauConversions:
             theta = tau_to_param(family, tau)
             assert abs(param_to_tau(family, theta) - tau) < 1e-8
 
+    def test_frank_cap_tau_is_its_formula(self):
+        # The literal stands in for the quadrature so that import loads no scipy.integrate.
+        assert bicop._FRANK_CAP_TAU.hex() == bicop._frank_tau(bicop._FRANK_THETA_CAP).hex()
+
     def test_incompatible_tau(self):
         with pytest.raises(ValueError):
             tau_to_param(Family.CLAYTON, -0.3)

@@ -2,6 +2,8 @@ import copy
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -717,3 +719,44 @@ def test_failed_replace_keeps_model_json(tmp_path, monkeypatch, kind):
         save(path, model)
     assert path.read_text() == "previous model\n"
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+_FOOTPRINT_SCRIPT = """
+import contextlib, io, json, sys
+from copaug.cli import main
+
+heavy = ("scipy.stats", "scipy.optimize", "scipy.integrate")
+cfg = ["--config", "tiny.json"]
+commands = [
+    ["show-config"],
+    ["pipeline", *cfg, "--out", "run"],
+    ["gen-data", *cfg, "--out", "data.csv"],
+    ["radiate", *cfg, "--input", "data.csv", "--out", "rad.csv"],
+    ["train", *cfg, "--train", "rad.csv", "--val", "rad.csv", "--out", "mlp.json"],
+    ["eval", *cfg, "--model", "mlp.json", "--test", "rad.csv", "--out", "eval.csv"],
+    ["fit", *cfg, "--kind", "gaussian", "--out", "model.json"],
+    ["sample", *cfg, "--model", "model.json", "--count", "30", "--out", "synth.csv"],
+]
+loaded = {}
+with contextlib.redirect_stdout(io.StringIO()):
+    for args in commands:
+        assert main(args) == 0, args
+    loaded["gaussian"] = [m for m in heavy if m in sys.modules]
+    assert main(["fit", *cfg, "--kind", "vine", "--out", "vine.json"]) == 0
+    loaded["vine"] = [m for m in heavy if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_stats_optimize_and_integrate_wait_for_the_vine(tmp_path):
+    # A fresh interpreter, since this one has imported scipy.stats for the tests.
+    # The Gaussian commands need only scipy.special; the vine's first Kendall tau
+    # and tau inversion load the rest.
+    (tmp_path / "tiny.json").write_text(json.dumps(TINY))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", _FOOTPRINT_SCRIPT], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    heavy = ["scipy.stats", "scipy.optimize", "scipy.integrate"]
+    assert json.loads(done.stdout) == {"gaussian": [], "vine": heavy}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.stats import ks_2samp
+from hypothesis import example, given, settings, strategies as st
+from scipy.stats import ks_2samp, rankdata
 
 from copaug import rng
 from copaug.dataset import LevelGrid, flatten, generate_surrogate
@@ -81,6 +81,34 @@ class TestPseudoObservations:
         u = pseudo_observations(x)
         ranks = np.round(u * 21).astype(int)
         np.testing.assert_array_equal(np.sort(ranks), np.arange(1, 21))
+
+
+@st.composite
+def tied_matrices(draw):
+    """A 1-d or 2-d matrix of n >= 2 rows whose values repeat: runs of ties
+    mixing 0.0 and -0.0, a few other integers and arbitrary floats, with
+    some columns made constant."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.one_of(st.none(), st.integers(1, 6)))
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.0]), st.floats(-1e6, 1e6))
+    x = np.array(draw(st.lists(value, min_size=n * (d or 1), max_size=n * (d or 1))))
+    if d is None:
+        return x
+    x = x.reshape(n, d)
+    for j in draw(st.sets(st.integers(0, d - 1))):
+        x[:, j] = x[0, j]
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_matrices())
+@example(np.array([0.0, -0.0]))
+@example(np.array([[-0.0, 3.0, 1.0], [0.0, 3.0, -0.0], [-0.0, 3.0, 0.0], [2.0, 3.0, -0.0]]))
+def test_pseudo_observations_are_scipy_average_ranks_to_the_bit(x):
+    expected = rankdata(x, method="average", axis=0) / (x.shape[0] + 1.0)
+    u = pseudo_observations(x)
+    assert u.shape == expected.shape and u.dtype == expected.dtype
+    assert u.tobytes() == expected.tobytes()
 
 
 @st.composite
