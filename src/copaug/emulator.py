@@ -6,10 +6,11 @@ validation loss with best-weights restoration.  Everything is seeded and
 deterministic: weight init and batch shuffling draw from the package's
 Philox streams.
 
-A model's weights and biases live in one flat float64 vector, layer by
-layer (W0, b0, W1, b1, ...), and the per-layer arrays are reshaped views
-of it; the gradient vector has the same layout, so one Adam step updates
-every parameter.
+A model's weights and biases live in one flat vector, layer by layer
+(W0, b0, W1, b1, ...), and the per-layer arrays are reshaped views of it;
+the gradient vector has the same layout, so one Adam step updates every
+parameter.  Models store float64 parameters; `train` runs its mini-batch
+loop on a float32 copy and returns a float64 model.
 """
 
 from __future__ import annotations
@@ -95,7 +96,9 @@ class MLPModel:
     biases: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "params", np.ascontiguousarray(self.params, dtype=np.float64))
+        # float32 is the training loop's working dtype; anything else is stored as float64.
+        dtype = np.float32 if np.asarray(self.params).dtype == np.float32 else np.float64
+        object.__setattr__(self, "params", np.ascontiguousarray(self.params, dtype=dtype))
         weights, biases = _param_views(self.layout, self.params)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "biases", biases)
@@ -127,9 +130,9 @@ def _param_views(layout: MLPLayout, flat: np.ndarray):
 
 
 def _forward_cached(m: MLPModel, x_norm: np.ndarray):
-    """Forward pass keeping min(z, 0) of each hidden layer for backprop."""
-    neg, act = [], [x_norm]
-    a = x_norm
+    """Forward pass in the dtype of `m.params`, keeping expm1(min(z, 0)) of each hidden layer."""
+    a = np.asarray(x_norm, dtype=m.params.dtype)
+    neg, act = [], [a]
     last = len(m.weights) - 1
     for k, (w, b) in enumerate(zip(m.weights, m.biases)):
         z = a @ w
@@ -137,10 +140,10 @@ def _forward_cached(m: MLPModel, x_norm: np.ndarray):
         if k == last:
             a = z
         else:
-            zneg = np.minimum(z, 0.0)
-            a = np.expm1(zneg)
-            np.maximum(a, z, out=a)  # exact ELU, as expm1(z) > z for z < 0; this order keeps -0.0
-            neg.append(zneg)
+            e = np.minimum(z, 0.0)
+            np.expm1(e, out=e)
+            a = np.maximum(e, z)  # exact ELU, as expm1(z) > z for z < 0; this order keeps -0.0
+            neg.append(e)
         act.append(a)
     return neg, act
 
@@ -155,9 +158,16 @@ def forward(m: MLPModel, x) -> np.ndarray:
 
 
 def _mean_huber(r: np.ndarray, delta: float) -> float:
-    """Mean over all elements of the Huber penalty of the residual `r`."""
+    """Mean over all elements of the Huber penalty of the residual `r`.
+
+    The penalty is q * (|r| - q/2) with q = min(|r|, delta): r*r/2 inside
+    the quadratic zone, delta * (|r| - delta/2) outside, without branches.
+    """
     ar = np.abs(r)
-    return float(np.where(ar <= delta, 0.5 * r * r, delta * (ar - 0.5 * delta)).mean())
+    q = np.minimum(ar, delta)
+    ar -= q * 0.5
+    ar *= q
+    return float(ar.mean())
 
 
 def huber_loss(pred, target, delta: float = TrainConfig.huber_delta) -> float:
@@ -173,14 +183,14 @@ def loss_and_grads(m: MLPModel, x_norm: np.ndarray, y: np.ndarray, delta: float,
     """Huber loss and its analytic gradients w.r.t. every weight and bias.
 
     `x_norm` is the network's input, already normalized: `m.normalizer`
-    is not applied here, so callers pass `m.normalizer.apply(x)`.  The
-    gradients are written into `out`, a flat vector in the layout of
-    `m.params` (allocated when None), and returned as per-layer
-    views of it: (loss, grads_w, grads_b).
+    is not applied here, so callers pass `m.normalizer.apply(x)`.  Both
+    passes run in the dtype of `m.params`.  The gradients are written
+    into `out`, a flat vector in the layout of `m.params` (allocated when
+    None), and returned as per-layer views of it: (loss, grads_w, grads_b).
     """
     neg, act = _forward_cached(m, x_norm)
     r = act[-1]
-    r -= y
+    r -= np.asarray(y, dtype=r.dtype)
     count = r.size
     loss = _mean_huber(r, delta)
     # dLoss/dpred: r inside the quadratic zone, delta*sign(r) outside.
@@ -194,13 +204,14 @@ def loss_and_grads(m: MLPModel, x_norm: np.ndarray, y: np.ndarray, delta: float,
         np.sum(delta_k, axis=0, out=grads_b[k])
         if k > 0:
             upstream = delta_k @ m.weights[k].T
-            upstream *= np.exp(neg[k - 1], out=neg[k - 1])  # ELU'(z) = exp(min(z, 0))
+            neg[k - 1] += 1.0  # ELU'(z) = exp(min(z, 0)) = expm1(min(z, 0)) + 1
+            upstream *= neg[k - 1]
             delta_k = upstream
     return loss, grads_w, grads_b
 
 
 class AdamState:
-    """First/second moment accumulators for one parameter vector."""
+    """First/second moment accumulators for one parameter vector, in its dtype."""
 
     def __init__(self, params: np.ndarray):
         self.m = np.zeros_like(params)
@@ -209,11 +220,18 @@ class AdamState:
         self.t = 0
 
     def step(self, params: np.ndarray, grads: np.ndarray, cfg: TrainConfig):
-        """params -= lr * (m / corr1) / (sqrt(v / corr2) + eps), in scratch buffers."""
+        """params -= lr_t * m / (sqrt(v) + eps_t), in scratch buffers.
+
+        Kingma & Ba's (ICLR 2015, section 2) reordering of Algorithm 1: with
+        lr_t = lr * sqrt(1 - b2^t) / (1 - b1^t) and eps_t = eps * sqrt(1 - b2^t),
+        the bias corrections become scalar factors, which saves two
+        full-vector divisions.  The step sizes stay Python floats, so a
+        float32 vector stays float32.
+        """
         self.t += 1
         b1, b2 = cfg.beta1, cfg.beta2
-        corr1 = 1.0 - b1 ** self.t
-        corr2 = 1.0 - b2 ** self.t
+        root_corr2 = math.sqrt(1.0 - b2 ** self.t)
+        lr_t = cfg.learning_rate * root_corr2 / (1.0 - b1 ** self.t)
         mm, vv, (num, den) = self.m, self.v, self._scratch
         mm *= b1
         mm += np.multiply(grads, 1.0 - b1, out=num)
@@ -221,11 +239,9 @@ class AdamState:
         np.multiply(grads, 1.0 - b2, out=num)
         num *= grads
         vv += num
-        np.divide(vv, corr2, out=den)
-        np.sqrt(den, out=den)
-        den += cfg.adam_eps
-        np.divide(mm, corr1, out=num)
-        num *= cfg.learning_rate
+        np.sqrt(vv, out=den)
+        den += cfg.adam_eps * root_corr2
+        np.multiply(mm, lr_t, out=num)
         num /= den
         params -= num
 
@@ -235,27 +251,41 @@ def train(m: MLPModel, train_x, train_y, val_x, val_y, cfg: TrainConfig = TrainC
 
     Stops once the validation loss has not improved for `patience`
     consecutive epochs (or at the epoch limit) and returns a model
-    carrying the weights of the best validation epoch.
+    carrying the weights of the best validation epoch.  The mini-batch
+    loop, its gradients and Adam's moments are float32; each epoch's
+    validation loss is computed in float64 on an exact float64 copy of
+    the weights, the copy the returned model holds.
     """
     tx = np.asarray(train_x, dtype=float)
     ty = np.asarray(train_y, dtype=float)
     vx = np.asarray(val_x, dtype=float)
     vy = np.asarray(val_y, dtype=float)
+    for name, x, y in (("train", tx, ty), ("val", vx, vy)):
+        if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
+            raise ValueError(f"{name}_x and {name}_y must be matrices with matching row counts, "
+                             f"got shapes {x.shape} and {y.shape}")
     if tx.shape[0] == 0 or vx.shape[0] == 0:
         raise ValueError("training and validation sets must be nonempty")
-    if tx.shape[1] != m.layout.n_inputs or ty.shape[1] != m.layout.n_outputs:
+    widths = (m.layout.n_inputs, m.layout.n_outputs)
+    if (tx.shape[1], ty.shape[1]) != widths or (vx.shape[1], vy.shape[1]) != widths:
         raise ValueError("data widths do not match the model layout")
 
-    flat = m.params.copy()
-    model = MLPModel(m.layout, flat, Normalizer.from_data(tx))  # views of flat, which Adam steps
-    txn = model.normalizer.apply(tx)
+    normalizer = Normalizer.from_data(tx)
+    n = tx.shape[0]
+    txn = np.empty(tx.shape, np.float32)
+    for start in range(0, n, 4096):  # row blocks: no full-size float64 normalized copy
+        txn[start:start + 4096] = normalizer.apply(tx[start:start + 4096])
+    ty = ty.astype(np.float32)
+    flat = m.params.astype(np.float32)
+    model = MLPModel(m.layout, flat, normalizer)  # views of flat, which Adam steps
+    mirror = MLPModel(m.layout, np.empty(flat.shape), normalizer)  # float64, for validation
 
     gen = rng.stream(cfg.seed)
     adam = AdamState(flat)
     grad = np.empty_like(flat)
-    n = tx.shape[0]
+    history = {"train": [], "val": []}
     best_val = np.inf
-    best_flat, best_epoch = flat, -1  # the last weights, should no epoch improve
+    best_flat, best_epoch = mirror.params, -1  # the last weights, should no epoch improve
     for epoch in range(cfg.epochs):
         order = rng.permutation(n, gen)
         epoch_loss = 0.0
@@ -266,15 +296,16 @@ def train(m: MLPModel, train_x, train_y, val_x, val_y, cfg: TrainConfig = TrainC
                 raise ValueError(f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}")
             adam.step(flat, grad, cfg)
             epoch_loss += loss * idx.shape[0]
-        val_loss = huber_loss(forward(model, vx), vy, cfg.huber_delta)
-        model.history["train"].append(epoch_loss / n)
-        model.history["val"].append(val_loss)
+        mirror.params[...] = flat
+        val_loss = huber_loss(forward(mirror, vx), vy, cfg.huber_delta)
+        history["train"].append(epoch_loss / n)
+        history["val"].append(val_loss)
         if val_loss < best_val:
             best_val = val_loss
-            best_flat, best_epoch = flat.copy(), epoch
+            best_flat, best_epoch = mirror.params.copy(), epoch
         elif epoch - best_epoch >= cfg.patience:
             break
-    return MLPModel(m.layout, best_flat, model.normalizer, model.history, best_epoch)
+    return MLPModel(m.layout, best_flat, normalizer, history, best_epoch)
 
 
 def predict_set(m: MLPModel, profiles: ProfileSet) -> DataMatrix:

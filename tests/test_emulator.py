@@ -87,6 +87,20 @@ class TestHuber:
         with pytest.raises(ValueError):
             huber_loss(np.zeros(3), np.zeros(4), 1.0)
 
+    @pytest.mark.parametrize("delta", [0.3, 1.0, 2.5])
+    def test_branch_free_penalty_matches_two_branch_form_bit_for_bit(self, delta):
+        # q * (|r| - q/2) with q = min(|r|, delta) against the textbook np.where form.
+        tiny = np.finfo(float).smallest_subnormal
+        special = [delta, -delta, 0.0, -0.0, tiny, -tiny, 3 * tiny, 1e-310, -1e-310,
+                   np.nextafter(delta, 0.0), np.nextafter(delta, 9.0)]
+        r = np.concatenate([special, np.random.default_rng(1).normal(scale=2 * delta, size=2000)])
+        ar = np.abs(r)
+        textbook = np.where(ar <= delta, 0.5 * r * r, delta * (ar - 0.5 * delta))
+        # The mean of one element is that element, so each penalty is compared alone.
+        branch_free = np.array([emulator._mean_huber(r[i:i + 1], delta) for i in range(r.size)])
+        assert branch_free.tobytes() == textbook.tobytes()
+        assert emulator._mean_huber(r, delta) == float(textbook.mean())
+
 
 class TestGradients:
     def test_matches_central_differences(self):
@@ -144,6 +158,45 @@ class TestGradients:
         state.step(m.params, np.zeros_like(m.params), TrainConfig())
         assert m.params.tobytes() == before.tobytes()
 
+    def test_adam_matches_algorithm_1(self):
+        # Kingma & Ba (ICLR 2015), Algorithm 1, with the bias-corrected moments spelled out.
+        gen = np.random.default_rng(12)
+        cfg = TrainConfig(learning_rate=3e-3)
+        params = gen.normal(size=50)
+        ref, m, v = params.copy(), np.zeros(50), np.zeros(50)
+        state = AdamState(params)
+        for t in range(1, 201):
+            g = gen.normal(scale=10.0 ** gen.uniform(-4, 1), size=50)
+            state.step(params, g, cfg)
+            m = cfg.beta1 * m + (1 - cfg.beta1) * g
+            v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
+            m_hat = m / (1 - cfg.beta1 ** t)
+            v_hat = v / (1 - cfg.beta2 ** t)
+            ref -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        np.testing.assert_allclose(params, ref, rtol=1e-10)
+
+    def test_elu_derivative_from_expm1(self):
+        # The backward reads ELU'(z) = exp(min(z, 0)) as expm1(min(z, 0)) + 1.
+        z = np.concatenate([[0.0, -0.0, -1e-300, -1e-17, -1e-9, -745.0, -800.0, 3.0],
+                            np.random.default_rng(2).normal(scale=4.0, size=5000)])
+        zneg = np.minimum(z, 0.0)
+        assert np.abs((np.expm1(zneg) + 1.0) - np.exp(zneg)).max() <= np.spacing(1.0)
+
+    def test_float32_model_matches_float64_gradients(self):
+        gen = np.random.default_rng(13)
+        m32 = init_mlp(MLPLayout(9, (16, 16), 4), seed=5)
+        m32 = MLPModel(m32.layout, m32.params.astype(np.float32), m32.normalizer)
+        m64 = MLPModel(m32.layout, m32.params.astype(np.float64), m32.normalizer)
+        assert (m32.params.dtype, m64.params.dtype) == (np.float32, np.float64)
+        x = gen.normal(size=(64, 9)).astype(np.float32)
+        y = gen.normal(size=(64, 4)).astype(np.float32)
+        loss32, gw32, gb32 = loss_and_grads(m32, x, y, 1.0)
+        loss64, gw64, gb64 = loss_and_grads(m64, x.astype(np.float64), y.astype(np.float64), 1.0)
+        assert all(g.dtype == np.float32 for g in gw32 + gb32)
+        assert loss32 == pytest.approx(loss64, rel=1e-5)
+        for g32, g64 in zip(gw32 + gb32, gw64 + gb64):
+            np.testing.assert_allclose(g32, g64, rtol=1e-4)
+
 
 class TestTraining:
     def test_overfits_tiny_dataset(self):
@@ -181,27 +234,28 @@ class TestTraining:
         assert a.history == b.history
         assert all(np.array_equal(w1, w2) for w1, w2 in zip(a.weights, b.weights))
 
-    # Weights (sha256 of each layer's W then b bytes) and histories of the
-    # layer-by-layer implementation, before parameters moved into one flat
-    # vector; training must reproduce them bit for bit.
+    # Weights (sha256 of each layer's W then b bytes) and histories of
+    # training, recorded when the mini-batch loop moved to float32; it agreed
+    # with the float64 loop's record to about 1e-8 relative.  Training must
+    # reproduce them bit for bit.
     HISTORY_A = {
         "train": [
-            0.47636456431797997, 0.47313742309174267, 0.4701534857329769,
-            0.4680295399491609, 0.4652172295916851, 0.46381284703785836,
-            0.4611957880203134, 0.45889978450036545, 0.4570556015652522,
-            0.4543743626334712, 0.45284896326212176, 0.45086358768125984,
-            0.4490043924694401, 0.44738730125681836, 0.4455483290762517,
-            0.44435503843562996, 0.4422879991027153, 0.4414061453793688,
-            0.4395818366365989, 0.43866378514834065,
+            0.4763645549615224, 0.4731374184290568, 0.47015350858370464,
+            0.46802956064542134, 0.4652172406514486, 0.46381285587946575,
+            0.4611958026885986, 0.4588997930288315, 0.45705560048421223,
+            0.4543743709723155, 0.4528489589691162, 0.4508635799090068,
+            0.44900439778963724, 0.4473873198032379, 0.44554831782976784,
+            0.44435503681500754, 0.44228800435860954, 0.44140613873799645,
+            0.43958183328310646, 0.43866378466288247,
         ],
         "val": [
-            0.47384412337573545, 0.471240941013023, 0.4690030637054904,
-            0.4665247970933227, 0.4642079023279568, 0.46174836059013696,
-            0.45948309968594747, 0.4573340751757039, 0.45519600525068254,
-            0.4533358304851441, 0.4514003051664478, 0.4495968542350497,
-            0.4478448679163709, 0.4461120771236532, 0.4445476233945944,
-            0.4429382623355103, 0.4415757873534492, 0.44009783119341356,
-            0.4388346701003876, 0.43749645396100717,
+            0.47384412240036505, 0.4712409504485746, 0.46900307564109833,
+            0.4665248124689555, 0.46420790506909554, 0.46174836185519413,
+            0.45948310277163373, 0.45733407570151957, 0.45519600927339676,
+            0.4533358395789572, 0.45140030600881614, 0.4495968561807835,
+            0.4478448699421137, 0.44611207816326226, 0.44454762465745673,
+            0.4429382568974896, 0.4415757810028159, 0.4400978247836353,
+            0.4388346647836489, 0.43749644783752706,
         ],
     }
 
@@ -221,7 +275,7 @@ class TestTraining:
         m = train(init_mlp(MLPLayout(3, (6,), 2), 2), x, y, x, y, cfg)
         assert m.history == self.HISTORY_A
         assert m.best_epoch == 19
-        assert self._weights_sha256(m) == "1a9854ec431eed77da36a660b3d05e16cf11821f26f5d5354e62feaaa4877497"
+        assert self._weights_sha256(m) == "abbaa3bd89d2254376a1a70af3cfbc938ba040ad1f2e9f6e5f601e1a49de8824"
 
     def test_matches_recorded_training_early_stop(self):
         gen = np.random.default_rng(21)
@@ -230,9 +284,10 @@ class TestTraining:
         cfg = TrainConfig(epochs=30, patience=5, batch_size=16, seed=4, learning_rate=3e-3)
         m = train(init_mlp(MLPLayout(5, (7, 6), 3), 9), x, y, vx, vy, cfg)
         assert (m.best_epoch, len(m.history["val"])) == (14, 20)
+        # Digests re-recorded when the loop moved to float32; the epoch pair held.
         history = hashlib.sha256(json.dumps(m.history).encode()).hexdigest()
-        assert history == "3a198b6c526f26c937b789a0b8b1f1262e6534bb45acfbc59ee01a633866b5bb"
-        assert self._weights_sha256(m) == "2b3db6e3d057fc0e398600e490086234e40a16a2ab4a1be2d9738a94a7ca5ea4"
+        assert history == "de484c0234b88701f8ec005bae739fcaf21fd73745a8ff6f1caa9f89e8641ec9"
+        assert self._weights_sha256(m) == "2f854c07eeb0b8317a2ab1ebd11a9a7ebc770ef8f69e5ec3e1ef03a0bec8ffef"
 
     def test_call_counts_per_batch_and_epoch(self, monkeypatch):
         calls = {"loss_and_grads": 0, "step": 0, "permutation": 0}
@@ -253,6 +308,65 @@ class TestTraining:
         epochs = len(m.history["train"])
         assert epochs == 7
         assert calls == {"loss_and_grads": 4 * epochs, "step": 4 * epochs, "permutation": epochs}
+
+    def test_loop_runs_in_float32(self, monkeypatch):
+        # A float64 scalar or array in the loop would promote it silently under NEP 50.
+        dtypes, promoted = set(), []
+
+        def loss_and_grads(m, x_norm, y, delta, out=None):
+            loss, gw, gb = real_loss_and_grads(m, x_norm, y, delta, out=out)
+            dtypes.update({m.params.dtype, x_norm.dtype, y.dtype, out.dtype}, (g.dtype for g in gw + gb))
+            return loss, gw, gb
+
+        def forward_cached(m, x_norm):  # also runs the float64 validation pass
+            neg, act = real_forward_cached(m, x_norm)
+            promoted.extend(a.dtype for a in neg + act if a.dtype != m.params.dtype)
+            return neg, act
+
+        def step(state, params, grads, cfg):
+            real_step(state, params, grads, cfg)
+            dtypes.update({params.dtype, grads.dtype, state.m.dtype, state.v.dtype})
+
+        real_loss_and_grads, real_step = emulator.loss_and_grads, AdamState.step
+        real_forward_cached = emulator._forward_cached
+        monkeypatch.setattr(emulator, "loss_and_grads", loss_and_grads)
+        monkeypatch.setattr(emulator, "_forward_cached", forward_cached)
+        monkeypatch.setattr(AdamState, "step", step)
+        gen = np.random.default_rng(3)
+        x, y = gen.normal(size=(30, 3)), gen.normal(size=(30, 2))
+        m = train(init_mlp(MLPLayout(3, (6, 5), 2), 1), x, y, x, y,
+                  TrainConfig(epochs=3, patience=3, batch_size=8, seed=2))
+        assert dtypes == {np.dtype(np.float32)}
+        assert promoted == []
+        assert len(m.history["val"]) == 3
+
+    def test_returns_float64_holding_float32_values(self):
+        gen = np.random.default_rng(7)
+        x, y = gen.normal(size=(40, 4)), gen.normal(size=(40, 3))
+        vx, vy = gen.normal(size=(10, 4)), gen.normal(size=(10, 3))
+        m = train(init_mlp(MLPLayout(4, (8,), 3), 6), x, y, vx, vy,
+                  TrainConfig(epochs=6, patience=6, batch_size=16, seed=3))
+        assert m.params.dtype == np.float64
+        assert np.array_equal(m.params.astype(np.float32).astype(np.float64), m.params)
+        assert forward(m, vx).dtype == np.float64
+        assert all(type(v) is float for key in ("train", "val") for v in m.history[key])
+        assert huber_loss(forward(m, vx), vy) == min(m.history["val"])
+
+    ROWS = "{0}_x and {0}_y must be matrices with matching row counts"
+
+    @pytest.mark.parametrize("shapes, message", [
+        (((20, 3), (25, 2), (10, 3), (10, 2)), ROWS.format("train")),  # more target rows
+        (((20, 3), (10, 2), (10, 3), (10, 2)), ROWS.format("train")),  # fewer target rows
+        (((20,), (20, 2), (10, 3), (10, 2)), ROWS.format("train")),    # a 1-D input
+        (((20, 3), (20, 2), (10, 3), (9, 2)), ROWS.format("val")),
+        (((20, 3), (20, 2), (10, 3), (10,)), ROWS.format("val")),
+        (((20, 4), (20, 2), (10, 3), (10, 2)), "data widths do not match the model layout"),
+        (((20, 3), (20, 2), (10, 3), (10, 1)), "data widths do not match the model layout"),
+    ])
+    def test_malformed_data_rejected(self, shapes, message):
+        data = [np.zeros(shape) for shape in shapes]
+        with pytest.raises(ValueError, match=message):
+            train(init_mlp(MLPLayout(3, (4,), 2), 0), *data, TrainConfig(epochs=2, patience=2))
 
     def test_input_model_not_mutated(self):
         gen = np.random.default_rng(8)
